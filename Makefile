@@ -52,12 +52,12 @@ bench-fast:
 	$(PYTHON) -m pytest benchmarks/test_fig2_fig3.py \
 	    benchmarks/test_micro.py --benchmark-only
 
-# Evaluation-engine smoke benchmark: verifies the decode-cache/pool
-# engine stays bit-identical to the legacy path, fails on a >20%
+# Evaluation-engine smoke benchmark: verifies the engine and its pools
+# stay bit-identical to the seed path (tests/oracles), fails on a >20%
 # speedup regression against the committed baseline, and gates the
 # async work-stealing arm on mean pool utilisation >= 0.85 at jobs=4;
-# then the PV-DVS kernel microbench (bit-identity + warm-start
-# never-worse gates).
+# then the PV-DVS kernel microbench (gradient and uniform bit-identity
+# gates against the seed reference).
 bench-smoke:
 	$(PYTHON) benchmarks/bench_engine.py --quick --jobs 4 \
 	    --check benchmarks/results/bench_engine_quick_baseline.json \

@@ -1,34 +1,26 @@
-"""Evaluation-engine benchmark: legacy vs caches vs kernels vs pools.
+"""Evaluation-engine benchmark: seed path vs the engine vs its pools.
 
-Runs the same GA synthesis (same seed, same sizing) under six engine
+Runs the same GA synthesis (same seed, same sizing) under five engine
 configurations and verifies they are *bit-identical* before reporting
 wall-clock speedups:
 
 ``legacy``
-    ``decode_cache=False, mode_cache=False, jobs=1`` — the seed
-    implementation's recompute-per-candidate decode paths (kept
-    verbatim in :mod:`repro.dvs._pv_dvs_reference`), the baseline all
-    speedups are measured against.
-``engine``
-    ``decode_cache=True, mode_cache=False, jobs=1`` — the shared
-    :class:`~repro.engine.decode_cache.DecodeContext` fast paths,
-    in-process, through the monolithic evaluator.
-``incremental``
-    ``decode_cache=True, mode_cache=True, jobs=1`` — the staged
-    per-mode pipeline (:mod:`repro.eval`) serving clean modes from the
-    bounded :class:`~repro.eval.cache.ModeResultCache` (emptied before
-    every timed run, so the measured advantage is purely intra-run).
+    The seed evaluator (``tests/oracles/seed_evaluator.py``) swapped
+    in for the whole run at ``jobs=1``: recompute-per-candidate
+    decoding, no per-mode cache and the seed PV-DVS implementation —
+    the baseline all speedups are measured against.
 ``vector``
-    ``incremental`` plus ``vector_dvs=True`` — the struct-of-arrays
-    PV-DVS kernels (:mod:`repro.dvs._kernels`) replacing the legacy
-    object-graph descent loop inside the same pipeline.  The earlier
-    arms pin ``vector_dvs=False`` so their semantics (and timings)
-    stay comparable across report generations.
+    The default evaluator at ``jobs=1``: the staged per-mode pipeline
+    (:mod:`repro.eval`) on the shared
+    :class:`~repro.engine.decode_cache.DecodeContext`, serving clean
+    modes from the bounded :class:`~repro.eval.cache.ModeResultCache`
+    (emptied before every timed run, so the measured advantage is
+    purely intra-run), with the struct-of-arrays PV-DVS kernels of
+    :mod:`repro.dvs.pv_dvs`.
 ``engine+pool``
-    ``decode_cache=True, mode_cache=True, jobs=N, async_pool=False`` —
-    the incremental pipeline with each generation's unique uncached
-    genomes dispatched to the per-generation *barrier* pool
-    (``vector_dvs=False``, like ``incremental``).
+    ``vector`` plus ``jobs=N, async_pool=False`` — each generation's
+    unique uncached genomes dispatched to the per-generation *barrier*
+    pool.
 ``async``
     ``vector`` plus ``jobs=N, async_pool=True`` — the work-stealing
     asynchronous pool (:mod:`repro.engine.async_pool`): workers pull
@@ -49,11 +41,10 @@ wall-clock speedups:
 The *headline* cases run the gradient PV-DVS inner loop — the paper's
 proposed technique and by far the hottest decode phase; no-DVS cases
 are reported as a secondary (smaller) aggregate.  Results are written
-to ``BENCH_engine.json`` together with each case's mode-cache hit rate
-and the ``incremental``-over-``engine`` speedup; ``--check BASELINE``
-compares the headline speedup against a committed baseline and fails
-on a >20 % regression (speedup ratios are machine-relative, so the
-check is portable).
+to ``BENCH_engine.json`` together with each case's mode-cache hit
+rate; ``--check BASELINE`` compares the headline speedup against a
+committed baseline and fails on a >20 % regression (speedup ratios are
+machine-relative, so the check is portable).
 
 Usage::
 
@@ -77,6 +68,7 @@ from typing import Dict, List, Optional
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT))  # for the tests.oracles baseline
 
 from repro.benchgen.multimode import (  # noqa: E402
     MultiModeSpec,
@@ -90,6 +82,7 @@ from repro.synthesis.cosynthesis import (  # noqa: E402
     MultiModeSynthesizer,
     SynthesisResult,
 )
+from tests.oracles import seed_path  # noqa: E402
 
 
 #: Denser-than-suite instances for the pool arms: more queue depth and
@@ -139,7 +132,7 @@ def _base_config(dvs: DvsMethod, seed: int, quick: bool) -> SynthesisConfig:
 def _run_once(problem: Problem, config: SynthesisConfig) -> SynthesisResult:
     # All configurations share one Problem (and thus its memoised
     # per-mode result cache); start every timed run cold so the
-    # incremental arm's advantage is intra-run, not leftovers from the
+    # cached arms' advantage is intra-run, not leftovers from the
     # previous arm or repeat.
     cache = getattr(problem, "_mode_result_cache", None)
     if cache is not None:
@@ -156,14 +149,19 @@ def _timed_interleaved(
     the minimum is the same work plus interference), and interleaving
     the configurations within each repeat keeps slow load drift from
     skewing one configuration's timings relative to the others'.
-    Results are deterministic across repeats.
+    Results are deterministic across repeats.  The ``legacy`` arm runs
+    with the seed evaluator swapped in (``tests.oracles.seed_path``).
     """
     times = {key: math.inf for key in configs}
     results = {}
     for _ in range(max(1, repeats)):
         for key, config in configs.items():
             started = time.perf_counter()
-            results[key] = _run_once(problem, config)
+            if key == "legacy":
+                with seed_path():
+                    results[key] = _run_once(problem, config)
+            else:
+                results[key] = _run_once(problem, config)
             elapsed = time.perf_counter() - started
             if elapsed < times[key]:
                 times[key] = elapsed
@@ -185,74 +183,47 @@ def run_case(
     times, results = _timed_interleaved(
         problem,
         {
-            "legacy": base.with_updates(
-                decode_cache=False, mode_cache=False, jobs=1,
-                vector_dvs=False,
-            ),
-            "serial": base.with_updates(
-                decode_cache=True, mode_cache=False, jobs=1,
-                vector_dvs=False,
-            ),
-            "incremental": base.with_updates(
-                decode_cache=True, mode_cache=True, jobs=1,
-                vector_dvs=False,
-            ),
-            "vector": base.with_updates(
-                decode_cache=True, mode_cache=True, jobs=1,
-                vector_dvs=True,
-            ),
+            "legacy": base.with_updates(jobs=1),
+            "vector": base.with_updates(jobs=1),
             "pool": base.with_updates(
-                decode_cache=True, mode_cache=True, jobs=jobs,
-                vector_dvs=False, async_pool=False, speculative=False,
+                jobs=jobs, async_pool=False, speculative=False
             ),
             "async": base.with_updates(
-                decode_cache=True, mode_cache=True, jobs=jobs,
-                vector_dvs=True, async_pool=True, speculative=False,
+                jobs=jobs, async_pool=True, speculative=False
             ),
             "speculative": base.with_updates(
-                decode_cache=True, mode_cache=True, jobs=jobs,
-                vector_dvs=True, async_pool=True, speculative=True,
+                jobs=jobs, async_pool=True, speculative=True
             ),
         },
         repeats,
     )
-    legacy_s, serial_s, incremental_s, vector_s, pool_s, async_s = (
+    legacy_s, vector_s, pool_s, async_s, spec_s = (
         times["legacy"],
-        times["serial"],
-        times["incremental"],
         times["vector"],
         times["pool"],
         times["async"],
+        times["speculative"],
     )
-    spec_s = times["speculative"]
-    legacy, serial, incremental, vectored, pooled, asynced = (
+    legacy, vectored, pooled, asynced, speculated = (
         results["legacy"],
-        results["serial"],
-        results["incremental"],
         results["vector"],
         results["pool"],
         results["async"],
+        results["speculative"],
     )
-    speculated = results["speculative"]
 
     identical = (
         legacy.best.metrics.fitness
-        == serial.best.metrics.fitness
-        == incremental.best.metrics.fitness
         == vectored.best.metrics.fitness
         == pooled.best.metrics.fitness
         == asynced.best.metrics.fitness
         == speculated.best.metrics.fitness
         and legacy.history
-        == serial.history
-        == incremental.history
         == vectored.history
         == pooled.history
         == asynced.history
         == speculated.history
         and legacy.evaluations
-        == serial.evaluations
-        == incremental.evaluations
         == vectored.evaluations
         == pooled.evaluations
         == asynced.evaluations
@@ -261,7 +232,7 @@ def run_case(
     perf = pooled.perf
     async_perf = asynced.perf
     spec_perf = speculated.perf
-    inc_perf = incremental.perf
+    inc_perf = vectored.perf
     case: Dict[str, object] = {
         "name": name,
         "dvs": dvs.value,
@@ -270,25 +241,16 @@ def run_case(
         "best_fitness": legacy.best.metrics.fitness,
         "evaluations": legacy.evaluations,
         "legacy_seconds": round(legacy_s, 4),
-        "engine_serial_seconds": round(serial_s, 4),
-        "engine_incremental_seconds": round(incremental_s, 4),
         "engine_vector_seconds": round(vector_s, 4),
         "engine_parallel_seconds": round(pool_s, 4),
-        "speedup_serial": round(legacy_s / serial_s, 4),
-        # Incremental pipeline vs the monolithic cached path, both at
-        # jobs=1 — the mode-result cache's own contribution.
-        "speedup_incremental": round(serial_s / incremental_s, 4),
-        "speedup_incremental_vs_legacy": round(legacy_s / incremental_s, 4),
-        # Array PV-DVS kernels vs the object-graph loop, both through
-        # the incremental pipeline at jobs=1 — the kernels' engine-level
-        # contribution (diluted by the non-dvs phases; see bench_dvs.py
-        # for the kernels in isolation).
-        "speedup_vector": round(incremental_s / vector_s, 4),
+        # The default evaluator vs the seed path, both at jobs=1: the
+        # decode context, the mode-result cache and the PV-DVS kernels
+        # together (see bench_dvs.py for the kernels in isolation).
         "speedup_vector_vs_legacy": round(legacy_s / vector_s, 4),
         "speedup_parallel": round(legacy_s / pool_s, 4),
         "engine_async_seconds": round(async_s, 4),
         # Work-stealing async pool vs the jobs=1 vector arm — the
-        # engine-level contribution of this PR's pool refactor.
+        # async pool's own contribution.
         "speedup_async": round(vector_s / async_s, 4),
         "speedup_async_vs_legacy": round(legacy_s / async_s, 4),
         "async_pool_utilisation": (
@@ -391,13 +353,9 @@ def build_report(args: argparse.Namespace) -> Dict[str, object]:
         cases.append(case)
         print(
             f"[bench_engine]   legacy {case['legacy_seconds']:.2f}s, "
-            f"engine {case['engine_serial_seconds']:.2f}s "
-            f"({case['speedup_serial']:.2f}x), "
-            f"incremental {case['engine_incremental_seconds']:.2f}s "
-            f"({case['speedup_incremental']:.2f}x vs engine, "
-            f"hit rate {case['mode_cache_hit_rate']}), "
             f"vector {case['engine_vector_seconds']:.2f}s "
-            f"({case['speedup_vector']:.2f}x vs incremental), "
+            f"({case['speedup_vector_vs_legacy']:.2f}x, "
+            f"hit rate {case['mode_cache_hit_rate']}), "
             f"engine+pool {case['engine_parallel_seconds']:.2f}s "
             f"({case['speedup_parallel']:.2f}x), "
             f"async {case['engine_async_seconds']:.2f}s "
@@ -416,11 +374,9 @@ def build_report(args: argparse.Namespace) -> Dict[str, object]:
     headline_parallel = [
         c["speedup_parallel"] for c in cases if c["headline"]
     ]
-    headline_serial = [c["speedup_serial"] for c in cases if c["headline"]]
-    headline_incremental = [
-        c["speedup_incremental"] for c in cases if c["headline"]
+    headline_vector = [
+        c["speedup_vector_vs_legacy"] for c in cases if c["headline"]
     ]
-    headline_vector = [c["speedup_vector"] for c in cases if c["headline"]]
     headline_async = [c["speedup_async"] for c in cases if c["headline"]]
     headline_speculative = [
         c["speedup_speculative"] for c in cases if c["headline"]
@@ -445,11 +401,9 @@ def build_report(args: argparse.Namespace) -> Dict[str, object]:
     ]
     aggregate = {
         "headline_geomean_speedup_parallel": _geomean(headline_parallel),
-        "headline_geomean_speedup_serial": _geomean(headline_serial),
-        "headline_geomean_speedup_incremental": _geomean(
-            headline_incremental
+        "headline_geomean_speedup_vector_vs_legacy": _geomean(
+            headline_vector
         ),
-        "headline_geomean_speedup_vector": _geomean(headline_vector),
         "headline_geomean_speedup_async": _geomean(headline_async),
         "all_geomean_speedup_parallel": _geomean(
             [c["speedup_parallel"] for c in cases]
@@ -628,12 +582,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(
         f"[bench_engine] headline geomean: "
         f"{agg['headline_geomean_speedup_parallel']:.2f}x (pool), "
-        f"{agg['headline_geomean_speedup_serial']:.2f}x (serial engine), "
-        f"{agg['headline_geomean_speedup_incremental']:.2f}x "
-        f"(incremental vs engine, mean hit rate "
+        f"{agg['headline_geomean_speedup_vector_vs_legacy']:.2f}x "
+        f"(jobs=1 engine, mean hit rate "
         f"{agg['headline_mean_mode_cache_hit_rate']:.2f}), "
-        f"{agg['headline_geomean_speedup_vector']:.2f}x "
-        f"(vector kernels vs incremental), "
         f"{agg['headline_geomean_speedup_async']:.2f}x "
         f"(async pool vs vector, mean utilisation "
         f"{agg['mean_async_pool_utilisation']}), "

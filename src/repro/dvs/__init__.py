@@ -9,6 +9,13 @@ schedule slack over the scalable activities by greedy energy-gradient
 descent with discrete voltage levels — the PV-DVS technique of paper
 ref. [10], extended to hardware components via the parallel-to-sequential
 transformation of Fig. 5 (:func:`~repro.dvs.transform.transform_parallel_tasks`).
+
+There is one runtime implementation per method: both
+:func:`~repro.dvs.pv_dvs.scale_schedule` and the single-stretch-factor
+baseline :func:`~repro.dvs.pv_dvs.uniform_scale_schedule` run on the
+struct-of-arrays graph of :mod:`repro.dvs.pv_dvs`.  The frozen seed
+implementation they are fuzz-checked against lives in
+``tests/oracles/pv_dvs_reference.py``, outside the package.
 """
 
 from repro.dvs.voltage import (

@@ -129,9 +129,8 @@ def _init_async_worker(
     _worker_slot = slot % len(updates)
     _worker_updates = updates[_worker_slot]
     config = parallel._worker_config
-    if config is not None and config.mode_cache:
-        assert parallel._worker_problem is not None
-        mode_cache_for(parallel._worker_problem, config).start_journal()
+    assert parallel._worker_problem is not None and config is not None
+    mode_cache_for(parallel._worker_problem, config).start_journal()
 
 
 def _drain_updates(cache: ModeResultCache) -> None:
@@ -158,11 +157,8 @@ def _eval_one(payload: TaskPayload) -> TaskResult:
     problem = parallel._worker_problem
     config = parallel._worker_config
     assert problem is not None and config is not None
-    cache = (
-        mode_cache_for(problem, config) if config.mode_cache else None
-    )
-    if cache is not None:
-        _drain_updates(cache)
+    cache = mode_cache_for(problem, config)
+    _drain_updates(cache)
     base = PROFILER.snapshot()
     metrics_base = REGISTRY.snapshot()
     if speculative:
@@ -178,7 +174,7 @@ def _eval_one(payload: TaskPayload) -> TaskResult:
         record = evaluate_genes(
             problem, genes, config, parallel._worker_context
         )
-    published = cache.drain_journal() if cache is not None else []
+    published = cache.drain_journal()
     busy = time.perf_counter() - started
     return (
         index,
@@ -236,9 +232,7 @@ class AsyncWorkStealingPool:
         self.speculation_issued = 0
         self.speculation_hits = 0
         self.speculation_discards = 0
-        self._master_cache: Optional[ModeResultCache] = (
-            mode_cache_for(problem, config) if config.mode_cache else None
-        )
+        self._master_cache = mode_cache_for(problem, config)
         #: Results of completed speculative tasks, keyed by gene tuple,
         #: awaiting confirmation by a later batch.
         self._spec_buffer: Dict[GeneTuple, EvalRecord] = {}
@@ -260,11 +254,7 @@ class AsyncWorkStealingPool:
 
             parallel._worker_problem = problem
             parallel._worker_config = config
-            parallel._worker_context = (
-                parallel.context_for(problem)
-                if config.decode_cache
-                else None
-            )
+            parallel._worker_context = parallel.context_for(problem)
             payload: Optional[bytes] = None
         else:  # pragma: no cover - spawn platforms
             payload = pickle.dumps(
@@ -323,8 +313,7 @@ class AsyncWorkStealingPool:
         REGISTRY.inc("engine_pool_tasks_total", worker=str(slot))
         if published:
             result.published_entries += len(published)
-            if self._master_cache is not None:
-                self._master_cache.apply_published(published)
+            self._master_cache.apply_published(published)
             for peer, updates in enumerate(self._updates):
                 if peer != slot:
                     updates.put(published)

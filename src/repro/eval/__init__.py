@@ -1,12 +1,16 @@
 """Staged incremental evaluation pipeline with a per-mode result cache.
 
-The package splits the monolithic candidate evaluator into explicit
-stages (:mod:`repro.eval.stages`), memoises per-mode stage results in a
-bounded LRU (:mod:`repro.eval.cache`) and orchestrates both from
+The package is the one candidate evaluator: it runs each candidate
+through explicit stages (:mod:`repro.eval.stages`), memoises per-mode
+stage results in a bounded LRU (:mod:`repro.eval.cache`) and
+orchestrates both from
 :func:`~repro.eval.pipeline.evaluate_mapping_incremental`
-(:mod:`repro.eval.pipeline`).  The monolithic path remains reachable via
-``SynthesisConfig.mode_cache = False`` and is the pipeline's
-bit-identity oracle.
+(:mod:`repro.eval.pipeline`), which
+:func:`repro.synthesis.evaluator.evaluate_mapping` forwards to.  Its
+bit-identity oracle is the frozen seed evaluator in
+``tests/oracles/seed_evaluator.py`` — a single monolithic pass with no
+decode context, no cache and the seed PV-DVS implementation — which
+the test suite can also swap in for whole GA runs.
 """
 
 from repro.eval.cache import (

@@ -25,10 +25,10 @@ Two segments, two keys:
     caused by *other* modes only miss when they actually change a count
     this mode observes.
 
-Both segments are bounded LRUs (``SynthesisConfig.mode_cache_size``
-entries each); hits, misses and evictions are metered per mode on the
-process-global :data:`~repro.obs.metrics.REGISTRY` together with a
-hit-rate gauge and an (approximate) bytes-resident gauge.
+Both segments are bounded LRUs (:data:`MODE_CACHE_SIZE` entries each
+for the per-problem cache); hits, misses and evictions are metered per
+mode on the process-global :data:`~repro.obs.metrics.REGISTRY` together
+with a hit-rate gauge and an (approximate) bytes-resident gauge.
 
 Cached values are Ψ-independent — probabilities only enter the final
 weighted sum — so one cache instance remains valid across
@@ -49,11 +49,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.problem import Problem
     from repro.synthesis.config import SynthesisConfig
 
+#: Entry capacity of each segment of the per-problem cache built by
+#: :func:`mode_cache_for`.
+MODE_CACHE_SIZE = 4096
+
 #: The configuration facets that change per-mode stage results.  Two
 #: configs with equal fingerprints produce bit-identical mode results,
 #: so entries are shared; anything else (fitness weights, probability
 #: policy, GA sizing) only affects the uncached combine stages.
-ConfigFingerprint = Tuple[str, bool, bool, int]
+ConfigFingerprint = Tuple[str, bool, int]
 
 #: ``(mode, mode-gene slice, fingerprint)``.
 PrepKey = Tuple[str, Tuple[str, ...], ConfigFingerprint]
@@ -78,7 +82,6 @@ def config_fingerprint(config: "SynthesisConfig") -> ConfigFingerprint:
     return (
         config.dvs.value,
         config.dvs_shared_rail,
-        config.decode_cache,
         config.inner_loop_iterations,
     )
 
@@ -117,8 +120,7 @@ class ModeOutcome:
 
     ``schedule is None`` marks a *scheduling-infeasible* mode slice
     (the list scheduler raised): the pipeline returns ``None`` for the
-    whole candidate, exactly like the monolithic path — and the
-    infeasibility itself is cacheable.
+    whole candidate — and the infeasibility itself is cacheable.
     """
 
     __slots__ = ("schedule", "timing", "dynamic", "static", "approx_bytes")
@@ -169,7 +171,7 @@ class ModeResultCache:
         "_journal",
     )
 
-    def __init__(self, capacity: int = 4096) -> None:
+    def __init__(self, capacity: int = MODE_CACHE_SIZE) -> None:
         if capacity < 1:
             raise ValueError("mode cache capacity must be at least 1")
         self.capacity = capacity
@@ -379,10 +381,11 @@ def mode_cache_for(
     the local-search polish all share one instance — and
     ``Problem.with_probabilities`` descendants inherit it (cached
     values are Ψ-independent; configuration differences are isolated
-    by the fingerprint inside every key).
+    by the fingerprint inside every key, so ``config`` does not select
+    the instance).
     """
     cached = getattr(problem, "_mode_result_cache", None)
     if cached is None:
-        cached = ModeResultCache(config.mode_cache_size)
+        cached = ModeResultCache(MODE_CACHE_SIZE)
         problem._mode_result_cache = cached  # type: ignore[attr-defined]
     return cached

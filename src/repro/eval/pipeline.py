@@ -1,9 +1,8 @@
 """The incremental per-mode evaluation pipeline.
 
-:func:`evaluate_mapping_incremental` produces results bit-identical to
-the monolithic :func:`repro.synthesis.evaluator.evaluate_mapping` body
-(kept as the ablation oracle behind ``SynthesisConfig.mode_cache =
-False``), but runs each candidate through explicit stages —
+:func:`evaluate_mapping_incremental` is the one candidate evaluator
+(:func:`repro.synthesis.evaluator.evaluate_mapping` forwards to it).
+It runs each candidate through explicit stages —
 
     decode → mobility → core allocation →
     per-mode {comm mapping, list schedule, DVS} → power → fitness
@@ -22,6 +21,9 @@ additionally on the core counts its scheduler reads (see
 operators (:meth:`~repro.mapping.encoding.MappingString.dirty_modes`)
 are therefore an observability and testing aid — correctness never
 depends on them being precise.
+
+Results are pinned bit-for-bit to the frozen seed evaluator under
+``tests/oracles`` (a single monolithic recompute-per-candidate pass).
 """
 
 from __future__ import annotations
@@ -61,13 +63,14 @@ def evaluate_mapping_incremental(
 ) -> Optional[Implementation]:
     """Decode, schedule, scale and score one candidate through the stages.
 
-    Drop-in equivalent of the monolithic evaluator: same ``None`` result
-    for communication- or scheduling-infeasible mappings, bit-identical
-    metrics otherwise.  ``cache`` defaults to the problem's memoised
-    :func:`~repro.eval.cache.mode_cache_for` instance so the GA loop,
-    the local-search polish and the pool serial fallback share one.
+    Returns ``None`` for communication- or scheduling-infeasible
+    mappings.  ``context`` defaults to the problem's memoised
+    :func:`~repro.engine.decode_cache.context_for` tables and ``cache``
+    to its memoised :func:`~repro.eval.cache.mode_cache_for` instance,
+    so the GA loop, the local-search polish and the pool serial
+    fallback share one of each.
     """
-    if context is None and config.decode_cache:
+    if context is None:
         context = context_for(problem)
     if cache is None:
         cache = mode_cache_for(problem, config)
@@ -129,8 +132,8 @@ def evaluate_mapping_incremental(
             outcome = run_mode(problem, config, context, mode, prep, cores)
             cache.put_sched(sched_key, outcome)
         if outcome.schedule is None:
-            # Scheduling-infeasible, like the monolithic early return —
-            # but the infeasibility itself came from / went to cache.
+            # Scheduling-infeasible — the infeasibility itself came
+            # from / went to the cache like any other outcome.
             return None
         schedules[mode.name] = outcome.schedule
         if outcome.timing:

@@ -23,7 +23,7 @@ import os
 import pathlib
 from typing import Any, Dict, Optional, Union
 
-from repro.errors import CampaignError
+from repro.errors import CampaignError, SynthesisError
 from repro.synthesis.config import SynthesisConfig
 from repro.synthesis.state import GAState
 
@@ -116,7 +116,9 @@ def load_checkpoint(
     With ``config`` given, the stored configuration must match it
     exactly — a mismatch (edited spec, different code defaults) raises
     :class:`CampaignError` instead of producing a silently
-    non-reproducible resume.
+    non-reproducible resume.  The stored dict is compared after
+    :meth:`SynthesisConfig.from_dict` normalisation, so checkpoints that
+    carry retired keys still resume.
     """
     path = checkpoint_path(run_dir, job_id)
     if not path.exists():
@@ -127,12 +129,23 @@ def load_checkpoint(
             f"checkpoint {path} belongs to job {data.get('job_id')!r}, "
             f"not {job_id!r}"
         )
-    if config is not None and data.get("config") != config.to_dict():
+    if config is not None and _stored_config(data) != config:
         raise CampaignError(
             f"checkpoint {path} was written under a different synthesis "
             f"configuration; delete it to restart the job from scratch"
         )
     return GAState.from_dict(data["state"])
+
+
+def _stored_config(data: Dict[str, Any]) -> Optional[SynthesisConfig]:
+    """The checkpoint's configuration, or ``None`` if it does not load."""
+    stored = data.get("config")
+    if not isinstance(stored, dict):
+        return None
+    try:
+        return SynthesisConfig.from_dict(stored)
+    except (SynthesisError, TypeError, ValueError):
+        return None
 
 
 def clear_checkpoint(run_dir: PathLike, job_id: str) -> None:

@@ -9,6 +9,31 @@ from typing import Any, Dict, Mapping, Optional
 
 from repro.errors import SynthesisError
 
+#: Evaluation-side switches of earlier versions.  Each one only chose
+#: between bit-identical implementations, so specs, checkpoints and
+#: ``with_updates`` calls that still carry them load with the key
+#: dropped.  ``dvs_warm_start`` (see :func:`_drop_retired`) is the one
+#: retired key whose ``True`` value changed results.
+RETIRED_KEYS = frozenset(
+    {"decode_cache", "mode_cache", "mode_cache_size", "vector_dvs"}
+)
+
+
+def _drop_retired(values: Dict[str, Any]) -> Dict[str, Any]:
+    """Strip retired keys from ``values`` (in place) and return it.
+
+    ``dvs_warm_start: false`` is dropped like the others; ``true``
+    asked for a descent that no longer exists and is rejected.
+    """
+    if values.pop("dvs_warm_start", False):
+        raise SynthesisError(
+            "the analytical DVS warm start (dvs_warm_start) was removed; "
+            "drop the key or set it to false"
+        )
+    for key in RETIRED_KEYS:
+        values.pop(key, None)
+    return values
+
 
 class DvsMethod(enum.Enum):
     """Which voltage-selection technique the inner loop applies."""
@@ -35,7 +60,8 @@ class SynthesisConfig:
         probabilities (the proposed technique); ``False`` → uniform
         weights (the "probability neglecting" baseline of Tables 1–3).
     dvs:
-        Voltage-selection method applied after scheduling each mode.
+        Voltage-selection method applied after scheduling each mode.  A
+        value string (``"gradient"``) is converted to the enum member.
     dvs_shared_rail:
         ``True`` (paper Section 4.2): all cores of a hardware component
         share one supply rail, voltages are selected on the Fig. 5
@@ -122,36 +148,6 @@ class SynthesisConfig:
         records the failure; ``"raise"`` surfaces it as a
         :class:`~repro.errors.WorkerPoolError` so a supervising runtime
         (the campaign runner) can retry the job on a fresh pool.
-    decode_cache:
-        Use the prebuilt per-problem
-        :class:`~repro.engine.decode_cache.DecodeContext` fast paths
-        during candidate decoding.  ``False`` restores the legacy
-        recompute-per-candidate paths (ablation/benchmark hook); both
-        produce bit-identical results.
-    mode_cache:
-        Evaluate candidates through the staged incremental pipeline
-        (:mod:`repro.eval`), memoising per-mode stage results in a
-        bounded LRU :class:`~repro.eval.cache.ModeResultCache` so a
-        candidate that only perturbs one mode pays for one mode's
-        schedule instead of all of them.  ``False`` restores the
-        monolithic :func:`~repro.synthesis.evaluator.evaluate_mapping`
-        body (the ablation oracle); both produce bit-identical results.
-    mode_cache_size:
-        Entry capacity of each segment (prep / schedule) of the
-        per-problem mode-result cache.
-    vector_dvs:
-        Run the PV-DVS gradient descent through the struct-of-arrays
-        kernels (:mod:`repro.dvs._kernels`).  ``False`` restores the
-        legacy object-graph descent loop (the ablation oracle); both
-        produce bit-identical schedules.  Only meaningful for
-        ``dvs=DvsMethod.GRADIENT`` with ``decode_cache=True`` (the
-        reference paths ignore it).
-    dvs_warm_start:
-        Seed the vectorised descent with the closed-form continuous
-        voltage relaxation, snapped (damped) to the discrete grid
-        before the gradient loop.  Changes the descent path — results
-        are no longer bit-identical to the cold start, but final energy
-        is never worse on the fuzz corpus.  Requires ``vector_dvs``.
     seed:
         Seed of the synthesis RNG; runs are reproducible per seed.
     """
@@ -189,11 +185,6 @@ class SynthesisConfig:
 
     jobs: int = 1
     async_pool: bool = True
-    decode_cache: bool = True
-    mode_cache: bool = True
-    mode_cache_size: int = 4096
-    vector_dvs: bool = True
-    dvs_warm_start: bool = False
     speculative: bool = True
     speculation_depth: int = 1
     pool_failure_mode: str = "fallback"
@@ -201,6 +192,14 @@ class SynthesisConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.dvs, DvsMethod):
+            try:
+                self.dvs = DvsMethod(self.dvs)
+            except ValueError:
+                raise SynthesisError(
+                    f"unknown DVS method {self.dvs!r}; valid values "
+                    f"are {[m.value for m in DvsMethod]}"
+                ) from None
         if self.population_size < 2:
             raise SynthesisError("population size must be at least 2")
         if self.max_generations < 1:
@@ -240,13 +239,6 @@ class SynthesisConfig:
             )
         if self.jobs < 1:
             raise SynthesisError("jobs must be at least 1")
-        if self.mode_cache_size < 1:
-            raise SynthesisError("mode cache size must be at least 1")
-        if self.dvs_warm_start and not self.vector_dvs:
-            raise SynthesisError(
-                "dvs_warm_start requires the vectorised kernels "
-                "(vector_dvs=True)"
-            )
         if self.speculation_depth < 1:
             raise SynthesisError("speculation depth must be at least 1")
         if self.pool_failure_mode not in ("fallback", "raise"):
@@ -255,8 +247,11 @@ class SynthesisConfig:
             )
 
     def with_updates(self, **changes: Any) -> "SynthesisConfig":
-        """A copy of this configuration with some fields replaced."""
-        return dataclasses.replace(self, **changes)
+        """A copy of this configuration with some fields replaced.
+
+        Retired keys are handled as in :meth:`from_dict`.
+        """
+        return dataclasses.replace(self, **_drop_retired(changes))
 
     # ------------------------------------------------------------------
     # Serialisation (checkpoint files, campaign specs, run metadata)
@@ -273,25 +268,18 @@ class SynthesisConfig:
         """Rebuild a validated config from :meth:`to_dict` output.
 
         Unknown keys are rejected (a typo in a hand-written campaign
-        spec must not silently fall back to a default), and field
-        values pass through ``__post_init__`` validation as usual.
+        spec must not silently fall back to a default), retired keys
+        are dropped (see :data:`RETIRED_KEYS`), and field values pass
+        through ``__post_init__`` validation as usual.
         """
+        values = _drop_retired(dict(data))
         field_names = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - field_names)
+        unknown = sorted(set(values) - field_names)
         if unknown:
             raise SynthesisError(
                 f"unknown configuration keys: {unknown}; valid keys are "
                 f"{sorted(field_names)}"
             )
-        values = dict(data)
-        if "dvs" in values and not isinstance(values["dvs"], DvsMethod):
-            try:
-                values["dvs"] = DvsMethod(values["dvs"])
-            except ValueError:
-                raise SynthesisError(
-                    f"unknown DVS method {values['dvs']!r}; valid values "
-                    f"are {[m.value for m in DvsMethod]}"
-                ) from None
         for name in ("per_gene_mutation_rate",):
             if values.get(name) is not None:
                 values[name] = float(values[name])

@@ -1,21 +1,18 @@
-"""Differential fuzz oracle for the vectorised PV-DVS kernels.
+"""Differential fuzz oracle for the array PV-DVS kernels.
 
-The array kernels (:mod:`repro.dvs._kernels`) must be *bit-identical*
-to both the frozen seed implementation
-(:mod:`repro.dvs._pv_dvs_reference`) and the legacy object-graph loop
-(``scale_schedule(vector=False)``) — every float of every task and
+Both voltage-selection methods of :mod:`repro.dvs.pv_dvs` — the
+gradient descent and the uniform single-stretch-factor baseline — must
+be *bit-identical* to the frozen seed implementation
+(:mod:`tests.oracles.pv_dvs_reference`): every float of every task and
 comm, not approximately.  The corpus covers:
 
 * random-mapping schedules over mul1 / mul3 / smartphone (software
-  DVS, shared-rail hardware segment chains, and both rail modes);
+  DVS, shared-rail hardware segment chains, and — for the gradient
+  descent — both rail modes);
 * replayed GA-style mutation chains — successive single/few-gene
   perturbations of one genome, the schedule distribution the engine
   actually feeds the kernels;
 * the synthetic micro problems of the dvs test fixtures.
-
-The analytical warm start is *not* identity-preserving by design; its
-contract — final energy never worse than the cold descent — is
-asserted over the same corpus.
 """
 
 import random
@@ -23,15 +20,17 @@ import random
 import pytest
 
 from repro.benchgen import registry
-from repro.dvs._pv_dvs_reference import reference_scale_schedule
-from repro.dvs.pv_dvs import scale_schedule
+from repro.dvs.pv_dvs import scale_schedule, uniform_scale_schedule
 from repro.engine.decode_cache import context_for
-from repro.errors import VoltageScalingError
 from repro.mapping.cores import allocate_cores
 from repro.mapping.encoding import MappingString
 from repro.scheduling.list_scheduler import schedule_mode
 
 from tests.conftest import make_parallel_hw_problem, make_two_mode_problem
+from tests.oracles.pv_dvs_reference import (
+    reference_scale_schedule,
+    reference_uniform_scale_schedule,
+)
 
 INSTANCES = ("mul1", "mul3", "smartphone")
 
@@ -64,24 +63,16 @@ def _check_all_oracles(problem, mode, schedule, context, shared_rail):
     reference = reference_scale_schedule(
         problem, mode, schedule, shared_rail=shared_rail
     )
-    legacy = scale_schedule(
-        problem,
-        mode,
-        schedule,
-        shared_rail=shared_rail,
-        context=context,
-        vector=False,
+    kernel = scale_schedule(
+        problem, mode, schedule, shared_rail=shared_rail, context=context
     )
-    vector = scale_schedule(
-        problem,
-        mode,
-        schedule,
-        shared_rail=shared_rail,
-        context=context,
-        vector=True,
-    )
-    _assert_identical(reference, legacy, f"{mode.name}/legacy-vs-reference")
-    _assert_identical(reference, vector, f"{mode.name}/vector-vs-reference")
+    _assert_identical(reference, kernel, f"{mode.name}/gradient")
+
+
+def _check_uniform(problem, mode, schedule, context):
+    reference = reference_uniform_scale_schedule(problem, mode, schedule)
+    kernel = uniform_scale_schedule(problem, mode, schedule, context=context)
+    _assert_identical(reference, kernel, f"{mode.name}/uniform")
 
 
 @pytest.mark.parametrize("name", INSTANCES)
@@ -132,111 +123,35 @@ def test_micro_problems_bit_identical():
                     _check_all_oracles(
                         problem, mode, schedule, context, shared_rail
                     )
+                _check_uniform(problem, mode, schedule, context)
 
 
 @pytest.mark.parametrize("name", INSTANCES)
-def test_warm_start_never_worse_than_cold(name):
+def test_uniform_random_mapping_corpus_bit_identical(name):
+    # Same corpus as the gradient test above (uniform scaling always
+    # uses shared rails, so there is no rail parameter).
     problem = registry.get(name)
     context = context_for(problem)
-    rng = random.Random(4321)
+    rng = random.Random(1234)
     checked = 0
     for _ in range(8):
         genome = MappingString.random(problem, rng)
         for mode, schedule in _schedules_for(problem, genome):
-            cold = scale_schedule(
-                problem, mode, schedule, context=context, vector=True
-            )
-            warm = scale_schedule(
-                problem,
-                mode,
-                schedule,
-                context=context,
-                vector=True,
-                warm_start=True,
-            )
-            cold_energy = sum(task.energy for task in cold.tasks)
-            warm_energy = sum(task.energy for task in warm.tasks)
-            assert warm_energy <= cold_energy * (1.0 + 1e-12), mode.name
-            # Whenever the cold path is deadline-feasible (an already
-            # infeasible input passes through unscaled), the warm path
-            # must be feasible too.
-            if cold.is_timing_feasible(mode):
-                assert warm.is_timing_feasible(mode)
+            _check_uniform(problem, mode, schedule, context)
             checked += 1
     assert checked > 0
 
 
-def test_warm_start_counters_and_snap_histogram():
-    # Every warm-started call is accounted exactly once: either
-    # applied, or skipped with a reason label; each applied seed also
-    # records one snap-distance observation per lowered node.
-    from repro.obs.metrics import REGISTRY
-
-    problem = registry.get("mul1")
+@pytest.mark.parametrize("name", INSTANCES)
+def test_uniform_mutation_chain_corpus_bit_identical(name):
+    problem = registry.get(name)
     context = context_for(problem)
-    mode_names = [mode.name for mode in problem.omsm.modes]
-    reasons = ("no_scalable", "no_slack", "infeasible")
-
-    def totals():
-        applied = sum(
-            REGISTRY.counter_value("dvs_warm_start_applied_total", mode=m)
-            for m in mode_names
-        )
-        skipped = sum(
-            REGISTRY.counter_value(
-                "dvs_warm_start_skipped_total", mode=m, reason=r
-            )
-            for m in mode_names
-            for r in reasons
-        )
-        snaps = sum(
-            REGISTRY.histogram_data(
-                "dvs_warm_start_snap_levels", mode=m
-            ).count
-            for m in mode_names
-        )
-        return applied, skipped, snaps
-
-    before = totals()
-    rng = random.Random(2026)
-    calls = 0
-    for _ in range(6):
-        genome = MappingString.random(problem, rng)
+    rng = random.Random(99)
+    genome = MappingString.random(problem, rng)
+    checked = 0
+    for _ in range(12):
+        genome = genome.mutate(rng, per_gene_rate=0.08)
         for mode, schedule in _schedules_for(problem, genome):
-            scale_schedule(
-                problem,
-                mode,
-                schedule,
-                context=context,
-                vector=True,
-                warm_start=True,
-            )
-            calls += 1
-    applied, skipped, snaps = (
-        now - prior for now, prior in zip(totals(), before)
-    )
-    assert calls > 0
-    assert applied + skipped == calls
-    assert applied > 0
-    # One histogram observation per snapped node; applied runs snap at
-    # least one node each, and every drop is at least one level.
-    assert snaps >= applied
-    histogram = REGISTRY.histogram_data(
-        "dvs_warm_start_snap_levels", mode=mode_names[0]
-    )
-    if histogram.count:
-        assert histogram.minimum >= 1.0
-
-
-def test_warm_start_requires_vector_kernels():
-    problem = make_two_mode_problem(period=0.5)
-    genome = MappingString(problem, ["PE0"] * problem.genome_length())
-    cores = allocate_cores(problem, genome)
-    mode = problem.omsm.mode("O1")
-    schedule = schedule_mode(
-        problem, mode, genome.mode_mapping("O1"), cores
-    )
-    with pytest.raises(VoltageScalingError):
-        scale_schedule(
-            problem, mode, schedule, vector=False, warm_start=True
-        )
+            _check_uniform(problem, mode, schedule, context)
+            checked += 1
+    assert checked > 0

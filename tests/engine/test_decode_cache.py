@@ -1,9 +1,10 @@
 """Decode-cache correctness: cached fast paths are bit-identical.
 
 The contract of :class:`~repro.engine.decode_cache.DecodeContext` is
-strict: evaluating any candidate with the context enabled must produce
-the *same floats* as the legacy recompute-per-candidate paths (which
-route through the reference DVS module).  These tests compare complete
+strict: evaluating any candidate through the context-backed pipeline
+must produce the *same floats* as the seed's recompute-per-candidate
+evaluator (:mod:`tests.oracles.seed_evaluator`, which routes through
+the reference DVS module).  These tests compare complete
 implementations — fitness, power, violations and every scheduled
 start/end/energy — across random genomes and all DVS methods.
 """
@@ -19,6 +20,7 @@ from repro.synthesis.config import DvsMethod, SynthesisConfig
 from repro.synthesis.evaluator import evaluate_mapping
 
 from tests.conftest import make_two_mode_problem
+from tests.oracles import seed_evaluator
 
 
 @pytest.fixture(scope="module")
@@ -64,15 +66,10 @@ class TestBitIdentical:
         compared = 0
         for _ in range(8):
             genome = MappingString.random(tgff_problem, rng)
-            fast = evaluate_mapping(
-                tgff_problem,
-                genome,
-                SynthesisConfig(dvs=dvs, decode_cache=True),
-            )
-            slow = evaluate_mapping(
-                tgff_problem,
-                genome,
-                SynthesisConfig(dvs=dvs, decode_cache=False),
+            config = SynthesisConfig(dvs=dvs)
+            fast = evaluate_mapping(tgff_problem, genome, config)
+            slow = seed_evaluator.evaluate_mapping(
+                tgff_problem, genome, config
             )
             assert (fast is None) == (slow is None)
             if fast is None:
@@ -96,16 +93,12 @@ class TestBitIdentical:
         rng = random.Random(5)
         genome = MappingString.random(tgff_problem, rng)
         for shared in (True, False):
-            config = dict(dvs=DvsMethod.GRADIENT, dvs_shared_rail=shared)
-            fast = evaluate_mapping(
-                tgff_problem,
-                genome,
-                SynthesisConfig(decode_cache=True, **config),
+            config = SynthesisConfig(
+                dvs=DvsMethod.GRADIENT, dvs_shared_rail=shared
             )
-            slow = evaluate_mapping(
-                tgff_problem,
-                genome,
-                SynthesisConfig(decode_cache=False, **config),
+            fast = evaluate_mapping(tgff_problem, genome, config)
+            slow = seed_evaluator.evaluate_mapping(
+                tgff_problem, genome, config
             )
             assert (fast is None) == (slow is None)
             if fast is not None:

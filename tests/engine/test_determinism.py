@@ -15,6 +15,7 @@ from repro.synthesis.config import DvsMethod, SynthesisConfig
 from repro.synthesis.cosynthesis import MultiModeSynthesizer, synthesize
 
 from tests.conftest import make_two_mode_problem
+from tests.oracles import seed_path
 
 
 def _small_config(**overrides):
@@ -44,11 +45,14 @@ class TestParallelDeterminism:
         assert serial.generations == pooled.generations
 
     def test_decode_cache_off_still_identical(self):
+        # The whole run under the seed evaluator (no decode context, no
+        # mode cache, seed PV-DVS) must retrace the default path.
         problem = make_two_mode_problem()
         fast = synthesize(problem, _small_config(jobs=1))
-        legacy = synthesize(
-            problem, _small_config(jobs=1, decode_cache=False)
-        )
+        with seed_path():
+            legacy = synthesize(
+                make_two_mode_problem(), _small_config(jobs=1)
+            )
         assert fast.history == legacy.history
         assert fast.best.metrics.fitness == legacy.best.metrics.fitness
 

@@ -19,8 +19,7 @@ from repro.synthesis.cosynthesis import MultiModeSynthesizer
 from tests.conftest import make_two_mode_problem
 
 #: Phases always timed per mode (whichever of them actually run).
-#: ``dvs_vector`` nests inside ``dvs`` when the array kernels run.
-PER_MODE_PHASES = {"mobility", "schedule", "dvs", "dvs_vector", "cache_hit"}
+PER_MODE_PHASES = {"mobility", "schedule", "dvs", "cache_hit"}
 #: Phases timed once per candidate (or per prediction pass, for
 #: ``speculate`` — which wraps whole evaluations on the worker side and
 #: the replay on the parent side), landing in the shared bucket.
@@ -92,36 +91,3 @@ def test_cache_hits_profiled_per_mode(jobs):
     assert sum(buckets.values()) == pytest.approx(
         warm.phase_seconds["cache_hit"]
     )
-
-
-@pytest.mark.parametrize("jobs", [1, 4])
-def test_dvs_vector_phase_per_mode(jobs):
-    # The array kernels time themselves in a dedicated ``dvs_vector``
-    # phase nested inside ``dvs``: per-mode buckets must sum exactly to
-    # the aggregate and never exceed the enclosing dvs time.
-    problem = make_two_mode_problem()
-    perf = _run(problem, jobs).perf
-    assert "dvs_vector" in perf.phase_seconds
-    mode_names = {mode.name for mode in problem.omsm.modes}
-    buckets = perf.mode_phase_seconds["dvs_vector"]
-    assert buckets and set(buckets) <= mode_names
-    assert sum(buckets.values()) == pytest.approx(
-        perf.phase_seconds["dvs_vector"]
-    )
-    assert perf.phase_seconds["dvs_vector"] <= perf.phase_seconds["dvs"]
-
-
-def test_legacy_dvs_records_no_vector_phase():
-    problem = make_two_mode_problem()
-    perf = _run(problem, 1, vector_dvs=False).perf
-    assert "dvs" in perf.phase_seconds
-    assert "dvs_vector" not in perf.phase_seconds
-
-
-def test_mode_cache_disabled_records_no_cache_activity():
-    problem = make_two_mode_problem()
-    perf = _run(problem, 1, mode_cache=False).perf
-    assert perf.mode_cache_hits == 0
-    assert perf.mode_cache_misses == 0
-    assert perf.mode_cache_hit_rate == 0.0
-    assert "cache_hit" not in perf.phase_seconds

@@ -1,14 +1,17 @@
-"""Differential fuzz oracle: incremental pipeline vs monolithic path.
+"""Differential fuzz oracle: incremental pipeline vs the seed evaluator.
 
 For each benchmark instance, random mutation chains (gene mutation,
 two-point crossover between two lineages, targeted single-gene edits)
 drive the incremental pipeline through a warm, steadily churning
 mode-result cache — and every single candidate is re-evaluated through
-the fresh legacy path (``mode_cache=False``) and compared bit-for-bit:
+the frozen seed evaluator (:mod:`tests.oracles.seed_evaluator`: no
+decode context, no cache, the seed PV-DVS) and compared bit-for-bit:
 fitness, per-mode dynamic/static power, violation summaries, and the
-full task/communication schedules.  Any divergence — a stale cache
-entry, an imprecise core signature, a float reassociation — fails with
-the step number that produced it.
+full task/communication schedules.  Every candidate is checked under
+all three DVS methods, sharing one cache small enough to keep evicting,
+so the config fingerprint's isolation is exercised too.  Any divergence
+— a stale cache entry, an imprecise core signature, a float
+reassociation — fails with the step number that produced it.
 
 Part of the tier-1 suite, hence of ``make verify``.
 """
@@ -19,9 +22,12 @@ import pytest
 
 from repro.benchgen.smartphone import smartphone_problem
 from repro.benchgen.suite import suite_problem
+from repro.eval.cache import ModeResultCache
 from repro.mapping.encoding import MappingString
 from repro.synthesis.config import DvsMethod, SynthesisConfig
 from repro.synthesis.evaluator import evaluate_mapping
+
+from tests.oracles import seed_evaluator
 
 #: (instance, chain steps, per-gene mutation rate) — ≥200 fuzzed
 #: candidates per instance, two tgff-style suite instances plus the
@@ -76,22 +82,23 @@ def _snapshot(implementation):
 def test_mutation_chain_bit_identical_to_legacy(name, steps, rate):
     problem = _problem(name)
     rng = random.Random(20030310)
-    incremental = SynthesisConfig(
-        dvs=DvsMethod.GRADIENT, mode_cache=True, mode_cache_size=512
-    )
-    legacy = incremental.with_updates(mode_cache=False)
+    configs = [SynthesisConfig(dvs=method) for method in DvsMethod]
+    cache = ModeResultCache(512)
 
     genome = MappingString.random(problem, rng)
     partner = MappingString.random(problem, rng)
     for step in range(steps):
-        fast = _snapshot(
-            evaluate_mapping(problem, genome, incremental)
-        )
-        oracle = _snapshot(evaluate_mapping(problem, genome, legacy))
-        assert fast == oracle, (
-            f"{name}: incremental result diverged from the legacy "
-            f"oracle at chain step {step}"
-        )
+        for config in configs:
+            fast = _snapshot(
+                evaluate_mapping(problem, genome, config, cache=cache)
+            )
+            oracle = _snapshot(
+                seed_evaluator.evaluate_mapping(problem, genome, config)
+            )
+            assert fast == oracle, (
+                f"{name}/{config.dvs.value}: incremental result diverged "
+                f"from the seed evaluator at chain step {step}"
+            )
         # Advance both lineages; mix operators so prep *and* schedule
         # segments see hits, single-mode dirt and cross-mode dirt.
         roll = rng.random()

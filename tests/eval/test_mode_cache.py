@@ -14,6 +14,7 @@ import pytest
 
 from repro.benchgen.suite import suite_problem
 from repro.eval.cache import (
+    MODE_CACHE_SIZE,
     ModeOutcome,
     ModePrep,
     ModeResultCache,
@@ -237,7 +238,6 @@ class TestConfigFingerprint:
         for changed in (
             base.with_updates(dvs=DvsMethod.GRADIENT),
             base.with_updates(dvs_shared_rail=False),
-            base.with_updates(decode_cache=False),
             base.with_updates(inner_loop_iterations=2),
         ):
             assert config_fingerprint(changed) != config_fingerprint(base)
@@ -249,7 +249,7 @@ class TestModeCacheFor:
         config = SynthesisConfig()
         cache = mode_cache_for(problem, config)
         assert mode_cache_for(problem, config) is cache
-        assert cache.capacity == config.mode_cache_size
+        assert cache.capacity == MODE_CACHE_SIZE
 
     def test_shared_across_probability_retargets(self):
         problem = make_two_mode_problem()
@@ -269,8 +269,8 @@ class TestDirtyModeConsistency:
 
     def test_clean_modes_hit_after_single_mode_edit(self):
         problem = suite_problem("mul1")
-        config = SynthesisConfig(mode_cache_size=256)
-        cache = ModeResultCache(config.mode_cache_size)
+        config = SynthesisConfig()
+        cache = ModeResultCache(256)
         rng = random.Random(11)
         genome = MappingString.random(problem, rng)
         evaluate_mapping(problem, genome, config, cache=cache)

@@ -1,6 +1,9 @@
 """Durable checkpoint/result storage in the run directory."""
 
+import json
+import pathlib
 import random
+import shutil
 
 import pytest
 
@@ -15,8 +18,22 @@ from repro.runtime.checkpoint import (
     write_checkpoint,
     write_result,
 )
+from repro.runtime.runner import resume_campaign, run_campaign
+from repro.runtime.spec import CampaignSpec
 from repro.synthesis.config import SynthesisConfig
 from repro.synthesis.state import GAState
+
+#: A run directory written before the evaluation-side switches
+#: (decode_cache, mode_cache, mode_cache_size, vector_dvs,
+#: dvs_warm_start) were retired: its ``spec.json`` and its mid-run
+#: checkpoint (mul1, gradient DVS, killed after generation 4) both
+#: still carry those keys.
+RETIRED_KEYS_RUN = (
+    pathlib.Path(__file__).resolve().parent.parent
+    / "fixtures"
+    / "retired_config_keys"
+)
+JOB_ID = "mul1-gradient-prob-s7"
 
 
 def _state(generation=3):
@@ -105,3 +122,46 @@ class TestResults:
 
     def test_missing_returns_none(self, run_dir):
         assert load_result(run_dir, "absent") is None
+
+
+class TestRetiredKeys:
+    def test_fixture_carries_retired_keys(self):
+        spec = json.loads((RETIRED_KEYS_RUN / "spec.json").read_text())
+        checkpoint = json.loads(
+            checkpoint_path(RETIRED_KEYS_RUN, JOB_ID).read_text()
+        )
+        for config in (spec["config"], checkpoint["config"]):
+            assert config["mode_cache"] is True
+            assert config["vector_dvs"] is True
+            assert config["dvs_warm_start"] is False
+
+    def test_checkpoint_loads_under_normalised_config(self):
+        spec = CampaignSpec.load(RETIRED_KEYS_RUN / "spec.json")
+        (job,) = spec.jobs()
+        # The configuration the campaign runner resumes the job under.
+        config = job.configure(spec.config).with_updates(
+            pool_failure_mode="raise"
+        )
+        state = load_checkpoint(RETIRED_KEYS_RUN, JOB_ID, config)
+        assert state is not None and state.generation == 4
+        with pytest.raises(CampaignError, match="different synthesis"):
+            load_checkpoint(
+                RETIRED_KEYS_RUN, JOB_ID, config.with_updates(seed=99)
+            )
+
+    def test_resume_is_bit_identical_to_uninterrupted_run(self, tmp_path):
+        resumed_dir = tmp_path / "resumed"
+        shutil.copytree(RETIRED_KEYS_RUN, resumed_dir)
+        resumed = resume_campaign(resumed_dir)
+        fresh = run_campaign(
+            CampaignSpec.load(RETIRED_KEYS_RUN / "spec.json"),
+            tmp_path / "fresh",
+        )
+        assert resumed.failed == fresh.failed == 0
+        got = resumed.results[JOB_ID]
+        expected = fresh.results[JOB_ID]
+        assert got.resumed_from == 4
+        assert got.power == expected.power
+        assert got.history == expected.history
+        assert got.best_genes == expected.best_genes
+        assert got.generations == expected.generations

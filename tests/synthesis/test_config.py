@@ -1,5 +1,7 @@
 """Unit tests for the synthesis configuration."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import SynthesisError
@@ -62,6 +64,17 @@ class TestValidation:
         with pytest.raises(SynthesisError):
             SynthesisConfig(repair_fraction=0.0)
 
+    def test_dvs_value_string_converted(self):
+        for method in DvsMethod:
+            config = SynthesisConfig(dvs=method.value)
+            assert config.dvs is method
+        assert SynthesisConfig(dvs=DvsMethod.UNIFORM).dvs is DvsMethod.UNIFORM
+
+    def test_unknown_dvs_value_rejected(self):
+        for bad in ("GRADIENT", "sawtooth", None):
+            with pytest.raises(SynthesisError, match="valid values"):
+                SynthesisConfig(dvs=bad)
+
 
 class TestPoolFailureMode:
     def test_default_is_fallback(self):
@@ -70,11 +83,6 @@ class TestPoolFailureMode:
     def test_invalid_mode_rejected(self):
         with pytest.raises(SynthesisError, match="pool failure mode"):
             SynthesisConfig(pool_failure_mode="explode")
-
-    def test_mode_cache_size_must_be_positive(self):
-        with pytest.raises(SynthesisError, match="mode cache size"):
-            SynthesisConfig(mode_cache_size=0)
-        assert SynthesisConfig(mode_cache_size=1).mode_cache_size == 1
 
 
 class TestSerialisation:
@@ -99,38 +107,51 @@ class TestSerialisation:
         assert SynthesisConfig.from_dict(config.to_dict()) == config
 
     def test_mode_cache_fields_round_trip(self):
-        config = SynthesisConfig(mode_cache=False, mode_cache_size=64)
-        data = config.to_dict()
-        assert data["mode_cache"] is False
-        assert data["mode_cache_size"] == 64
-        restored = SynthesisConfig.from_dict(data)
-        assert restored == config
-        assert restored.mode_cache is False
-        assert restored.mode_cache_size == 64
+        # A dict written before the cache switches were retired still
+        # loads, whatever they were set to; the keys are dropped.
+        config = SynthesisConfig(seed=3)
+        for decode_cache, mode_cache, size in (
+            (True, True, 4096),
+            (False, False, 64),
+        ):
+            data = config.to_dict()
+            data.update(
+                decode_cache=decode_cache,
+                mode_cache=mode_cache,
+                mode_cache_size=size,
+            )
+            restored = SynthesisConfig.from_dict(data)
+            assert restored == config
+            assert restored.to_dict() == config.to_dict()
 
     def test_mode_cache_defaults_serialised(self):
         data = SynthesisConfig().to_dict()
-        assert data["mode_cache"] is True
-        assert data["mode_cache_size"] == 4096
+        fields = {f.name for f in dataclasses.fields(SynthesisConfig)}
+        for key in ("decode_cache", "mode_cache", "mode_cache_size"):
+            assert key not in data and key not in fields
 
     def test_vector_dvs_fields_round_trip(self):
-        config = SynthesisConfig(vector_dvs=False)
-        data = config.to_dict()
-        assert data["vector_dvs"] is False
-        assert data["dvs_warm_start"] is False
-        restored = SynthesisConfig.from_dict(data)
-        assert restored == config
-        assert restored.vector_dvs is False
-
-        warm = SynthesisConfig(vector_dvs=True, dvs_warm_start=True)
-        data = warm.to_dict()
-        assert data["dvs_warm_start"] is True
-        assert SynthesisConfig.from_dict(data) == warm
+        # Same for the retired DVS switches, as long as the warm start
+        # was off (see test_warm_start_true_rejected).
+        config = SynthesisConfig(dvs=DvsMethod.GRADIENT)
+        for vector_dvs in (True, False):
+            data = config.to_dict()
+            data.update(vector_dvs=vector_dvs, dvs_warm_start=False)
+            assert SynthesisConfig.from_dict(data) == config
 
     def test_vector_dvs_defaults_serialised(self):
         data = SynthesisConfig().to_dict()
-        assert data["vector_dvs"] is True
-        assert data["dvs_warm_start"] is False
+        fields = {f.name for f in dataclasses.fields(SynthesisConfig)}
+        for key in ("vector_dvs", "dvs_warm_start"):
+            assert key not in data and key not in fields
+
+    def test_warm_start_true_rejected(self):
+        data = SynthesisConfig().to_dict()
+        data["dvs_warm_start"] = True
+        with pytest.raises(SynthesisError, match="warm start .* removed"):
+            SynthesisConfig.from_dict(data)
+        with pytest.raises(SynthesisError, match="warm start .* removed"):
+            SynthesisConfig().with_updates(dvs_warm_start=True)
 
     def test_speculation_fields_round_trip(self):
         config = SynthesisConfig(speculative=False, speculation_depth=3)
@@ -153,15 +174,6 @@ class TestSerialisation:
         data = SynthesisConfig().to_dict()
         data["speculation_depth"] = -2
         with pytest.raises(SynthesisError, match="speculation depth"):
-            SynthesisConfig.from_dict(data)
-
-    def test_warm_start_requires_vector_dvs(self):
-        with pytest.raises(SynthesisError, match="vector_dvs"):
-            SynthesisConfig(vector_dvs=False, dvs_warm_start=True)
-        data = SynthesisConfig().to_dict()
-        data["vector_dvs"] = False
-        data["dvs_warm_start"] = True
-        with pytest.raises(SynthesisError, match="vector_dvs"):
             SynthesisConfig.from_dict(data)
 
     def test_unknown_keys_rejected(self):
@@ -197,3 +209,14 @@ class TestWithUpdates:
     def test_updates_validated(self):
         with pytest.raises(SynthesisError):
             SynthesisConfig().with_updates(population_size=0)
+
+    def test_retired_keys_accepted_and_dropped(self):
+        # The seed-path override the end-to-end benchmark passes.
+        base = SynthesisConfig(seed=4, jobs=3)
+        updated = base.with_updates(
+            decode_cache=False, mode_cache=False, jobs=1
+        )
+        assert updated == base.with_updates(jobs=1)
+        assert base.with_updates(
+            mode_cache_size=8, vector_dvs=False, dvs_warm_start=False
+        ) == base

@@ -5,6 +5,17 @@ import pytest
 from repro.cli import build_parser, main
 
 
+def _assert_flags_retired(capsys, *flags):
+    """``synthesize --help`` lists none of ``flags``; each is rejected."""
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["synthesize", "--help"])
+    help_text = capsys.readouterr().out
+    for flag in flags:
+        assert flag not in help_text
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["synthesize", "mul1", flag])
+
+
 class TestParser:
     def test_table1_defaults(self):
         args = build_parser().parse_args(["table1"])
@@ -38,18 +49,6 @@ class TestParser:
         assert args.dvs == "gradient"
         assert not args.probabilities
         assert args.seed == 9
-        assert not args.no_mode_cache
-
-    def test_no_mode_cache_flag(self):
-        from repro.cli import _config_from_args
-
-        args = build_parser().parse_args(
-            ["synthesize", "mul1", "--no-mode-cache"]
-        )
-        assert args.no_mode_cache
-        assert _config_from_args(args).mode_cache is False
-        default = build_parser().parse_args(["synthesize", "mul1"])
-        assert _config_from_args(default).mode_cache is True
 
     def test_async_pool_flag(self):
         from repro.cli import _config_from_args
@@ -62,23 +61,13 @@ class TestParser:
         assert args.no_async_pool
         assert _config_from_args(args).async_pool is False
 
-    def test_vector_dvs_flags(self):
-        from repro.cli import _config_from_args
+    def test_no_mode_cache_flag(self, capsys):
+        # Retired with the monolithic evaluator: not offered, rejected.
+        _assert_flags_retired(capsys, "--no-mode-cache")
 
-        default = build_parser().parse_args(["synthesize", "mul1"])
-        config = _config_from_args(default)
-        assert config.vector_dvs is True
-        assert config.dvs_warm_start is False
-
-        args = build_parser().parse_args(
-            ["synthesize", "mul1", "--no-vector-dvs"]
-        )
-        assert _config_from_args(args).vector_dvs is False
-
-        args = build_parser().parse_args(
-            ["synthesize", "mul1", "--dvs-warm-start"]
-        )
-        assert _config_from_args(args).dvs_warm_start is True
+    def test_vector_dvs_flags(self, capsys):
+        # Retired with the object-graph descent and the warm start.
+        _assert_flags_retired(capsys, "--no-vector-dvs", "--dvs-warm-start")
 
     def test_speculation_flags(self):
         from repro.cli import _config_from_args
