@@ -2,15 +2,6 @@
 
 PYTHON ?= python
 
-# Floor for the async work-stealing arm's mean pool utilisation in
-# `make bench-smoke`.  `auto` (default) derives it from os.cpu_count()
-# vs --jobs: 0.85 with >= `--jobs` free cores, scaled down (floor 0.25)
-# on smaller machines (e.g. a 1-CPU container) where the OS serialises
-# the workers and the honest figure is lower.  Override per machine
-# with a number, or disable with `off`:
-#     make bench-smoke MIN_ASYNC_UTILISATION=0.40
-MIN_ASYNC_UTILISATION ?= auto
-
 .PHONY: install test test-fast lint typecheck bench bench-fast bench-smoke serve-smoke tables examples verify clean
 
 install:
@@ -52,16 +43,14 @@ bench-fast:
 	$(PYTHON) -m pytest benchmarks/test_fig2_fig3.py \
 	    benchmarks/test_micro.py --benchmark-only
 
-# Evaluation-engine smoke benchmark: verifies the engine and its pools
-# stay bit-identical to the seed path (tests/oracles), fails on a >20%
-# speedup regression against the committed baseline, and gates the
-# async work-stealing arm on mean pool utilisation >= 0.85 at jobs=4;
+# Evaluation-engine smoke benchmark: verifies the engine and its pool
+# stay bit-identical to the seed path (tests/oracles) and fails on a
+# >20% speedup regression against the committed baseline at jobs=4;
 # then the PV-DVS kernel microbench (gradient and uniform bit-identity
 # gates against the seed reference).
 bench-smoke:
 	$(PYTHON) benchmarks/bench_engine.py --quick --jobs 4 \
-	    --check benchmarks/results/bench_engine_quick_baseline.json \
-	    --min-async-utilisation $(MIN_ASYNC_UTILISATION)
+	    --check benchmarks/results/bench_engine_quick_baseline.json
 	$(PYTHON) benchmarks/bench_dvs.py --quick
 
 # Campaign job server smoke: boot a real server through the CLI,

@@ -1,6 +1,6 @@
-"""Evaluation-engine benchmark: seed path vs the engine vs its pools.
+"""Evaluation-engine benchmark: seed path vs the engine vs its pool.
 
-Runs the same GA synthesis (same seed, same sizing) under five engine
+Runs the same GA synthesis (same seed, same sizing) under three engine
 configurations and verifies they are *bit-identical* before reporting
 wall-clock speedups:
 
@@ -18,25 +18,10 @@ wall-clock speedups:
     purely intra-run), with the struct-of-arrays PV-DVS kernels of
     :mod:`repro.dvs.pv_dvs`.
 ``engine+pool``
-    ``vector`` plus ``jobs=N, async_pool=False`` — each generation's
-    unique uncached genomes dispatched to the per-generation *barrier*
-    pool.
-``async``
-    ``vector`` plus ``jobs=N, async_pool=True`` — the work-stealing
-    asynchronous pool (:mod:`repro.engine.async_pool`): workers pull
-    single genomes from a shared task queue and publish their
-    mode-cache insertions to every other worker, so the parallel hit
-    rate tracks the serial one instead of degrading after fork.
-    Reported alongside its mean pool utilisation (busy time over the
-    dispatch-window capacity) and parallel mode-cache hit rate.
-``speculative``
-    ``async`` plus ``speculative=True`` — the async pool additionally
-    evaluates *predicted* next-generation genomes during the parent's
-    breeding window (:mod:`repro.synthesis.speculation`).  The earlier
-    pool arms pin ``speculative=False``, so the lift in pool
-    utilisation (and wall clock) over ``async`` is speculation's own
-    contribution.  On a single-core host the breeding window has no
-    idle worker to fill, so the lift gate auto-skips there.
+    The default configuration at ``jobs=N``: each generation's unique
+    uncached genomes go to the static-chunk pool
+    (:class:`~repro.engine.backend.PooledBackend`), which also starts
+    the predicted next generation while the parent breeds it.
 
 The *headline* cases run the gradient PV-DVS inner loop — the paper's
 proposed technique and by far the hottest decode phase; no-DVS cases
@@ -60,7 +45,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import pathlib
 import sys
 import time
@@ -85,11 +69,11 @@ from repro.synthesis.cosynthesis import (  # noqa: E402
 from tests.oracles import seed_path  # noqa: E402
 
 
-#: Denser-than-suite instances for the pool arms: more queue depth and
-#: cache-publication volume per generation than mul1–mul8, yet small
-#: enough to GA-synthesise end to end (the registry's full ``stress1``
-#: / ``stress2`` tier is sized for per-call kernel benches, not whole
-#: synthesis runs — see ``benchmarks/bench_dvs.py``).
+#: Denser-than-suite instances for the pool arm: more work per
+#: generation than mul1–mul8, yet small enough to GA-synthesise end to
+#: end (the registry's full ``stress1`` / ``stress2`` tier is sized for
+#: per-call kernel benches, not whole synthesis runs — see
+#: ``benchmarks/bench_dvs.py``).
 MINI_STRESS_SPECS = {
     "stress-mini": MultiModeSpec(
         name="stress-mini",
@@ -185,53 +169,29 @@ def run_case(
         {
             "legacy": base.with_updates(jobs=1),
             "vector": base.with_updates(jobs=1),
-            "pool": base.with_updates(
-                jobs=jobs, async_pool=False, speculative=False
-            ),
-            "async": base.with_updates(
-                jobs=jobs, async_pool=True, speculative=False
-            ),
-            "speculative": base.with_updates(
-                jobs=jobs, async_pool=True, speculative=True
-            ),
+            "pool": base.with_updates(jobs=jobs),
         },
         repeats,
     )
-    legacy_s, vector_s, pool_s, async_s, spec_s = (
+    legacy_s, vector_s, pool_s = (
         times["legacy"],
         times["vector"],
         times["pool"],
-        times["async"],
-        times["speculative"],
     )
-    legacy, vectored, pooled, asynced, speculated = (
+    legacy, vectored, pooled = (
         results["legacy"],
         results["vector"],
         results["pool"],
-        results["async"],
-        results["speculative"],
     )
 
     identical = (
         legacy.best.metrics.fitness
         == vectored.best.metrics.fitness
         == pooled.best.metrics.fitness
-        == asynced.best.metrics.fitness
-        == speculated.best.metrics.fitness
-        and legacy.history
-        == vectored.history
-        == pooled.history
-        == asynced.history
-        == speculated.history
-        and legacy.evaluations
-        == vectored.evaluations
-        == pooled.evaluations
-        == asynced.evaluations
-        == speculated.evaluations
+        and legacy.history == vectored.history == pooled.history
+        and legacy.evaluations == vectored.evaluations == pooled.evaluations
     )
     perf = pooled.perf
-    async_perf = asynced.perf
-    spec_perf = speculated.perf
     inc_perf = vectored.perf
     case: Dict[str, object] = {
         "name": name,
@@ -248,49 +208,6 @@ def run_case(
         # together (see bench_dvs.py for the kernels in isolation).
         "speedup_vector_vs_legacy": round(legacy_s / vector_s, 4),
         "speedup_parallel": round(legacy_s / pool_s, 4),
-        "engine_async_seconds": round(async_s, 4),
-        # Work-stealing async pool vs the jobs=1 vector arm — the
-        # async pool's own contribution.
-        "speedup_async": round(vector_s / async_s, 4),
-        "speedup_async_vs_legacy": round(legacy_s / async_s, 4),
-        "async_pool_utilisation": (
-            round(async_perf.pool_utilisation, 4)
-            if async_perf is not None
-            else None
-        ),
-        "async_pool_steals": (
-            async_perf.pool_steals if async_perf is not None else None
-        ),
-        "async_mode_cache_hit_rate": (
-            round(async_perf.mode_cache_hit_rate, 4)
-            if async_perf is not None
-            else None
-        ),
-        "engine_speculative_seconds": round(spec_s, 4),
-        # Speculation's own contribution: the async pool with the
-        # breeding window filled by predicted evaluations vs the same
-        # pool idling through it.
-        "speedup_speculative": round(async_s / spec_s, 4),
-        "speedup_speculative_vs_legacy": round(legacy_s / spec_s, 4),
-        "speculative_pool_utilisation": (
-            round(spec_perf.pool_utilisation, 4)
-            if spec_perf is not None
-            else None
-        ),
-        "speculation_issued": (
-            spec_perf.speculation_issued if spec_perf is not None else None
-        ),
-        "speculation_hits": (
-            spec_perf.speculation_hits if spec_perf is not None else None
-        ),
-        "speculation_discards": (
-            spec_perf.speculation_discards if spec_perf is not None else None
-        ),
-        "speculation_hit_rate": (
-            round(spec_perf.speculation_hit_rate, 4)
-            if spec_perf is not None
-            else None
-        ),
         "mode_cache_hit_rate": (
             round(inc_perf.mode_cache_hit_rate, 4)
             if inc_perf is not None
@@ -303,12 +220,6 @@ def run_case(
             inc_perf.mode_cache_misses if inc_perf is not None else None
         ),
         "perf_parallel": perf.to_dict() if perf is not None else None,
-        "perf_async": (
-            async_perf.to_dict() if async_perf is not None else None
-        ),
-        "perf_speculative": (
-            spec_perf.to_dict() if spec_perf is not None else None
-        ),
     }
     return case
 
@@ -357,16 +268,8 @@ def build_report(args: argparse.Namespace) -> Dict[str, object]:
             f"({case['speedup_vector_vs_legacy']:.2f}x, "
             f"hit rate {case['mode_cache_hit_rate']}), "
             f"engine+pool {case['engine_parallel_seconds']:.2f}s "
-            f"({case['speedup_parallel']:.2f}x), "
-            f"async {case['engine_async_seconds']:.2f}s "
-            f"({case['speedup_async']:.2f}x vs vector, "
-            f"utilisation {case['async_pool_utilisation']}, "
-            f"{case['async_pool_steals']} steals), "
-            f"speculative {case['engine_speculative_seconds']:.2f}s "
-            f"({case['speedup_speculative']:.2f}x vs async, "
-            f"utilisation {case['speculative_pool_utilisation']}, "
-            f"{case['speculation_hits']}/{case['speculation_issued']} "
-            f"hits), "
+            f"({case['speedup_parallel']:.2f}x, utilisation "
+            f"{case['perf_parallel']['pool_utilisation']:.2f}), "
             f"identical={case['identical']}",
             flush=True,
         )
@@ -377,61 +280,13 @@ def build_report(args: argparse.Namespace) -> Dict[str, object]:
     headline_vector = [
         c["speedup_vector_vs_legacy"] for c in cases if c["headline"]
     ]
-    headline_async = [c["speedup_async"] for c in cases if c["headline"]]
-    headline_speculative = [
-        c["speedup_speculative"] for c in cases if c["headline"]
-    ]
-    utilisations = [
-        c["async_pool_utilisation"]
-        for c in cases
-        if c["async_pool_utilisation"] is not None
-    ]
-    spec_utilisations = [
-        c["speculative_pool_utilisation"]
-        for c in cases
-        if c["speculative_pool_utilisation"] is not None
-    ]
-    spec_issued = sum(c["speculation_issued"] or 0 for c in cases)
-    spec_hits = sum(c["speculation_hits"] or 0 for c in cases)
-    hit_rate_deltas = [
-        abs(c["async_mode_cache_hit_rate"] - c["mode_cache_hit_rate"])
-        for c in cases
-        if c["async_mode_cache_hit_rate"] is not None
-        and c["mode_cache_hit_rate"] is not None
-    ]
     aggregate = {
         "headline_geomean_speedup_parallel": _geomean(headline_parallel),
         "headline_geomean_speedup_vector_vs_legacy": _geomean(
             headline_vector
         ),
-        "headline_geomean_speedup_async": _geomean(headline_async),
         "all_geomean_speedup_parallel": _geomean(
             [c["speedup_parallel"] for c in cases]
-        ),
-        "all_geomean_speedup_async": _geomean(
-            [c["speedup_async"] for c in cases]
-        ),
-        "mean_async_pool_utilisation": (
-            sum(utilisations) / len(utilisations) if utilisations else None
-        ),
-        "headline_geomean_speedup_speculative": _geomean(
-            headline_speculative
-        ),
-        "mean_speculative_pool_utilisation": (
-            sum(spec_utilisations) / len(spec_utilisations)
-            if spec_utilisations
-            else None
-        ),
-        "speculation_issued": spec_issued,
-        "speculation_hits": spec_hits,
-        "speculation_hit_rate": (
-            spec_hits / spec_issued if spec_issued else None
-        ),
-        # Worst-case |async − serial| mode-cache hit-rate gap: the
-        # cross-worker publication protocol should keep the parallel
-        # hit rate tracking the serial one (≤ 0.05 in acceptance).
-        "max_async_mode_cache_hit_rate_delta": (
-            max(hit_rate_deltas) if hit_rate_deltas else None
         ),
         "headline_mean_mode_cache_hit_rate": (
             sum(
@@ -460,29 +315,6 @@ def build_report(args: argparse.Namespace) -> Dict[str, object]:
         "cases": cases,
         "aggregate": aggregate,
     }
-
-
-def resolve_utilisation_floor(value: str, jobs: int) -> Optional[float]:
-    """Turn ``--min-async-utilisation`` into a numeric floor.
-
-    ``"auto"`` derives the floor from how much hardware parallelism the
-    host can actually give ``jobs`` workers: with at least one core per
-    worker the historical 0.85 floor applies unchanged; on smaller
-    hosts (CI containers are often single-core) the workers time-share
-    cores, the dispatch-window capacity ``window × jobs`` overstates
-    what the host can deliver by ``jobs / cpus``, and the floor scales
-    down accordingly — clamped to 0.25 so a pathological pool still
-    fails.  A numeric string is used as-is; ``"off"`` disables the
-    gate.
-    """
-    if value == "off":
-        return None
-    if value == "auto":
-        cpus = os.cpu_count() or 1
-        if cpus >= jobs:
-            return 0.85
-        return max(0.25, round(0.85 * cpus / jobs, 2))
-    return float(value)
 
 
 def check_regression(
@@ -523,7 +355,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--jobs",
         type=int,
         default=4,
-        help="pool size for the engine+pool and async configurations",
+        help="pool size for the engine+pool configuration",
     )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
@@ -550,17 +382,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=None,
         help="baseline JSON to compare against; exits 1 on >20%% regression",
     )
-    parser.add_argument(
-        "--min-async-utilisation",
-        default=None,
-        metavar="FRACTION",
-        help=(
-            "fail (exit 1) when the mean async pool utilisation falls "
-            "below this fraction; 'auto' derives the floor from "
-            "os.cpu_count() vs --jobs (used by 'make bench-smoke'), "
-            "'off' disables the gate"
-        ),
-    )
     args = parser.parse_args(argv)
 
     report = build_report(args)
@@ -584,61 +405,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"{agg['headline_geomean_speedup_parallel']:.2f}x (pool), "
         f"{agg['headline_geomean_speedup_vector_vs_legacy']:.2f}x "
         f"(jobs=1 engine, mean hit rate "
-        f"{agg['headline_mean_mode_cache_hit_rate']:.2f}), "
-        f"{agg['headline_geomean_speedup_async']:.2f}x "
-        f"(async pool vs vector, mean utilisation "
-        f"{agg['mean_async_pool_utilisation']}), "
-        f"{agg['headline_geomean_speedup_speculative']:.2f}x "
-        f"(speculative vs async, mean utilisation "
-        f"{agg['mean_speculative_pool_utilisation']}, hit rate "
-        f"{agg['speculation_hit_rate']}); "
+        f"{agg['headline_mean_mode_cache_hit_rate']:.2f}); "
         f"report written to {out_path}"
     )
 
     if not agg["all_identical"]:
         print("[bench_engine] FAIL: engine results diverged from legacy")
         return 1
-    if args.min_async_utilisation is not None:
-        floor = resolve_utilisation_floor(
-            args.min_async_utilisation, args.jobs
-        )
-        if floor is not None:
-            utilisation = agg["mean_async_pool_utilisation"]
-            if utilisation is None or utilisation < floor:
-                print(
-                    f"[bench_engine] FAIL: mean async pool utilisation "
-                    f"{utilisation} below floor {floor}"
-                )
-                return 1
-            print(
-                f"[bench_engine] async utilisation gate passed "
-                f"({utilisation:.3f} >= {floor})"
-            )
-            # Speculation fills the breeding window with predicted
-            # evaluations, so its pool utilisation must not fall below
-            # the non-speculative async arm's (small tolerance for
-            # timing noise).  Meaningless without a second core to do
-            # the filling — time-shared workers only displace the
-            # parent — so single-core hosts skip the gate.
-            if (os.cpu_count() or 1) > 1:
-                spec_util = agg["mean_speculative_pool_utilisation"]
-                async_util = agg["mean_async_pool_utilisation"]
-                if spec_util is None or spec_util < async_util - 0.02:
-                    print(
-                        f"[bench_engine] FAIL: speculative pool "
-                        f"utilisation {spec_util} below async "
-                        f"{async_util} - 0.02"
-                    )
-                    return 1
-                print(
-                    f"[bench_engine] speculation lift gate passed "
-                    f"({spec_util:.3f} vs async {async_util:.3f})"
-                )
-            else:
-                print(
-                    "[bench_engine] speculation lift gate skipped "
-                    "(single-core host)"
-                )
     if args.check is not None:
         return check_regression(report, pathlib.Path(args.check))
     return 0

@@ -69,9 +69,6 @@ def _config_from_args(args: argparse.Namespace) -> SynthesisConfig:
         max_generations=args.generations,
         convergence_generations=args.convergence,
         jobs=getattr(args, "jobs", 1),
-        async_pool=not getattr(args, "no_async_pool", False),
-        speculative=not getattr(args, "no_speculation", False),
-        speculation_depth=getattr(args, "speculation_depth", 1),
         seed=args.seed,
     )
 
@@ -97,37 +94,6 @@ def _add_ga_options(parser: argparse.ArgumentParser) -> None:
         help=(
             "worker processes for population evaluation (1 = serial; "
             "results are identical for any job count)"
-        ),
-    )
-    parser.add_argument(
-        "--no-async-pool",
-        action="store_true",
-        help=(
-            "dispatch pool batches through the per-generation barrier "
-            "pool instead of the work-stealing asynchronous evaluator "
-            "with cross-worker cache publication (ablation; results "
-            "are bit-identical either way; only meaningful with "
-            "--jobs > 1)"
-        ),
-    )
-    parser.add_argument(
-        "--no-speculation",
-        action="store_true",
-        help=(
-            "do not evaluate predicted next-generation genomes during "
-            "the breeding window (ablation; results are bit-identical "
-            "either way; only meaningful with --jobs > 1 and the "
-            "asynchronous pool)"
-        ),
-    )
-    parser.add_argument(
-        "--speculation-depth",
-        type=int,
-        default=1,
-        help=(
-            "speculation look-ahead: 1 dispatches only the exactly "
-            "predicted next batch, deeper levels add heuristic probe "
-            "mutations as pool filler and cache warmers"
         ),
     )
 

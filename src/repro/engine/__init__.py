@@ -1,4 +1,4 @@
-"""The evaluation engine: decode caching, parallel dispatch, profiling.
+"""The evaluation engine: decode caching, pooled dispatch, profiling.
 
 The GA outer loop evaluates thousands of independent mapping candidates
 per run; this package makes that hot path fast without changing a single
@@ -8,23 +8,34 @@ result.  It provides three cooperating layers:
   problem (implementation tables, adjacency, feasible links, voltage
   tables) is computed once per process in a :class:`DecodeContext` and
   shared by all candidate evaluations.
-* :mod:`repro.engine.parallel` — a :class:`ParallelEvaluator` dispatches
-  each generation's unique, uncached genomes to a ``multiprocessing``
-  pool (falling back to in-process evaluation when ``jobs == 1`` or the
-  pool dies).  Results are bit-identical to serial evaluation.
+* :mod:`repro.engine.backend` — the :class:`EvaluationBackend` a
+  generation's unique, uncached genomes are submitted to: in-process
+  (:class:`SerialBackend`) or a static-chunk ``multiprocessing`` pool
+  (:class:`PooledBackend`, which falls back to in-process evaluation
+  for tiny batches or when the pool dies, and starts the predicted
+  next batch early while the parent breeds).  Results are
+  bit-identical to serial evaluation.
 * :mod:`repro.engine.profile` — lightweight per-phase timers and the
   :class:`PerfStats` summary exposed on ``SynthesisResult.perf``.
 """
 
+from repro.engine.backend import (
+    EvaluationBackend,
+    PooledBackend,
+    SerialBackend,
+    backend_for,
+)
 from repro.engine.decode_cache import DecodeContext, context_for
-from repro.engine.parallel import ParallelEvaluator
 from repro.engine.profile import PROFILER, PerfStats, PhaseProfiler
 from repro.engine.records import EvalRecord, evaluate_genes
 
 __all__ = [
     "DecodeContext",
     "context_for",
-    "ParallelEvaluator",
+    "EvaluationBackend",
+    "PooledBackend",
+    "SerialBackend",
+    "backend_for",
     "PROFILER",
     "PerfStats",
     "PhaseProfiler",

@@ -163,16 +163,16 @@ class PerfStats:
         (GA bookkeeping, cache-hot batches that never dispatch) no
         longer dilutes the figure.
     pool_steals:
-        Tasks workers pulled beyond an even static split — per batch,
-        ``sum over workers of max(0, tasks_taken − ceil(total / N))``.
-        Zero under the barrier pool's static chunking; positive counts
-        are the work-stealing dynamic balancing paying off.
+        Always 0: the pool dispatches static chunks.  Kept so run
+        summaries recorded by the removed work-stealing pool, which
+        counted tasks taken beyond an even split here, still load.
     pool_fallbacks:
         Pool failures that degraded the run to in-process evaluation.
     inprocess_evaluations / inprocess_eval_seconds:
         Evaluations (and their wall-clock) run in-process by the
-        parallel evaluator — tiny batches below the dispatch threshold
-        and post-fallback batches.  Booked separately from
+        evaluation backend — every batch of a serial run; on a pool,
+        tiny batches below the dispatch threshold and post-fallback
+        batches.  Booked separately from
         :attr:`pool_busy_seconds` so cache-hot late generations cannot
         inflate :attr:`pool_utilisation`.
     mode_cache_hits / mode_cache_misses / mode_cache_evictions:
@@ -180,11 +180,11 @@ class PerfStats:
         evaluation pipeline (:mod:`repro.eval`), summed over the main
         process and all pool workers via the run's metric delta.
     speculation_issued / speculation_hits / speculation_discards:
-        Speculative next-generation evaluation activity on the async
-        pool: predicted genomes dispatched ahead of their batch, batch
-        slots served from the speculation buffer, and buffered
-        predictions abandoned at run end.  All zero when
-        ``SynthesisConfig.speculative`` is off or no async pool ran.
+        Early dispatch of the predicted next batch on the pool:
+        genomes dispatched during breeding, genomes whose dispatch the
+        next batch adopted, and genomes of dispatches no batch adopted
+        (collected at run end or when a different batch arrived).  All
+        zero when no pool ran.
     """
 
     phase_seconds: Dict[str, float] = field(default_factory=dict)
@@ -243,10 +243,9 @@ class PerfStats:
     def speculation_hit_rate(self) -> float:
         """Fraction of speculative dispatches a later batch confirmed.
 
-        Exact-replay prediction (``speculation_depth=1``) confirms
-        everything the run actually needed; unconfirmed leftovers at
-        run end (convergence struck, or deeper heuristic probes) are
-        the discard side of the ledger.
+        Exact-replay prediction makes every early dispatch of a
+        completed run confirmed; a dispatch no batch adopts is the
+        discard side of the ledger.
         """
         if self.speculation_issued == 0:
             return 0.0

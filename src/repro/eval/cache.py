@@ -39,7 +39,7 @@ warm-started re-synthesis inherits it; see :func:`mode_cache_for`).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.obs.metrics import REGISTRY
 from repro.scheduling.mobility import MobilityInfo
@@ -70,11 +70,6 @@ SchedKey = Tuple[str, Tuple[str, ...], CoreSignature, ConfigFingerprint]
 
 #: Per-PE ``(base_counts, desired_counts)`` core demand of one mode.
 ModeDemand = Dict[str, Tuple[Dict[str, int], Dict[str, int]]]
-
-#: One journalled cache insertion: ``(segment, key, value)`` with
-#: segment ``"prep"`` or ``"sched"``.  The unit of cross-worker cache
-#: publication (see :meth:`ModeResultCache.start_journal`).
-PublishedEntry = Tuple[str, Any, Any]
 
 
 def config_fingerprint(config: "SynthesisConfig") -> ConfigFingerprint:
@@ -168,7 +163,6 @@ class ModeResultCache:
         "misses",
         "evictions",
         "bytes_resident",
-        "_journal",
     )
 
     def __init__(self, capacity: int = MODE_CACHE_SIZE) -> None:
@@ -181,7 +175,6 @@ class ModeResultCache:
         self.misses = 0
         self.evictions = 0
         self.bytes_resident = 0
-        self._journal: Optional[List[PublishedEntry]] = None
 
     # ------------------------------------------------------------------
     # Prep segment
@@ -199,8 +192,6 @@ class ModeResultCache:
             self.bytes_resident -= self._prep[key].approx_bytes
         self._prep[key] = value
         self.bytes_resident += value.approx_bytes
-        if self._journal is not None:
-            self._journal.append(("prep", key, value))
         if len(self._prep) > self.capacity:
             evicted_key, evicted = self._prep.popitem(last=False)
             self.bytes_resident -= evicted.approx_bytes
@@ -228,8 +219,6 @@ class ModeResultCache:
             self.bytes_resident -= self._sched[key].approx_bytes
         self._sched[key] = value
         self.bytes_resident += value.approx_bytes
-        if self._journal is not None:
-            self._journal.append(("sched", key, value))
         if len(self._sched) > self.capacity:
             evicted_key, evicted = self._sched.popitem(last=False)
             self.bytes_resident -= evicted.approx_bytes
@@ -240,72 +229,6 @@ class ModeResultCache:
                 stage="sched",
             )
         self._publish_gauges()
-
-    # ------------------------------------------------------------------
-    # Cross-worker publication (async pool cache coherence)
-    # ------------------------------------------------------------------
-
-    def start_journal(self) -> None:
-        """Begin journalling insertions for cross-worker publication.
-
-        While a journal is active every :meth:`put_prep` /
-        :meth:`put_sched` also appends a :data:`PublishedEntry`; the
-        async pool worker drains the journal after each task and ships
-        the entries back with the result, so the parent can fold them
-        into its master cache and broadcast them to the other workers.
-        Idempotent — restarting keeps the current (drained) journal.
-        """
-        if self._journal is None:
-            self._journal = []
-
-    def drain_journal(self) -> List[PublishedEntry]:
-        """Take (and clear) the insertions journalled since last drain."""
-        if self._journal is None:
-            return []
-        drained = self._journal
-        self._journal = []
-        return drained
-
-    def apply_published(self, entries: List[PublishedEntry]) -> int:
-        """Fold another worker's journalled insertions into this cache.
-
-        Insert-if-absent: an entry whose key is already resident is
-        skipped (both caches computed the same Ψ-independent value, and
-        keeping the local one preserves its LRU position).  Applied
-        entries are *not* metered as hits or misses — they were never
-        looked up here — but bytes-resident, capacity eviction and the
-        gauges behave exactly like local insertions.  Crucially the
-        journal is **not** fed, so a broadcast never echoes back.
-
-        Returns the number of entries actually inserted.
-        """
-        if not entries:
-            return 0
-        journal = self._journal
-        self._journal = None
-        try:
-            applied = 0
-            for segment, key, value in entries:
-                store = self._prep if segment == "prep" else self._sched
-                if key in store:
-                    continue
-                store[key] = value
-                self.bytes_resident += value.approx_bytes
-                applied += 1
-                if len(store) > self.capacity:
-                    evicted_key, evicted = store.popitem(last=False)
-                    self.bytes_resident -= evicted.approx_bytes
-                    self.evictions += 1
-                    REGISTRY.inc(
-                        "eval_mode_cache_evictions_total",
-                        mode=evicted_key[0],
-                        stage=segment,
-                    )
-            if applied:
-                self._publish_gauges()
-            return applied
-        finally:
-            self._journal = journal
 
     # ------------------------------------------------------------------
     # Bookkeeping

@@ -16,8 +16,8 @@ re-evaluated), the next batch is fully determined by pure stages over
 known inputs — so the driver predicts it on a cloned RNG
 (:mod:`repro.synthesis.speculation`) and offers it to the backend
 *before* breeding for real.  By the time the next
-:meth:`evaluate_population` call submits the real batch, the async
-pool has been computing it for the whole breeding window.
+:meth:`evaluate_population` call submits the real batch, the pool has
+been computing it for the whole breeding window.
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.engine.backend import EvaluationBackend
-from repro.engine.parallel import evaluate_inprocess
+from repro.engine.backend import EvaluationBackend, evaluate_inprocess
 from repro.engine.profile import PROFILER, PerfStats
 from repro.engine.records import EvalRecord, record_from_implementation
 from repro.errors import SynthesisError
@@ -169,7 +168,6 @@ class GenerationDriver:
     def _speculate_next(
         self,
         backend: EvaluationBackend,
-        generation: int,
         mutation_rate: float,
         population: Sequence[MappingString],
         records: Sequence[EvalRecord],
@@ -179,7 +177,11 @@ class GenerationDriver:
         transition_stall: int,
         best_genome: MappingString,
     ) -> None:
-        """Predict the next batch and offer it to the backend early."""
+        """Predict the next batch and offer it to the backend early.
+
+        The ``speculate`` profiler phase times the prediction only;
+        the dispatch itself is the backend's.
+        """
         with PROFILER.phase("speculate"):
             predicted = speculation.predict_next_batch(
                 self.config,
@@ -199,18 +201,8 @@ class GenerationDriver:
                 for g in dict.fromkeys(predicted)
                 if g not in self.genome_cache
             ]
-            if self.config.speculation_depth > 1:
-                batch.extend(
-                    speculation.heuristic_probes(
-                        self.config,
-                        mutation_rate,
-                        predicted,
-                        generation,
-                        self.genome_cache,
-                    )
-                )
-            if batch:
-                backend.speculate(batch)
+        if batch:
+            backend.speculate(batch)
 
     # ------------------------------------------------------------------
     # The optimisation loop
@@ -284,8 +276,6 @@ class GenerationDriver:
             generation = 0
             start_generation = 1
 
-        speculative = bool(config.speculative)
-
         for generation in range(
             start_generation, config.max_generations + 1
         ):
@@ -332,14 +322,12 @@ class GenerationDriver:
             # The last generation's offspring are never evaluated, so
             # there is nothing to predict there.
             if (
-                speculative
-                and best_genome is not None
+                best_genome is not None
                 and generation < config.max_generations
                 and backend.supports_speculation
             ):
                 self._speculate_next(
                     backend,
-                    generation,
                     mutation_rate,
                     population,
                     records,
@@ -406,9 +394,8 @@ class GenerationDriver:
                     )
                 )
 
-        # Anything still speculated (convergence struck, or deep probes
-        # that never materialised) is abandoned before the serial
-        # polish; draining it settles the accounting.
+        # An early dispatch no batch adopted is abandoned before the
+        # serial polish; collecting it settles the accounting.
         backend.cancel_speculation()
 
         if best_genome is None:

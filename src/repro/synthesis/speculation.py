@@ -16,22 +16,15 @@ generation's records have landed, cloning the RNG state (a *split
 generator*: same seeded stream, zero draws consumed from the live one)
 and replaying those stages yields **exactly** the population the driver
 is about to breed.  Prediction accuracy is 1.0 by construction, and
-determinism is untouched: speculated genomes are keyed by gene tuple,
-so serving one is indistinguishable from evaluating it on demand.
-
-Depths beyond 1 are heuristic: generation *g + 2* depends on records
-that do not exist yet, so deeper probes are split-RNG mutations of the
-predicted population — useful as pool-utilisation filler and mode-cache
-warmers (their journal entries publish either way), discarded as
-mispredictions if their genomes never materialise.  The probe RNG is
-seeded from a string derived from ``(seed, generation, round)``, never
-from the live stream, so probing cannot perturb results either.
+determinism is untouched: the backend adopts an early dispatch only for
+an identical gene-tuple list, and evaluation is a pure function of the
+genome, so adopting one is indistinguishable from dispatching on demand.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Iterable, List, Sequence, Set, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.engine.records import EvalRecord
 from repro.mapping.encoding import MappingString
@@ -72,33 +65,3 @@ def predict_next_batch(
         )
     return predicted
 
-
-def heuristic_probes(
-    config: SynthesisConfig,
-    mutation_rate: float,
-    predicted: Sequence[MappingString],
-    generation: int,
-    known: Iterable[MappingString],
-) -> List[MappingString]:
-    """Deeper-than-one speculative candidates (cache warmers).
-
-    One round per depth level beyond the exact layer, each mutating the
-    predicted population under a string-seeded RNG (stable across
-    processes and ``PYTHONHASHSEED``).  Genomes already predicted,
-    cached or produced by an earlier round are skipped — re-evaluating
-    them could never serve a hit.
-    """
-    seen: Set[MappingString] = set(predicted)
-    seen.update(known)
-    probes: List[MappingString] = []
-    for level in range(2, config.speculation_depth + 1):
-        rng = random.Random(
-            f"speculate:{config.seed}:{generation}:{level}"
-        )
-        for genome in predicted:
-            probe = genome.mutate(rng, mutation_rate)
-            if probe in seen:
-                continue
-            seen.add(probe)
-            probes.append(probe)
-    return probes

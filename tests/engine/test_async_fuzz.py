@@ -1,17 +1,26 @@
-"""Differential fuzz: async work-stealing pool vs barrier pool vs serial.
+"""Differential fuzz: asynchronous early dispatch vs a plain barrier vs serial.
 
-Acceptance coverage for the async evaluator: randomised GA chains on
-suite, smartphone and stress instances must produce *exactly* equal
-results under the work-stealing pool, the barrier pool and serial
-evaluation — fitness, history, best genome, evaluation counts, the
-Pareto sweep, and the per-mode phase-bucket invariant (buckets sum to
-the aggregates) — and a checkpointed run must resume bit-identically
-with ``async_pool=True``.
+At ``jobs=2`` the pool is asynchronous twice over: ``submit`` only
+starts the workers' chunks (``map_async``), and during breeding the
+driver already dispatches the predicted next generation.  Randomised GA
+chains on suite, smartphone and stress instances must produce *exactly*
+equal results in three arms:
+
+* ``serial`` — ``jobs=1``, no pool;
+* ``async`` — ``jobs=2``, every early dispatch adopted by the batch
+  that follows it;
+* ``barrier`` — ``jobs=2`` with every prediction wrong, so each early
+  dispatch is collected and discarded and each generation is evaluated
+  by a fresh dispatch behind the ``drain`` barrier.
+
+Fitness, history, best genome, evaluation counts, the Pareto sweep and
+the per-mode phase-bucket invariant (buckets sum to the aggregates)
+must agree, and a checkpoint written by either evaluation path must
+resume bit-identically on the other.
 
 The configs are drawn once per instance from a seeded RNG and shared
-verbatim across the three evaluation arms (only ``jobs`` /
-``async_pool`` differ), so any divergence is the pool's fault, never
-the sampler's.
+verbatim across the arms (only ``jobs`` and the predictor differ), so
+any divergence is the pool's fault, never the sampler's.
 """
 
 import json
@@ -22,6 +31,7 @@ import pytest
 from repro.benchgen.multimode import MultiModeSpec, generate_problem
 from repro.benchgen.smartphone import smartphone_problem
 from repro.benchgen.suite import suite_problem
+from repro.synthesis import speculation
 from repro.synthesis.config import DvsMethod, SynthesisConfig
 from repro.synthesis.cosynthesis import MultiModeSynthesizer
 from repro.synthesis.pareto import area_power_tradeoff
@@ -71,6 +81,27 @@ def _draw_config(name: str, dvs: DvsMethod) -> SynthesisConfig:
     )
 
 
+@pytest.fixture
+def mispredict(monkeypatch):
+    """Make every prediction miss: the exact next batch, reversed.
+
+    The driver submits the deduplicated batch in first-occurrence
+    order; any early dispatch of two or more genomes in reverse order
+    is a different gene-tuple list, so the pool must discard it.
+    """
+    predict = speculation.predict_next_batch
+
+    def reversed_prediction(*args):
+        return list(reversed(list(dict.fromkeys(predict(*args)))))
+
+    def install():
+        monkeypatch.setattr(
+            speculation, "predict_next_batch", reversed_prediction
+        )
+
+    return install
+
+
 def _assert_bucket_invariant(perf) -> None:
     assert perf is not None
     assert set(perf.mode_phase_seconds) == set(perf.phase_seconds)
@@ -86,18 +117,21 @@ def _assert_bucket_invariant(perf) -> None:
 @pytest.mark.parametrize(
     "name,loader,dvs", CORPUS, ids=[entry[0] for entry in CORPUS]
 )
-def test_async_barrier_serial_chains_identical(name, loader, dvs):
+def test_async_barrier_serial_chains_identical(name, loader, dvs, mispredict):
     base = _draw_config(name, dvs)
-    arms = {
-        "serial": base.with_updates(jobs=1),
-        "async": base.with_updates(jobs=2, async_pool=True),
-        "barrier": base.with_updates(jobs=2, async_pool=False),
-    }
     results = {}
-    for arm, config in arms.items():
-        # A fresh problem per arm: no shared decode context or warm
-        # mode cache can paper over a divergence between strategies.
-        results[arm] = MultiModeSynthesizer(loader(), config).run()
+    # A fresh problem per arm: no shared decode context or warm mode
+    # cache can paper over a divergence between the arms.
+    results["serial"] = MultiModeSynthesizer(
+        loader(), base.with_updates(jobs=1)
+    ).run()
+    results["async"] = MultiModeSynthesizer(
+        loader(), base.with_updates(jobs=2)
+    ).run()
+    mispredict()
+    results["barrier"] = MultiModeSynthesizer(
+        loader(), base.with_updates(jobs=2)
+    ).run()
     serial = results["serial"]
     for arm in ("async", "barrier"):
         result = results[arm]
@@ -113,9 +147,16 @@ def test_async_barrier_serial_chains_identical(name, loader, dvs):
         assert result.average_power == serial.average_power, arm
     for arm, result in results.items():
         _assert_bucket_invariant(result.perf)
+    adopted = results["async"].perf
+    assert adopted.speculation_issued > 0
+    assert adopted.speculation_hits == adopted.speculation_issued
+    discarded = results["barrier"].perf
+    assert discarded.speculation_issued > 0
+    assert discarded.speculation_hits == 0
+    assert discarded.speculation_discards == discarded.speculation_issued
 
 
-def test_async_and_barrier_pareto_sets_identical():
+def test_async_and_barrier_pareto_sets_identical(mispredict):
     config = SynthesisConfig(
         population_size=10,
         max_generations=3,
@@ -124,19 +165,26 @@ def test_async_and_barrier_pareto_sets_identical():
         seed=13,
         jobs=2,
     )
-    points = {}
-    for flag in (True, False):
-        points[flag] = area_power_tradeoff(
+
+    def sweep():
+        return area_power_tradeoff(
             suite_problem("mul1"),
             scales=(0.75, 1.25),
-            config=config.with_updates(async_pool=flag),
+            config=config,
             runs=1,
             base_seed=3,
         )
-    assert points[True] == points[False]
+
+    adopted = sweep()
+    mispredict()
+    assert sweep() == adopted
 
 
 def test_kill_resume_bit_identical_with_async_pool():
+    # A checkpoint carries no trace of how its generations were
+    # evaluated: a snapshot written by a serial run resumes on the pool,
+    # and one written on the pool resumes serially, both bit-identical
+    # to the uninterrupted run.
     problem = suite_problem("mul1")
     config = SynthesisConfig(
         population_size=10,
@@ -144,21 +192,29 @@ def test_kill_resume_bit_identical_with_async_pool():
         convergence_generations=8,
         local_search_budget_factor=0.0,
         seed=31,
-        jobs=2,
-        async_pool=True,
     )
-    snapshots = []
-    reference = MultiModeSynthesizer(problem, config).run(
-        on_generation=snapshots.append
-    )
-    assert snapshots, "run emitted no generation snapshots"
-    # Serialise through JSON exactly like the checkpoint store: this is
-    # the state a killed campaign job restarts from.
-    state = GAState.from_dict(
-        json.loads(json.dumps(snapshots[len(snapshots) // 2].to_dict()))
-    )
-    resumed = MultiModeSynthesizer(problem, config).run(resume=state)
-    assert resumed.history == reference.history
-    assert resumed.best.mapping.genes == reference.best.mapping.genes
-    assert resumed.average_power == reference.average_power
-    assert resumed.generations == reference.generations
+    references = {}
+    middles = {}
+    for jobs in (1, 2):
+        snapshots = []
+        references[jobs] = MultiModeSynthesizer(
+            problem, config.with_updates(jobs=jobs)
+        ).run(on_generation=snapshots.append)
+        assert snapshots, "run emitted no generation snapshots"
+        # Serialise through JSON exactly like the checkpoint store: this
+        # is the state a killed campaign job restarts from.
+        middles[jobs] = GAState.from_dict(
+            json.loads(json.dumps(snapshots[len(snapshots) // 2].to_dict()))
+        )
+    reference = references[1]
+    assert references[2].history == reference.history
+    for written, resumed_jobs in ((1, 2), (2, 1)):
+        resumed = MultiModeSynthesizer(
+            problem, config.with_updates(jobs=resumed_jobs)
+        ).run(resume=middles[written])
+        assert resumed.history == reference.history, written
+        assert (
+            resumed.best.mapping.genes == reference.best.mapping.genes
+        ), written
+        assert resumed.average_power == reference.average_power, written
+        assert resumed.generations == reference.generations, written

@@ -1,11 +1,18 @@
-"""ParallelEvaluator behaviour: serial fallback, pooling, resilience."""
+"""Evaluation backends: serial path, pooling, early dispatch, resilience."""
 
+import multiprocessing
+import os
 import random
+import signal
+import time
+from contextlib import closing
 
 import pytest
 
-from repro.engine.parallel import ParallelEvaluator
+from repro.engine import backend as backend_module
+from repro.engine.backend import PooledBackend, SerialBackend, backend_for
 from repro.engine.records import EvalRecord, evaluate_genes
+from repro.errors import WorkerPoolError
 from repro.mapping.encoding import MappingString
 from repro.synthesis.config import SynthesisConfig
 
@@ -28,184 +35,282 @@ def _serial_records(problem, config, genomes):
     ]
 
 
+def _evaluate(backend, genomes):
+    backend.submit(genomes)
+    return backend.drain()
+
+
+def _sigint_handler(_):
+    return signal.getsignal(signal.SIGINT)
+
+
+def _pooled(problem, config):
+    backend = PooledBackend(problem, config)
+    if not backend.uses_pool:  # pragma: no cover - platform
+        backend.close()
+        pytest.skip("process pool unavailable on this platform")
+    return closing(backend)
+
+
+@pytest.fixture
+def slow_workers(monkeypatch):
+    """Pool workers forked after this fixture take ``delay`` s per genome.
+
+    The parent keeps full speed, so a test can act while the workers
+    still hold an early dispatch.
+    """
+    if multiprocessing.get_start_method() != "fork":  # pragma: no cover
+        pytest.skip("worker patching needs the fork start method")
+    parent = os.getpid()
+    original = backend_module.evaluate_genes
+
+    def install(delay):
+        def slow(*args, **kwargs):
+            if os.getpid() != parent:
+                time.sleep(delay)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(backend_module, "evaluate_genes", slow)
+
+    return install
+
+
 class TestSerialPath:
     def test_jobs_one_creates_no_pool(self, problem):
         config = SynthesisConfig(jobs=1)
-        with ParallelEvaluator(problem, config) as evaluator:
-            assert not evaluator.uses_pool
-            genomes = _genomes(problem, 6)
-            records = evaluator.evaluate_batch(genomes)
+        genomes = _genomes(problem, 6)
+        with closing(backend_for(problem, config)) as backend:
+            assert isinstance(backend, SerialBackend)
+            assert not backend.supports_speculation
+            records = _evaluate(backend, genomes)
         assert records == _serial_records(problem, config, genomes)
         assert all(isinstance(r, EvalRecord) for r in records)
+        with closing(PooledBackend(problem, config)) as pooled:
+            assert not pooled.uses_pool
+            assert _evaluate(pooled, genomes) == records
 
     def test_empty_batch(self, problem):
-        with ParallelEvaluator(problem, SynthesisConfig(jobs=1)) as ev:
-            assert ev.evaluate_batch([]) == []
+        config = SynthesisConfig(jobs=1)
+        with closing(SerialBackend(problem, config)) as backend:
+            assert _evaluate(backend, []) == []
 
     def test_jobs_default_from_config(self, problem):
-        evaluator = ParallelEvaluator(problem, SynthesisConfig(jobs=3))
-        try:
-            assert evaluator.jobs == 3
-        finally:
-            evaluator.close()
+        config = SynthesisConfig(jobs=3)
+        with closing(PooledBackend(problem, config)) as backend:
+            assert backend.jobs == 3
 
 
 class TestPooledPath:
     def test_barrier_pool_matches_serial_records(self, problem):
-        config = SynthesisConfig(jobs=2, async_pool=False)
+        config = SynthesisConfig(jobs=2)
         genomes = _genomes(problem, 10)
-        with ParallelEvaluator(problem, config) as evaluator:
-            if not evaluator.uses_pool:  # pragma: no cover - platform
-                pytest.skip("process pool unavailable on this platform")
-            records = evaluator.evaluate_batch(genomes)
-            assert evaluator.batches == 1
+        with _pooled(problem, config) as backend:
+            records = _evaluate(backend, genomes)
+            assert backend.batches == 1
             # The dispatching process evaluates the final chunk itself,
             # so worker-side counts cover all but that chunk.
-            assert 0 < evaluator.parallel_evaluations < len(genomes)
-            assert evaluator.pool_busy_seconds > 0.0
-            assert evaluator.pool_dispatch_seconds > 0.0
-            # Static chunking never steals.
-            assert evaluator.pool_steals == 0
-            assert evaluator.worker_phase_totals
+            assert 0 < backend.parallel_evaluations < len(genomes)
+            assert backend.pool_busy_seconds > 0.0
+            assert backend.pool_dispatch_seconds > 0.0
+            assert backend.worker_profile.snapshot()
         assert records == _serial_records(problem, config, genomes)
 
     def test_order_preserved_across_chunks(self, problem):
-        config = SynthesisConfig(jobs=2, async_pool=False)
+        config = SynthesisConfig(jobs=2)
         genomes = _genomes(problem, 9, seed=4)
-        with ParallelEvaluator(problem, config) as evaluator:
-            if not evaluator.uses_pool:  # pragma: no cover - platform
-                pytest.skip("process pool unavailable on this platform")
-            records = evaluator.evaluate_batch(genomes)
+        with _pooled(problem, config) as backend:
+            records = _evaluate(backend, genomes)
         expected = _serial_records(problem, config, genomes)
         assert [r.fitness for r in records] == [
             r.fitness for r in expected
         ]
 
     def test_dead_pool_falls_back_to_serial(self, problem):
-        config = SynthesisConfig(jobs=2, async_pool=False)
+        config = SynthesisConfig(jobs=2)
         genomes = _genomes(problem, 4)
-        evaluator = ParallelEvaluator(problem, config)
-        try:
-            if not evaluator.uses_pool:  # pragma: no cover - platform
-                pytest.skip("process pool unavailable on this platform")
+        with _pooled(problem, config) as backend:
             # Simulate a worker crash by tearing the pool down behind
-            # the evaluator's back; the batch must still be answered,
+            # the backend's back; the batch must still be answered,
             # and the degradation must be *surfaced* (warning + counter),
             # never silent.
-            evaluator._pool.terminate()
-            evaluator._pool.join()
+            backend._pool.terminate()
+            backend._pool.join()
             with pytest.warns(RuntimeWarning, match="in-process"):
-                records = evaluator.evaluate_batch(genomes)
-            assert not evaluator.uses_pool
-            assert evaluator.pool_failures == 1
-            assert evaluator.last_pool_error is not None
+                records = _evaluate(backend, genomes)
+            assert not backend.uses_pool
+            assert backend.pool_fallbacks == 1
+            assert backend.last_pool_error is not None
             assert records == _serial_records(problem, config, genomes)
             # Later batches stay on the serial path without error.
-            again = evaluator.evaluate_batch(genomes)
-            assert again == records
-        finally:
-            evaluator.close()
+            assert _evaluate(backend, genomes) == records
 
     def test_dead_pool_raises_in_raise_mode(self, problem):
-        from repro.errors import WorkerPoolError
-
-        config = SynthesisConfig(
-            jobs=2, async_pool=False, pool_failure_mode="raise"
-        )
+        config = SynthesisConfig(jobs=2, pool_failure_mode="raise")
         genomes = _genomes(problem, 4)
-        evaluator = ParallelEvaluator(problem, config)
-        try:
-            if not evaluator.uses_pool:  # pragma: no cover - platform
-                pytest.skip("process pool unavailable on this platform")
-            assert evaluator.failure_mode == "raise"
-            evaluator._pool.terminate()
-            evaluator._pool.join()
+        with _pooled(problem, config) as backend:
+            assert backend.failure_mode == "raise"
+            backend._pool.terminate()
+            backend._pool.join()
             with pytest.raises(WorkerPoolError):
-                evaluator.evaluate_batch(genomes)
-            assert evaluator.pool_failures == 1
-        finally:
-            evaluator.close()
+                _evaluate(backend, genomes)
+            assert not backend.uses_pool
+            assert backend.pool_fallbacks == 0
+
+    def test_workers_leave_ctrl_c_to_the_parent(self, problem):
+        # A worker killed by SIGINT while holding the task queue's lock
+        # would deadlock the parent's terminate(); workers ignore it.
+        with _pooled(problem, SynthesisConfig(jobs=2)) as backend:
+            handlers = backend._pool.map(_sigint_handler, range(4))
+        assert set(handlers) == {signal.SIG_IGN}
 
     def test_close_is_idempotent(self, problem):
-        evaluator = ParallelEvaluator(problem, SynthesisConfig(jobs=2))
-        evaluator.close()
-        evaluator.close()
-        assert not evaluator.uses_pool
+        backend = PooledBackend(problem, SynthesisConfig(jobs=2))
+        backend.close()
+        backend.close()
+        assert not backend.uses_pool
 
 
 class TestAsyncPool:
-    """The work-stealing strategy behind ``async_pool=True`` (default)."""
+    """``submit()`` returns with the workers' chunks still in flight."""
 
-    def test_async_is_the_default_strategy(self, problem):
-        with ParallelEvaluator(problem, SynthesisConfig(jobs=2)) as ev:
-            if not ev.uses_pool:  # pragma: no cover - platform
-                pytest.skip("process pool unavailable on this platform")
-            assert ev._async is not None
-            assert ev._pool is None
-
-    def test_async_matches_serial_records(self, problem):
+    def test_async_matches_serial_records(self, problem, slow_workers):
+        slow_workers(0.05)
         config = SynthesisConfig(jobs=2)
         genomes = _genomes(problem, 10, seed=7)
-        with ParallelEvaluator(problem, config) as evaluator:
-            if not evaluator.uses_pool:  # pragma: no cover - platform
-                pytest.skip("process pool unavailable on this platform")
-            records = evaluator.evaluate_batch(genomes)
-            assert evaluator.batches == 1
-            # Work stealing sends *every* genome through the queue;
-            # there is no parent-local chunk.
-            assert evaluator.parallel_evaluations == len(genomes)
-            assert evaluator.pool_busy_seconds > 0.0
-            assert evaluator.pool_dispatch_seconds > 0.0
-            assert evaluator.worker_phase_totals
+        with _pooled(problem, config) as backend:
+            backend.submit(genomes)
+            # map_async only queued the chunks; drain() is the barrier.
+            assert not backend._dispatch.pending.ready()
+            records = backend.drain()
+            assert backend.batches == 1
+            assert 0 < backend.parallel_evaluations < len(genomes)
+            # Collected, not merely returned: the workers' time is booked.
+            assert (
+                backend.pool_busy_seconds
+                >= 0.05 * backend.parallel_evaluations
+            )
         serial_config = SynthesisConfig(jobs=1)
         assert records == _serial_records(problem, serial_config, genomes)
 
     def test_async_and_barrier_records_identical(self, problem):
-        genomes = _genomes(problem, 11, seed=8)
-        results = {}
-        for flag in (True, False):
-            config = SynthesisConfig(jobs=2, async_pool=flag)
-            with ParallelEvaluator(problem, config) as evaluator:
-                if not evaluator.uses_pool:  # pragma: no cover
-                    pytest.skip("process pool unavailable")
-                results[flag] = evaluator.evaluate_batch(genomes)
-        assert results[True] == results[False]
-
-    def test_async_publishes_cache_entries_to_parent(self, problem):
-        from repro.eval.cache import mode_cache_for
-
+        # The same batch answered by a dispatch started early (adopted
+        # at submit) and by one started at submit, on warm workers.
         config = SynthesisConfig(jobs=2)
-        cache = mode_cache_for(problem, config)
-        assert len(cache) == 0
-        genomes = _genomes(problem, 8, seed=9)
-        with ParallelEvaluator(problem, config) as evaluator:
-            if not evaluator.uses_pool:  # pragma: no cover - platform
-                pytest.skip("process pool unavailable on this platform")
-            evaluator.evaluate_batch(genomes)
-        # Worker-computed entries were applied to the master cache
-        # without being metered as local lookups.
-        assert len(cache) > 0
-        assert cache.hits == 0 and cache.misses == 0
+        genomes = _genomes(problem, 11, seed=8)
+        with _pooled(problem, config) as backend:
+            assert backend.speculate(genomes) == len(genomes)
+            early = _evaluate(backend, genomes)
+            on_demand = _evaluate(backend, genomes)
+            assert backend.batches == 2
+            assert backend.speculation_hits == len(genomes)
+        assert early == on_demand
 
-    def test_dead_async_pool_falls_back_to_serial(self, problem):
+    def test_dead_async_pool_falls_back_to_serial(self, problem, slow_workers):
+        slow_workers(30.0)
         config = SynthesisConfig(jobs=2)
         genomes = _genomes(problem, 4)
-        evaluator = ParallelEvaluator(problem, config)
-        try:
-            if not evaluator.uses_pool:  # pragma: no cover - platform
-                pytest.skip("process pool unavailable on this platform")
-            evaluator._async._pool.terminate()
-            evaluator._async._pool.join()
+        with _pooled(problem, config) as backend:
+            # The pool dies while a submitted batch is in flight: drain()
+            # must notice instead of waiting, and answer the batch
+            # in-process with the degradation surfaced.
+            backend.submit(genomes)
+            backend._pool.terminate()
+            backend._pool.join()
             with pytest.warns(RuntimeWarning, match="in-process"):
-                records = evaluator.evaluate_batch(genomes)
-            assert not evaluator.uses_pool
-            assert evaluator.pool_failures == 1
+                records = backend.drain()
+            assert not backend.uses_pool
+            assert backend.pool_fallbacks == 1
+            assert backend.batches == 0
             serial_config = SynthesisConfig(jobs=1)
             assert records == _serial_records(
                 problem, serial_config, genomes
             )
-        finally:
-            evaluator.close()
+
+
+class TestEarlyDispatch:
+    """``speculate()`` runs the first half of ``submit()`` ahead of time."""
+
+    def test_identical_batch_adopts_the_dispatch(self, problem):
+        config = SynthesisConfig(jobs=2)
+        genomes = _genomes(problem, 8, seed=11)
+        with _pooled(problem, config) as backend:
+            assert backend.supports_speculation
+            assert backend.speculate(genomes) == len(genomes)
+            records = _evaluate(backend, genomes)
+            assert backend.batches == 1
+            assert backend.speculation_issued == len(genomes)
+            assert backend.speculation_hits == len(genomes)
+            assert backend.speculation_discards == 0
+        assert records == _serial_records(problem, config, genomes)
+
+    def test_other_batch_collects_and_discards_it(self, problem):
+        config = SynthesisConfig(jobs=2)
+        predicted = _genomes(problem, 8, seed=12)
+        actual = predicted[1:] + _genomes(problem, 1, seed=13)
+        with _pooled(problem, config) as backend:
+            backend.speculate(predicted)
+            records = _evaluate(backend, actual)
+            assert backend.speculation_hits == 0
+            assert backend.speculation_discards == len(predicted)
+            assert backend.batches == 1
+        assert records == _serial_records(problem, config, actual)
+
+    def test_tiny_prediction_is_not_dispatched(self, problem):
+        config = SynthesisConfig(jobs=4)
+        genomes = _genomes(problem, 3, seed=14)
+        with _pooled(problem, config) as backend:
+            assert backend.speculate(genomes) == 0
+            assert _evaluate(backend, genomes) == _serial_records(
+                problem, config, genomes
+            )
+            assert backend.speculation_issued == 0
+            assert backend.inprocess_evaluations == 3
+
+    def test_pool_killed_before_drain_falls_back(self, problem, slow_workers):
+        slow_workers(30.0)
+        config = SynthesisConfig(jobs=2)
+        genomes = _genomes(problem, 6, seed=15)
+        with _pooled(problem, config) as backend:
+            backend.speculate(genomes)
+            backend._pool.terminate()
+            backend._pool.join()
+            with pytest.warns(RuntimeWarning, match="in-process"):
+                records = _evaluate(backend, genomes)
+            assert backend.pool_fallbacks == 1
+            assert not backend.uses_pool
+            assert backend.batches == 0
+        assert records == _serial_records(problem, config, genomes)
+
+    def test_pool_killed_before_drain_raises_in_raise_mode(
+        self, problem, slow_workers
+    ):
+        slow_workers(30.0)
+        config = SynthesisConfig(jobs=2, pool_failure_mode="raise")
+        genomes = _genomes(problem, 6, seed=16)
+        with _pooled(problem, config) as backend:
+            backend.speculate(genomes)
+            backend._pool.terminate()
+            backend._pool.join()
+            backend.submit(genomes)
+            with pytest.raises(WorkerPoolError):
+                backend.drain()
+            assert not backend.uses_pool
+
+    @pytest.mark.parametrize("end", ["cancel_speculation", "close"])
+    def test_outstanding_dispatch_collected_as_discards(
+        self, problem, slow_workers, end
+    ):
+        slow_workers(0.05)
+        config = SynthesisConfig(jobs=2)
+        genomes = _genomes(problem, 6, seed=17)
+        with _pooled(problem, config) as backend:
+            backend.speculate(genomes)
+            assert not backend._early.pending.ready()
+            getattr(backend, end)()
+            assert backend._early is None
+            assert backend.speculation_discards == len(genomes)
+            # Collected, not dropped: the workers' time is booked.
+            assert backend.pool_busy_seconds >= 0.05
 
 
 class TestInProcessAccounting:
@@ -218,20 +323,19 @@ class TestInProcessAccounting:
         # cache-hot late generations).
         config = SynthesisConfig(jobs=4)
         genomes = _genomes(problem, 2, seed=5)
-        with ParallelEvaluator(problem, config) as evaluator:
-            records = evaluator.evaluate_batch(genomes)
+        with closing(PooledBackend(problem, config)) as backend:
+            records = _evaluate(backend, genomes)
             assert len(records) == 2
-            assert evaluator.inprocess_evaluations == 2
-            assert evaluator.inprocess_eval_seconds > 0.0
-            assert evaluator.pool_busy_seconds == 0.0
-            assert evaluator.pool_dispatch_seconds == 0.0
-            assert evaluator.batches == 0
+            assert backend.inprocess_evaluations == 2
+            assert backend.inprocess_eval_seconds > 0.0
+            assert backend.pool_busy_seconds == 0.0
+            assert backend.pool_dispatch_seconds == 0.0
+            assert backend.batches == 0
 
     def test_serial_evaluator_books_inprocess(self, problem):
         config = SynthesisConfig(jobs=1)
         genomes = _genomes(problem, 3, seed=6)
-        with ParallelEvaluator(problem, config) as evaluator:
-            evaluator.evaluate_batch(genomes)
-            assert evaluator.inprocess_evaluations == 3
-            assert evaluator.inprocess_eval_seconds > 0.0
-            assert evaluator.pool_busy_seconds == 0.0
+        with closing(SerialBackend(problem, config)) as backend:
+            _evaluate(backend, genomes)
+            assert backend.inprocess_evaluations == 3
+            assert backend.inprocess_eval_seconds > 0.0

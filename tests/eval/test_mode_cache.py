@@ -158,77 +158,6 @@ class TestMetrics:
         assert REGISTRY.gauge_value("eval_mode_cache_entries") == 0
 
 
-class TestJournalPublication:
-    """The cross-worker publication channel of the async pool."""
-
-    def test_insertions_journal_only_while_armed(self):
-        cache = ModeResultCache(8)
-        cache.put_prep(("m0", ("PE0",), FP), _prep())
-        cache.start_journal()
-        assert cache.drain_journal() == []
-        value = _prep()
-        cache.put_prep(("m0", ("PE1",), FP), value)
-        outcome = _outcome()
-        cache.put_sched(("m0", ("PE1",), (), FP), outcome)
-        drained = cache.drain_journal()
-        assert drained == [
-            ("prep", ("m0", ("PE1",), FP), value),
-            ("sched", ("m0", ("PE1",), (), FP), outcome),
-        ]
-        # Drain empties the journal but keeps it armed.
-        assert cache.drain_journal() == []
-        cache.put_prep(("m0", ("PE2",), FP), _prep())
-        assert len(cache.drain_journal()) == 1
-
-    def test_apply_published_inserts_if_absent(self):
-        source = ModeResultCache(8)
-        source.start_journal()
-        source.put_prep(("m0", ("PE0",), FP), _prep())
-        source.put_sched(("m0", ("PE0",), (), FP), _outcome())
-        entries = source.drain_journal()
-
-        target = ModeResultCache(8)
-        local = _prep()
-        target.put_prep(("m0", ("PE0",), FP), local)
-        applied = target.apply_published(entries)
-        # The prep key was already resident: the local value wins.
-        assert applied == 1
-        assert target.get_prep(("m0", ("PE0",), FP)) is local
-        assert target.get_sched(("m0", ("PE0",), (), FP)) is not None
-
-    def test_apply_published_meters_no_hits_or_misses(self):
-        source = ModeResultCache(8)
-        source.start_journal()
-        source.put_prep(("m0", ("PE0",), FP), _prep())
-        target = ModeResultCache(8)
-        target.apply_published(source.drain_journal())
-        assert target.hits == 0
-        assert target.misses == 0
-        assert target.bytes_resident > 0
-        assert len(target) == 1
-
-    def test_apply_published_does_not_echo_into_journal(self):
-        source = ModeResultCache(8)
-        source.start_journal()
-        source.put_prep(("m0", ("PE0",), FP), _prep())
-        entries = source.drain_journal()
-        target = ModeResultCache(8)
-        target.start_journal()
-        target.apply_published(entries)
-        # A broadcast applied while journalling must not be re-published.
-        assert target.drain_journal() == []
-
-    def test_apply_published_respects_capacity(self):
-        source = ModeResultCache(8)
-        source.start_journal()
-        for i in range(3):
-            source.put_prep(("m0", (f"PE{i}",), FP), _prep())
-        target = ModeResultCache(2)
-        target.apply_published(source.drain_journal())
-        assert len(target) == 2
-        assert target.evictions == 1
-
-
 class TestConfigFingerprint:
     def test_captures_result_affecting_facets(self):
         base = SynthesisConfig()

@@ -134,6 +134,9 @@ class TestRetiredKeys:
             assert config["mode_cache"] is True
             assert config["vector_dvs"] is True
             assert config["dvs_warm_start"] is False
+            assert config["async_pool"] is True
+            assert config["speculative"] is True
+            assert config["speculation_depth"] == 1
 
     def test_checkpoint_loads_under_normalised_config(self):
         spec = CampaignSpec.load(RETIRED_KEYS_RUN / "spec.json")

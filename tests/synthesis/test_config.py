@@ -154,27 +154,42 @@ class TestSerialisation:
             SynthesisConfig().with_updates(dvs_warm_start=True)
 
     def test_speculation_fields_round_trip(self):
-        config = SynthesisConfig(speculative=False, speculation_depth=3)
-        data = config.to_dict()
-        assert data["speculative"] is False
-        assert data["speculation_depth"] == 3
-        restored = SynthesisConfig.from_dict(data)
-        assert restored == config
-        assert restored.speculative is False
-        assert restored.speculation_depth == 3
+        # A dict written before the pool switches were retired still
+        # loads, whatever they were set to; the keys are dropped.
+        config = SynthesisConfig(seed=3, jobs=2)
+        for async_pool, speculative, depth in (
+            (True, True, 1),
+            (False, False, 3),
+        ):
+            data = config.to_dict()
+            data.update(
+                async_pool=async_pool,
+                speculative=speculative,
+                speculation_depth=depth,
+            )
+            restored = SynthesisConfig.from_dict(data)
+            assert restored == config
+            assert restored.to_dict() == config.to_dict()
+            assert config.with_updates(
+                async_pool=async_pool,
+                speculative=speculative,
+                speculation_depth=depth,
+            ) == config
 
     def test_speculation_defaults_serialised(self):
         data = SynthesisConfig().to_dict()
-        assert data["speculative"] is True
-        assert data["speculation_depth"] == 1
+        fields = {f.name for f in dataclasses.fields(SynthesisConfig)}
+        for key in ("async_pool", "speculative", "speculation_depth"):
+            assert key not in data and key not in fields
+        assert len(fields) == 28
 
     def test_speculation_depth_validated(self):
-        with pytest.raises(SynthesisError, match="speculation depth"):
-            SynthesisConfig(speculation_depth=0)
+        # Retired keys are dropped before validation, so any depth
+        # loads — even values the old field rejected.
         data = SynthesisConfig().to_dict()
-        data["speculation_depth"] = -2
-        with pytest.raises(SynthesisError, match="speculation depth"):
-            SynthesisConfig.from_dict(data)
+        for depth in (0, -2, 5):
+            data["speculation_depth"] = depth
+            assert SynthesisConfig.from_dict(data) == SynthesisConfig()
 
     def test_unknown_keys_rejected(self):
         data = SynthesisConfig().to_dict()

@@ -50,16 +50,9 @@ class TestParser:
         assert not args.probabilities
         assert args.seed == 9
 
-    def test_async_pool_flag(self):
-        from repro.cli import _config_from_args
-
-        default = build_parser().parse_args(["synthesize", "mul1"])
-        assert _config_from_args(default).async_pool is True
-        args = build_parser().parse_args(
-            ["synthesize", "mul1", "--no-async-pool"]
-        )
-        assert args.no_async_pool
-        assert _config_from_args(args).async_pool is False
+    def test_async_pool_flag(self, capsys):
+        # Retired with the work-stealing pool: not offered, rejected.
+        _assert_flags_retired(capsys, "--no-async-pool")
 
     def test_no_mode_cache_flag(self, capsys):
         # Retired with the monolithic evaluator: not offered, rejected.
@@ -69,24 +62,11 @@ class TestParser:
         # Retired with the object-graph descent and the warm start.
         _assert_flags_retired(capsys, "--no-vector-dvs", "--dvs-warm-start")
 
-    def test_speculation_flags(self):
-        from repro.cli import _config_from_args
-
-        default = build_parser().parse_args(["synthesize", "mul1"])
-        config = _config_from_args(default)
-        assert config.speculative is True
-        assert config.speculation_depth == 1
-
-        args = build_parser().parse_args(
-            ["synthesize", "mul1", "--no-speculation"]
+    def test_speculation_flags(self, capsys):
+        # Speculation is early dispatch on the pool, with no switch.
+        _assert_flags_retired(
+            capsys, "--no-speculation", "--speculation-depth"
         )
-        assert args.no_speculation
-        assert _config_from_args(args).speculative is False
-
-        args = build_parser().parse_args(
-            ["synthesize", "mul1", "--speculation-depth", "2"]
-        )
-        assert _config_from_args(args).speculation_depth == 2
 
     def test_command_required(self):
         with pytest.raises(SystemExit):
