@@ -60,11 +60,14 @@ serve-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.server.smoke
 
 # The full pre-merge gate: lint + typecheck (when available), tier-1
-# test suite, the engine smoke benchmark (bit-identity + performance
-# regression check), plus the job-server equivalence smoke.  Runs
-# from a bare checkout — no `make install` needed.
+# test suite, the end-to-end benchmark's contract tests (every name
+# its layer tracer wraps must still exist), the engine smoke benchmark
+# (bit-identity + performance regression check), plus the job-server
+# equivalence smoke.  Runs from a bare checkout — no `make install`
+# needed.
 verify: lint typecheck
 	PYTHONPATH=src $(PYTHON) -m pytest tests/
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/e2e -q
 	$(PYTHON) benchmarks/bench_engine.py --quick \
 	    --check benchmarks/results/bench_engine_quick_baseline.json
 	PYTHONPATH=src $(PYTHON) -m repro.server.smoke

@@ -11,9 +11,9 @@ re-simulation, no approximation: :meth:`DesignRecord.score` reproduces
 :func:`repro.power.energy_model.average_power` bit-for-bit because it
 iterates the same mode order with the same accumulation arithmetic.
 
-The library persists as a single JSON file written with the
-:func:`repro.runtime.checkpoint.atomic_write_json` discipline (temp
-file + fsync + ``os.replace``), so a kill mid-save never tears it.
+The library persists as a single JSON file written by
+:func:`repro.durable.atomic_write_json` (temp file + fsync +
+``os.replace``), so a kill mid-save never tears it.
 """
 
 from __future__ import annotations
@@ -22,8 +22,9 @@ import pathlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
+from repro.durable import atomic_write_json
 from repro.errors import SpecificationError
-from repro.runtime.checkpoint import atomic_write_json, _read_json
+from repro.runtime.checkpoint import _read_json
 
 PathLike = Union[str, pathlib.Path]
 

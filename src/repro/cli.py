@@ -184,17 +184,15 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
             )
         )
     if args.save_mapping:
-        import json
-
+        from repro.durable import atomic_write_json
         from repro.io import mapping_to_dict
 
-        with open(args.save_mapping, "w") as handle:
-            json.dump(
-                mapping_to_dict(result.best.mapping),
-                handle,
-                indent=2,
-                sort_keys=True,
-            )
+        atomic_write_json(
+            args.save_mapping,
+            mapping_to_dict(result.best.mapping),
+            indent=2,
+            sort_keys=True,
+        )
         print(f"  mapping written to {args.save_mapping}")
     return 0
 

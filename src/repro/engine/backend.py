@@ -33,6 +33,10 @@ multiprocessing) does is governed by ``pool_failure_mode``:
 :class:`RuntimeWarning`, never silently — while ``"raise"`` surfaces a
 :class:`~repro.errors.WorkerPoolError` so a supervising runtime (the
 campaign runner) can retry the job on a fresh pool.
+
+Every backend keeps its accounting in one
+:class:`~repro.engine.profile.PerfStats`, :attr:`EvaluationBackend.perf`,
+which :meth:`EvaluationBackend.finalize_perf` merges into the run's.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
 
 from repro.engine.decode_cache import DecodeContext, context_for
-from repro.engine.profile import PROFILER, PerfStats, PhaseProfiler, PhaseTotals
+from repro.engine.profile import PROFILER, PerfStats, PhaseTotals
 from repro.engine.records import (
     EvalRecord,
     evaluate_genes,
@@ -119,39 +123,6 @@ def _eval_chunk(
     )
 
 
-def evaluate_inprocess(
-    problem: Problem,
-    config: "SynthesisConfig",
-    genomes: Sequence["MappingString"],
-) -> Tuple[List[EvalRecord], float]:
-    """Evaluate mapping strings in the current process, with accounting.
-
-    The one in-process batch path, shared by the serial backend, the
-    driver's no-backend evaluation and the pooled backend's
-    tiny-batch/fallback route — so ``inprocess_*`` accounting and the
-    ``engine_inprocess_evaluations_total`` meter mean the same thing
-    everywhere.  Takes the :class:`~repro.mapping.encoding.
-    MappingString` objects themselves (not gene tuples) to preserve
-    their dirty-mode sets for the incremental pipeline.  Returns the
-    records and the wall-clock seconds spent.
-    """
-    from repro.synthesis.evaluator import evaluate_mapping
-
-    context = context_for(problem)
-    started = time.perf_counter()
-    records = [
-        record_from_implementation(
-            evaluate_mapping(problem, genome, config, context)
-        )
-        for genome in genomes
-    ]
-    elapsed = time.perf_counter() - started
-    REGISTRY.inc(
-        "engine_inprocess_evaluations_total", amount=len(records)
-    )
-    return records, elapsed
-
-
 class EvaluationBackend(ABC):
     """Where one synthesis run's genome batches get evaluated.
 
@@ -160,9 +131,10 @@ class EvaluationBackend(ABC):
     One batch may be outstanding at a time.  :meth:`speculate` offers
     the *predicted* next batch for early dispatch (or is ignored — the
     default); a prediction the driver abandons is cleaned up by
-    :meth:`cancel_speculation`.  :meth:`finalize_perf` folds the
-    backend's accounting into the run's :class:`PerfStats`;
-    :meth:`close` / :meth:`terminate` end service.
+    :meth:`cancel_speculation`.  The backend adds its accounting
+    straight into :attr:`perf`; :meth:`finalize_perf` merges that into
+    the run's :class:`PerfStats`.  :meth:`close` / :meth:`terminate`
+    end service.
     """
 
     #: Configured worker count (1 = in-process).
@@ -171,12 +143,8 @@ class EvaluationBackend(ABC):
     def __init__(self, problem: Problem, config: "SynthesisConfig") -> None:
         self.problem = problem
         self.config = config
-        #: In-process evaluations (serial batches, and on a pool the
-        #: tiny and post-fallback ones) and their wall-clock, booked
-        #: apart from the pool busy window so they cannot inflate pool
-        #: utilisation.
-        self.inprocess_evaluations = 0
-        self.inprocess_eval_seconds = 0.0
+        #: This backend's share of the run's ledger.
+        self.perf = PerfStats(jobs=self.jobs)
 
     @abstractmethod
     def submit(self, genomes: Sequence["MappingString"]) -> None:
@@ -202,20 +170,34 @@ class EvaluationBackend(ABC):
     def cancel_speculation(self) -> None:
         """Abandon any outstanding speculative dispatch."""
 
-    def _evaluate_inprocess(
+    def _evaluate_in_process(
         self, genomes: Sequence["MappingString"]
     ) -> List[EvalRecord]:
-        records, elapsed = evaluate_inprocess(
-            self.problem, self.config, genomes
-        )
-        self.inprocess_evaluations += len(records)
-        self.inprocess_eval_seconds += elapsed
+        """Evaluate mapping strings in this process, with accounting.
+
+        The one in-process path: serial batches, a pool's tiny and
+        post-fallback batches and the local-search polish.  Takes the
+        :class:`~repro.mapping.encoding.MappingString` objects
+        themselves (not gene tuples) to keep their dirty-mode sets for
+        the incremental pipeline.
+        """
+        from repro.synthesis.evaluator import evaluate_mapping
+
+        context = context_for(self.problem)
+        started = time.perf_counter()
+        records = [
+            record_from_implementation(
+                evaluate_mapping(self.problem, genome, self.config, context)
+            )
+            for genome in genomes
+        ]
+        self.perf.inprocess_evaluations += len(records)
+        self.perf.inprocess_eval_seconds += time.perf_counter() - started
         return records
 
     def finalize_perf(self, perf: PerfStats) -> None:
-        """Fold this backend's accounting into a run summary."""
-        perf.inprocess_evaluations += self.inprocess_evaluations
-        perf.inprocess_eval_seconds += self.inprocess_eval_seconds
+        """Merge this backend's ledger into a run's :class:`PerfStats`."""
+        perf.merge(self.perf)
 
     def close(self) -> None:
         """Graceful shutdown (idempotent)."""
@@ -238,7 +220,7 @@ class SerialBackend(EvaluationBackend):
     def drain(self) -> List[EvalRecord]:
         assert self._pending is not None, "nothing submitted"
         genomes, self._pending = self._pending, None
-        return self._evaluate_inprocess(genomes)
+        return self._evaluate_in_process(genomes)
 
 
 @dataclass
@@ -267,31 +249,12 @@ class PooledBackend(EvaluationBackend):
     """
 
     def __init__(self, problem: Problem, config: "SynthesisConfig") -> None:
-        super().__init__(problem, config)
         self.jobs = max(1, config.jobs)
+        super().__init__(problem, config)
         self.failure_mode = config.pool_failure_mode
-        #: Batches dispatched to the pool.
-        self.batches = 0
-        #: Records computed by pool workers (the parent's chunks, tiny
-        #: batches and discarded dispatches excluded).
-        self.parallel_evaluations = 0
-        self.pool_busy_seconds = 0.0
-        #: Summed per-batch dispatch windows (work outstanding, from
-        #: the first chunk's dispatch to the last result) — the
-        #: capacity basis of pool utilisation.  An early dispatch's
-        #: window opens at :meth:`speculate`.
-        self.pool_dispatch_seconds = 0.0
-        self.pool_fallbacks = 0
-        self.speculation_issued = 0
-        self.speculation_hits = 0
-        self.speculation_discards = 0
         self.last_pool_error: Optional[str] = None
-        #: Phase totals shipped back by the workers.
-        self.worker_profile = PhaseProfiler()
-        #: Workers actually placed in service (0 = never had a pool).
-        self.pool_workers = 0
+        #: Start of the pool's open service window (``None`` = no pool).
         self._pool_started: Optional[float] = None
-        self._pool_service_seconds = 0.0
         self._genomes: Optional[List["MappingString"]] = None
         self._dispatch: Optional[_Dispatch] = None
         self._early: Optional[_Dispatch] = None
@@ -299,7 +262,7 @@ class PooledBackend(EvaluationBackend):
         if self.jobs > 1:
             self._pool = self._create_pool()
         if self._pool is not None:
-            self.pool_workers = self.jobs
+            self.perf.pool_workers = self.jobs
             self._pool_started = time.perf_counter()
             REGISTRY.set_gauge("engine_pool_workers", self.jobs)
 
@@ -348,23 +311,19 @@ class PooledBackend(EvaluationBackend):
     def uses_pool(self) -> bool:
         return self._pool is not None
 
-    @property
-    def pool_service_seconds(self) -> float:
-        """Wall-clock seconds the pool has been (or was) in service."""
-        total = self._pool_service_seconds
+    def _book_service_window(self) -> None:
+        """Add the open service window to ``perf`` and restart it."""
         if self._pool_started is not None:
-            total += time.perf_counter() - self._pool_started
-        return total
+            now = time.perf_counter()
+            self.perf.pool_service_seconds += now - self._pool_started
+            self._pool_started = now
 
     def _retire_pool(self, graceful: bool) -> None:
         pool, self._pool = self._pool, None
         if pool is None:
             return
-        if self._pool_started is not None:
-            self._pool_service_seconds += (
-                time.perf_counter() - self._pool_started
-            )
-            self._pool_started = None
+        self._book_service_window()
+        self._pool_started = None
         try:
             if graceful:
                 pool.close()
@@ -382,13 +341,13 @@ class PooledBackend(EvaluationBackend):
         if self.failure_mode == "raise":
             raise WorkerPoolError(
                 f"worker pool {stage} failed after "
-                f"{self.parallel_evaluations} parallel evaluations: {exc!r}"
+                f"{self.perf.parallel_evaluations} parallel evaluations: "
+                f"{exc!r}"
             ) from exc
         # The fallback transition is surfaced three ways: the counter
         # below, the pool_workers gauge dropping to zero, and the
         # RuntimeWarning for interactive runs.
-        self.pool_fallbacks += 1
-        REGISTRY.inc("engine_pool_fallbacks_total")
+        self.perf.pool_fallbacks += 1
         REGISTRY.set_gauge("engine_pool_workers", 0)
         warnings.warn(
             f"parallel evaluation pool {stage} failed ({exc!r}); "
@@ -451,13 +410,15 @@ class PooledBackend(EvaluationBackend):
         records: List[EvalRecord] = []
         for chunk_records, phase_delta, metrics_delta, busy in pending.get():
             records.extend(chunk_records)
-            self.pool_busy_seconds += busy
-            self.worker_profile.merge(phase_delta)
+            self.perf.pool_busy_seconds += busy
+            self.perf.merge_phase_totals(phase_delta)
             # Fold the worker's metric delta into this process's
             # registry: the pool is transparent to observability.
             REGISTRY.merge(metrics_delta)
             REGISTRY.observe("engine_chunk_seconds", busy)
-        self.pool_dispatch_seconds += time.perf_counter() - dispatch.started
+        self.perf.pool_dispatch_seconds += (
+            time.perf_counter() - dispatch.started
+        )
         return records
 
     def submit(self, genomes: Sequence["MappingString"]) -> None:
@@ -468,9 +429,7 @@ class PooledBackend(EvaluationBackend):
         if early is not None:
             if early.genes == genes:
                 self._dispatch = early
-                self.speculation_hits += len(genes)
-                REGISTRY.inc("engine_speculation_hits_total", amount=len(genes))
-                self._update_hit_rate_gauge()
+                self.perf.speculation_hits += len(genes)
                 return
             self._discard(early)
         if self._pool is not None and len(genes) >= self.jobs:
@@ -496,11 +455,10 @@ class PooledBackend(EvaluationBackend):
                 # batch is re-evaluated in-process below.
                 self._fail("dispatch", exc)
             else:
-                self.parallel_evaluations += len(records)
-                self.batches += 1
-                REGISTRY.inc("engine_pool_batches_total")
+                self.perf.parallel_evaluations += len(records)
+                self.perf.batches += 1
                 return records + local
-        return self._evaluate_inprocess(genomes)
+        return self._evaluate_in_process(genomes)
 
     # ------------------------------------------------------------------
     # Speculation: early dispatch of the predicted next batch
@@ -525,9 +483,7 @@ class PooledBackend(EvaluationBackend):
         self._early = self._start(genes, "speculate")
         if self._early is None:
             return 0
-        self.speculation_issued += len(genes)
-        REGISTRY.inc("engine_speculation_issued_total", amount=len(genes))
-        self._update_hit_rate_gauge()
+        self.perf.speculation_issued += len(genes)
         return len(genes)
 
     def cancel_speculation(self) -> None:
@@ -541,32 +497,11 @@ class PooledBackend(EvaluationBackend):
             self._collect(dispatch)
         except Exception as exc:
             self._fail("speculate", exc)
-        self.speculation_discards += len(dispatch.genes)
-        REGISTRY.inc(
-            "engine_speculation_discards_total", amount=len(dispatch.genes)
-        )
-        self._update_hit_rate_gauge()
-
-    def _update_hit_rate_gauge(self) -> None:
-        if self.speculation_issued:
-            REGISTRY.set_gauge(
-                "engine_speculation_hit_rate",
-                self.speculation_hits / self.speculation_issued,
-            )
+        self.perf.speculation_discards += len(dispatch.genes)
 
     def finalize_perf(self, perf: PerfStats) -> None:
+        self._book_service_window()
         super().finalize_perf(perf)
-        perf.merge_phase_totals(self.worker_profile.snapshot())
-        perf.batches += self.batches
-        perf.parallel_evaluations += self.parallel_evaluations
-        perf.pool_busy_seconds += self.pool_busy_seconds
-        perf.pool_workers += self.pool_workers
-        perf.pool_service_seconds += self.pool_service_seconds
-        perf.pool_dispatch_seconds += self.pool_dispatch_seconds
-        perf.pool_fallbacks += self.pool_fallbacks
-        perf.speculation_issued += self.speculation_issued
-        perf.speculation_hits += self.speculation_hits
-        perf.speculation_discards += self.speculation_discards
 
 
 def backend_for(

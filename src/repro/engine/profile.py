@@ -23,10 +23,11 @@ stay enabled unconditionally.
 
 from __future__ import annotations
 
+import copy
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, Mapping, Optional, Tuple, Union
+from dataclasses import asdict, dataclass, field, fields
+from typing import Any, Dict, Iterator, Mapping, Optional, Tuple, Union
 
 #: Phase identity: a bare name, or ``(name, mode)`` for mode-attributed
 #: accumulation.
@@ -113,10 +114,37 @@ class PhaseProfiler:
 #: The process-global profiler the evaluator records into.
 PROFILER = PhaseProfiler()
 
+#: :class:`PerfStats` properties :meth:`PerfStats.to_dict` adds to the
+#: fields.
+_DERIVED_RATES = (
+    "cache_hit_rate",
+    "evaluations_per_second",
+    "pool_utilisation",
+    "mode_cache_hit_rate",
+    "speculation_hit_rate",
+)
+
+#: :class:`PerfStats` fields :meth:`PerfStats.merge` takes the larger of.
+_MAX_FIELDS = ("jobs", "pool_workers")
+
+
+def _add_table(target: Dict[str, Any], source: Mapping[str, Any]) -> None:
+    """Add a (possibly nested) table of numbers into ``target``."""
+    for key, value in source.items():
+        if isinstance(value, dict):
+            _add_table(target.setdefault(key, {}), value)
+        else:
+            target[key] = target.get(key, 0) + value
+
 
 @dataclass
 class PerfStats:
     """Per-run performance summary, exposed on ``SynthesisResult.perf``.
+
+    The one ledger of a run's evaluation cost: each evaluation backend
+    adds into its own instance (``EvaluationBackend.perf``), the driver
+    merges that into the run's, and a campaign summary is the
+    :meth:`merge` of its job records.
 
     Attributes
     ----------
@@ -142,7 +170,8 @@ class PerfStats:
     batches:
         Generation batches dispatched to the pool.
     parallel_evaluations:
-        Evaluations that ran inside pool workers.
+        Evaluations that ran inside pool workers (the parent's own
+        chunk and discarded early dispatches excluded).
     pool_busy_seconds:
         Summed wall-clock seconds workers spent evaluating chunks.
     pool_workers:
@@ -157,11 +186,11 @@ class PerfStats:
         accruing capacity instead of reporting nonsense utilisation.
     pool_dispatch_seconds:
         Wall-clock seconds pool work was actually *outstanding* — the
-        sum of per-batch dispatch windows (submit until the last result
-        landed).  The preferred denominator basis of
-        :attr:`pool_utilisation`: a pool idling between generations
-        (GA bookkeeping, cache-hot batches that never dispatch) no
-        longer dilutes the figure.
+        sum of per-batch dispatch windows (submit, or an early
+        dispatch's speculate, until the last result landed).  The
+        preferred denominator basis of :attr:`pool_utilisation`: a pool
+        idling between generations (GA bookkeeping, cache-hot batches
+        that never dispatch) no longer dilutes the figure.
     pool_steals:
         Always 0: the pool dispatches static chunks.  Kept so run
         summaries recorded by the removed work-stealing pool, which
@@ -172,9 +201,9 @@ class PerfStats:
         Evaluations (and their wall-clock) run in-process by the
         evaluation backend — every batch of a serial run; on a pool,
         tiny batches below the dispatch threshold and post-fallback
-        batches.  Booked separately from
-        :attr:`pool_busy_seconds` so cache-hot late generations cannot
-        inflate :attr:`pool_utilisation`.
+        batches; on either, the local-search polish.  Booked separately
+        from :attr:`pool_busy_seconds` so cache-hot late generations
+        cannot inflate :attr:`pool_utilisation`.
     mode_cache_hits / mode_cache_misses / mode_cache_evictions:
         Per-mode stage-result cache activity of the incremental
         evaluation pipeline (:mod:`repro.eval`), summed over the main
@@ -272,46 +301,43 @@ class PerfStats:
             return 0.0
         return self.pool_busy_seconds / capacity
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-serialisable view (used by the benchmark harness)."""
-        return {
-            "phase_seconds": dict(self.phase_seconds),
-            "phase_calls": dict(self.phase_calls),
-            "mode_phase_seconds": {
-                phase: dict(modes)
-                for phase, modes in self.mode_phase_seconds.items()
-            },
-            "mode_phase_calls": {
-                phase: dict(modes)
-                for phase, modes in self.mode_phase_calls.items()
-            },
-            "evaluations": self.evaluations,
-            "cache_hits": self.cache_hits,
-            "dedup_hits": self.dedup_hits,
-            "cache_hit_rate": self.cache_hit_rate,
-            "wall_time": self.wall_time,
-            "evaluations_per_second": self.evaluations_per_second,
-            "jobs": self.jobs,
-            "batches": self.batches,
-            "parallel_evaluations": self.parallel_evaluations,
-            "pool_utilisation": self.pool_utilisation,
-            "pool_busy_seconds": self.pool_busy_seconds,
-            "pool_workers": self.pool_workers,
-            "pool_service_seconds": self.pool_service_seconds,
-            "pool_dispatch_seconds": self.pool_dispatch_seconds,
-            "pool_steals": self.pool_steals,
-            "pool_fallbacks": self.pool_fallbacks,
-            "inprocess_evaluations": self.inprocess_evaluations,
-            "inprocess_eval_seconds": self.inprocess_eval_seconds,
-            "mode_cache_hits": self.mode_cache_hits,
-            "mode_cache_misses": self.mode_cache_misses,
-            "mode_cache_evictions": self.mode_cache_evictions,
-            "mode_cache_hit_rate": self.mode_cache_hit_rate,
-            "speculation_issued": self.speculation_issued,
-            "speculation_hits": self.speculation_hits,
-            "speculation_discards": self.speculation_discards,
-            "speculation_hit_rate": self.speculation_hit_rate,
-        }
+    def to_dict(self) -> Dict[str, Any]:
+        """JSON-serialisable view: every field plus the derived rates."""
+        payload = asdict(self)
+        payload.update((name, getattr(self, name)) for name in _DERIVED_RATES)
+        return payload
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]) -> "PerfStats":
+        """Load a :meth:`to_dict` payload, e.g. a job record's ``perf``.
+
+        Unknown and derived keys are ignored, and absent fields keep
+        their defaults, so records written by older versions load.
+        """
+        return cls(
+            **{
+                spec.name: copy.deepcopy(data[spec.name])
+                for spec in fields(cls)
+                if data.get(spec.name) is not None
+            }
+        )
+
+    def merge(self, other: "PerfStats") -> None:
+        """Add another ledger into this one, field by field.
+
+        Counters, seconds and the phase tables add up; :attr:`jobs` and
+        :attr:`pool_workers` describe a configuration, not work done,
+        and take the larger value.
+        """
+        for spec in fields(self):
+            mine = getattr(self, spec.name)
+            theirs = getattr(other, spec.name)
+            if spec.name in _MAX_FIELDS:
+                setattr(self, spec.name, max(mine, theirs))
+            elif isinstance(mine, dict):
+                _add_table(mine, theirs)
+            else:
+                setattr(self, spec.name, mine + theirs)
 
     def merge_phase_totals(
         self, totals: Mapping[PhaseKey, Tuple[float, int]]

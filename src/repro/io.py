@@ -29,6 +29,7 @@ from repro.architecture.communication_link import CommunicationLink
 from repro.architecture.platform import Architecture
 from repro.architecture.processing_element import PEKind, ProcessingElement
 from repro.architecture.technology import TaskImplementation, TechnologyLibrary
+from repro.durable import atomic_write_json
 from repro.errors import SpecificationError
 from repro.mapping.encoding import MappingString
 from repro.problem import Problem
@@ -206,9 +207,7 @@ def save_problem(
     problem: Problem, path: Union[str, pathlib.Path]
 ) -> None:
     """Write a problem instance to a JSON file."""
-    pathlib.Path(path).write_text(
-        json.dumps(problem_to_dict(problem), indent=2, sort_keys=True)
-    )
+    atomic_write_json(path, problem_to_dict(problem), indent=2, sort_keys=True)
 
 
 def load_problem(path: Union[str, pathlib.Path]) -> Problem:
@@ -315,9 +314,7 @@ def save_result(
     result: "SynthesisResult", path: Union[str, pathlib.Path]
 ) -> None:
     """Write a synthesis result to a JSON file."""
-    pathlib.Path(path).write_text(
-        json.dumps(result_to_dict(result), indent=2, sort_keys=True)
-    )
+    atomic_write_json(path, result_to_dict(result), indent=2, sort_keys=True)
 
 
 def load_result(

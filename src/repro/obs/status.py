@@ -409,7 +409,8 @@ def format_pool_stats(summary: Dict[str, Any]) -> str:
     Every field renders ``n/a`` when absent or non-numeric: a run that
     fell back to serial evaluation mid-campaign, or a summary written
     by an older release, must degrade to ``n/a`` rather than crash the
-    status command.
+    status command.  Workers and utilisation also render ``n/a`` when
+    no pool served the campaign (``pool_workers`` 0).
     """
     perf = summary.get("perf") or {}
 
@@ -427,13 +428,15 @@ def format_pool_stats(summary: Dict[str, Any]) -> str:
         value = number(key)
         return f"{value:.1f}s" if value is not None else "n/a"
 
-    utilisation = number("pool_utilisation")
+    workers = number("pool_workers")
+    utilisation = number("pool_utilisation") if workers else None
+    workers_text = f"{workers:.0f}" if workers else "n/a"
     utilisation_text = (
         f"{utilisation:.0%}" if utilisation is not None else "n/a"
     )
     lines = [
         (
-            f"  pool: workers {count('pool_workers')}, "
+            f"  pool: workers {workers_text}, "
             f"utilisation {utilisation_text}, "
             f"busy {seconds('pool_busy_seconds')}"
         ),

@@ -4,7 +4,7 @@ One JSON file per run directory, written atomically when the campaign
 finishes (and, best-effort, when it is interrupted), answering "what
 did this campaign do and where did the time go" without replaying the
 event stream: job totals, per-job outcome rows, the evaluation-engine
-perf counters aggregated across jobs — including the per-mode phase
+perf ledger merged across jobs — including the per-mode phase
 breakdown, so Equation (1)'s probability-weighted fitness cost is
 attributable to operational modes — and a dump of the process-global
 metrics registry.
@@ -24,11 +24,9 @@ Schema (``version`` 1)::
                                "feasible": bool, "generations": int,
                                "evaluations": int, "attempts": int}},
       "failures": {job_id: str},
-      "perf": {"phase_seconds": {...}, "phase_calls": {...},
-               "mode_phase_seconds": {phase: {mode: float}},
-               "evaluations": int, "cache_hits": int,
-               "dedup_hits": int, "wall_time": float,
-               "pool_busy_seconds": float},
+      "perf": {...},                # PerfStats.to_dict() of the merge
+                                    # of every job record's perf: each
+                                    # PerfStats field and derived rate
       "metrics": {"counters": {...}, "gauges": {...},
                   "histograms": {...}},
     }
@@ -37,10 +35,12 @@ Schema (``version`` 1)::
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 import time
-from typing import Any, Dict, List, Mapping, Optional, Union
+from typing import Any, Dict, Mapping, Optional, Union
+
+from repro.durable import atomic_write_json
+from repro.engine.profile import PerfStats
 
 PathLike = Union[str, pathlib.Path]
 
@@ -60,77 +60,8 @@ _JOB_FIELDS = (
     "attempts",
 )
 
-#: Additive perf counters aggregated across jobs.
-_PERF_SCALARS = (
-    "evaluations",
-    "cache_hits",
-    "dedup_hits",
-    "wall_time",
-    "batches",
-    "parallel_evaluations",
-    "pool_busy_seconds",
-    "pool_service_seconds",
-    "pool_dispatch_seconds",
-    "pool_steals",
-    "pool_fallbacks",
-    "inprocess_evaluations",
-    "inprocess_eval_seconds",
-    "speculation_issued",
-    "speculation_hits",
-    "speculation_discards",
-    "mode_cache_hits",
-    "mode_cache_misses",
-)
-
-
 def run_summary_path(run_dir: PathLike) -> pathlib.Path:
     return pathlib.Path(run_dir) / RUN_SUMMARY_FILENAME
-
-
-def _aggregate_perf(
-    perfs: List[Mapping[str, Any]],
-) -> Dict[str, Any]:
-    """Sum the additive perf counters of every finished job."""
-    totals: Dict[str, Any] = {name: 0 for name in _PERF_SCALARS}
-    phase_seconds: Dict[str, float] = {}
-    phase_calls: Dict[str, int] = {}
-    mode_phase_seconds: Dict[str, Dict[str, float]] = {}
-    for perf in perfs:
-        for name in _PERF_SCALARS:
-            totals[name] += perf.get(name, 0) or 0
-        for phase, seconds in (perf.get("phase_seconds") or {}).items():
-            phase_seconds[phase] = phase_seconds.get(phase, 0.0) + seconds
-        for phase, calls in (perf.get("phase_calls") or {}).items():
-            phase_calls[phase] = phase_calls.get(phase, 0) + calls
-        for phase, modes in (
-            perf.get("mode_phase_seconds") or {}
-        ).items():
-            bucket = mode_phase_seconds.setdefault(phase, {})
-            for mode, seconds in modes.items():
-                bucket[mode] = bucket.get(mode, 0.0) + seconds
-    totals["phase_seconds"] = phase_seconds
-    totals["phase_calls"] = phase_calls
-    totals["mode_phase_seconds"] = mode_phase_seconds
-    # Derived pool figures, present only when some job actually had a
-    # pool (readers render n/a otherwise — see format_pool_stats).
-    workers = max(
-        (
-            int(perf.get("pool_workers") or 0)
-            for perf in perfs
-        ),
-        default=0,
-    )
-    if workers > 0:
-        totals["pool_workers"] = workers
-        window = totals["pool_dispatch_seconds"] or totals[
-            "pool_service_seconds"
-        ]
-        capacity = window * workers
-        if capacity > 0:
-            totals["pool_utilisation"] = (
-                totals["pool_busy_seconds"] / capacity
-            )
-    return totals
 
 
 def build_run_summary(
@@ -167,9 +98,9 @@ def build_run_summary(
         job_id: {name: record.get(name) for name in _JOB_FIELDS}
         for job_id, record in sorted(job_results.items())
     }
-    perfs = [
-        record.get("perf") or {} for record in job_results.values()
-    ]
+    perf = PerfStats()
+    for record in job_results.values():
+        perf.merge(PerfStats.from_dict(record.get("perf") or {}))
     return {
         "version": SUMMARY_VERSION,
         "campaign": campaign,
@@ -185,7 +116,7 @@ def build_run_summary(
         "wall_seconds": wall_seconds,
         "job_results": rows,
         "failures": dict(sorted(failures.items())),
-        "perf": _aggregate_perf(perfs),
+        "perf": perf.to_dict(),
         "metrics": dict(metrics) if metrics is not None else {},
     }
 
@@ -195,13 +126,7 @@ def write_run_summary(
 ) -> pathlib.Path:
     """Atomically write ``run_summary.json`` into ``run_dir``."""
     path = run_summary_path(run_dir)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(summary, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
+    atomic_write_json(path, summary, indent=2, sort_keys=True)
     return path
 
 

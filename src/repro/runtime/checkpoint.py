@@ -8,21 +8,21 @@ Layout of a run directory::
         checkpoints/<job_id>.json  # latest GA snapshot per running job
         results/<job_id>.json      # final record per completed job
 
-Checkpoints are written atomically (temp file + ``os.replace``) so a
-kill at any instant leaves either the previous or the new snapshot —
-never a torn file.  Each checkpoint embeds the job id and the full
-synthesis config; on resume both are verified, because silently
-resuming a snapshot under a different configuration would break the
-bit-identical guarantee.
+Checkpoints are written atomically
+(:func:`repro.durable.atomic_write_json`) so a kill at any instant
+leaves either the previous or the new snapshot — never a torn file.
+Each checkpoint embeds the job id and the full synthesis config; on
+resume both are verified, because silently resuming a snapshot under a
+different configuration would break the bit-identical guarantee.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 from typing import Any, Dict, Optional, Union
 
+from repro.durable import atomic_write_json
 from repro.errors import CampaignError, SynthesisError
 from repro.synthesis.config import SynthesisConfig
 from repro.synthesis.state import GAState
@@ -32,26 +32,6 @@ PathLike = Union[str, pathlib.Path]
 CHECKPOINT_DIRNAME = "checkpoints"
 RESULTS_DIRNAME = "results"
 SPEC_FILENAME = "spec.json"
-
-
-def atomic_write_json(path: PathLike, data: Dict[str, Any]) -> None:
-    """Write ``data`` as JSON so a kill never leaves a torn file.
-
-    Temp file + ``fsync`` + ``os.replace`` — the write discipline every
-    durable artifact of the repo (checkpoints, results, the adaptive
-    design library) shares.
-    """
-    path = pathlib.Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(data, handle)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-
-
-#: Backward-compatible alias for the historical private name.
-_atomic_write_json = atomic_write_json
 
 
 def _read_json(path: pathlib.Path, what: str) -> Dict[str, Any]:
@@ -95,7 +75,7 @@ def write_checkpoint(
 ) -> pathlib.Path:
     """Atomically persist one GA snapshot for ``job_id``."""
     path = checkpoint_path(run_dir, job_id)
-    _atomic_write_json(
+    atomic_write_json(
         path,
         {
             "job_id": job_id,
@@ -161,7 +141,7 @@ def write_result(
     run_dir: PathLike, job_id: str, record: Dict[str, Any]
 ) -> pathlib.Path:
     path = result_path(run_dir, job_id)
-    _atomic_write_json(path, record)
+    atomic_write_json(path, record)
     return path
 
 

@@ -21,6 +21,7 @@ import pathlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Union
 
+from repro.durable import atomic_write_json
 from repro.errors import CampaignError
 from repro.synthesis.config import DvsMethod, SynthesisConfig
 
@@ -215,10 +216,7 @@ class CampaignSpec:
             raise CampaignError(f"invalid campaign spec: {exc}") from exc
 
     def save(self, path: PathLike) -> None:
-        path = pathlib.Path(path)
-        path.write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-        )
+        atomic_write_json(path, self.to_dict(), indent=2, sort_keys=True)
 
     @classmethod
     def load(cls, path: PathLike) -> "CampaignSpec":

@@ -5,8 +5,9 @@ spec payload, the tenant identity, a priority, and a small state
 machine ``queued -> running -> done/failed/cancelled`` (plus the
 recovery edge ``running -> queued`` a restarting server takes for jobs
 whose worker died with it).  The :class:`JobStore` persists every
-record with the same atomic-write discipline campaign checkpoints use
-(temp file + fsync + ``os.replace``), so a ``kill -9`` of the server
+record through :func:`repro.durable.atomic_write_json`, the writer
+campaign checkpoints use (temp file + fsync + ``os.replace``), so a
+``kill -9`` of the server
 leaves either the previous or the new record — never a torn file —
 and a restart reloads the full job table from disk.
 
@@ -30,8 +31,8 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Union
 
+from repro.durable import atomic_write_json
 from repro.errors import ServerError
-from repro.runtime.checkpoint import atomic_write_json
 
 PathLike = Union[str, pathlib.Path]
 

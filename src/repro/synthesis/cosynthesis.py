@@ -19,11 +19,9 @@ configured number of generations) or at the generation limit.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Optional
 
-from repro.engine.backend import EvaluationBackend, backend_for
-from repro.engine.records import EvalRecord
-from repro.mapping.encoding import MappingString
+from repro.engine.backend import backend_for
 from repro.problem import Problem
 from repro.synthesis.config import SynthesisConfig
 from repro.synthesis.driver import GenerationDriver, SynthesisResult
@@ -35,11 +33,6 @@ __all__ = [
     "synthesize",
 ]
 
-# Backwards-compatible alias: the per-genome cache entry moved to
-# :mod:`repro.engine.records` so pool workers can ship it between
-# processes without importing the synthesis stack.
-_EvalRecord = EvalRecord
-
 
 class MultiModeSynthesizer:
     """GA-based co-synthesis of one multi-mode problem instance."""
@@ -48,43 +41,6 @@ class MultiModeSynthesizer:
         self.problem = problem
         self.config = config
         self._driver = GenerationDriver(problem, config)
-
-    # ------------------------------------------------------------------
-    # Driver delegation (the historical internal surface — kept because
-    # warm-started re-synthesis and the determinism tests rely on the
-    # per-genome cache and its counters living on the synthesizer)
-    # ------------------------------------------------------------------
-
-    @property
-    def _cache(self) -> Dict[MappingString, _EvalRecord]:
-        return self._driver.genome_cache
-
-    @property
-    def _evaluations(self) -> int:
-        return self._driver.evaluations
-
-    @property
-    def _cache_hits(self) -> int:
-        return self._driver.cache_hits
-
-    @property
-    def _dedup_hits(self) -> int:
-        return self._driver.dedup_hits
-
-    def _evaluate(self, genome: MappingString) -> _EvalRecord:
-        return self._driver.evaluate_one(genome)
-
-    def _evaluate_population(
-        self,
-        population: Sequence[MappingString],
-        backend: Optional[EvaluationBackend],
-    ) -> List[_EvalRecord]:
-        """Evaluate one generation (``None`` backend = in-process)."""
-        return self._driver.evaluate_population(population, backend)
-
-    # ------------------------------------------------------------------
-    # The optimisation loop
-    # ------------------------------------------------------------------
 
     def run(
         self,

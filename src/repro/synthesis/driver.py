@@ -28,9 +28,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.engine.backend import EvaluationBackend, evaluate_inprocess
+from repro.engine.backend import EvaluationBackend
 from repro.engine.profile import PROFILER, PerfStats
-from repro.engine.records import EvalRecord, record_from_implementation
+from repro.engine.records import EvalRecord
 from repro.errors import SynthesisError
 from repro.mapping.encoding import MappingString
 from repro.mapping.implementation import Implementation
@@ -116,31 +116,19 @@ class GenerationDriver:
     # Evaluation with caching
     # ------------------------------------------------------------------
 
-    def evaluate_one(self, genome: MappingString) -> EvalRecord:
-        """Single-candidate evaluation (the local-search hook)."""
-        record = self.genome_cache.get(genome)
-        if record is not None:
-            self.cache_hits += 1
-            return record
-        self.evaluations += 1
-        implementation = evaluate_mapping(self.problem, genome, self.config)
-        record = record_from_implementation(implementation)
-        self.genome_cache[genome] = record
-        return record
-
     def evaluate_population(
         self,
         population: Sequence[MappingString],
-        backend: Optional[EvaluationBackend],
+        backend: EvaluationBackend,
     ) -> List[EvalRecord]:
         """Evaluate one generation: dedup, cache lookup, batch dispatch.
 
         Duplicate population slots (clones survive crossover and
         elitism routinely) collapse to one evaluation, cached genomes
         are answered without re-decoding, and only the remaining unique
-        misses reach the backend — or the in-process helper when
-        ``backend`` is ``None``.  Results are returned per slot, in
-        population order.
+        misses reach the backend.  Results are returned per slot, in
+        population order.  Local search evaluates its candidates here
+        too, one genome at a time.
         """
         unique: Dict[MappingString, None] = {}
         for genome in population:
@@ -149,13 +137,8 @@ class GenerationDriver:
         pending = [g for g in unique if g not in self.genome_cache]
         self.cache_hits += len(unique) - len(pending)
         if pending:
-            if backend is not None:
-                backend.submit(pending)
-                results = backend.drain()
-            else:
-                results, _ = evaluate_inprocess(
-                    self.problem, self.config, pending
-                )
+            backend.submit(pending)
+            results = backend.drain()
             self.evaluations += len(pending)
             for genome, record in zip(pending, results):
                 self.genome_cache[genome] = record
@@ -406,7 +389,11 @@ class GenerationDriver:
         # --- local search ----------------------------------------------
         if config.local_search_budget_factor > 0:
             best_genome = improvements.local_search(
-                problem, config, best_genome, rng, self.evaluate_one
+                problem,
+                config,
+                best_genome,
+                rng,
+                lambda genome: self.evaluate_population([genome], backend)[0],
             )
         best = evaluate_mapping(problem, best_genome, config)
         if best is None:  # pragma: no cover - guarded by fitness < inf
@@ -434,8 +421,6 @@ class GenerationDriver:
             elif metric_name == "eval_mode_cache_evictions_total":
                 perf.mode_cache_evictions += int(value)
         REGISTRY.inc("ga_runs_total")
-        REGISTRY.inc("ga_cache_hits_total", self.cache_hits)
-        REGISTRY.inc("ga_dedup_hits_total", self.dedup_hits)
         return SynthesisResult(
             best=best,
             generations=generation,

@@ -10,9 +10,11 @@ import random
 
 
 from repro.benchgen.suite import suite_problem
+from repro.engine.backend import SerialBackend
 from repro.mapping.encoding import MappingString
 from repro.synthesis.config import DvsMethod, SynthesisConfig
-from repro.synthesis.cosynthesis import MultiModeSynthesizer, synthesize
+from repro.synthesis.cosynthesis import synthesize
+from repro.synthesis.driver import GenerationDriver
 
 from tests.conftest import make_two_mode_problem
 from tests.oracles import seed_path
@@ -85,34 +87,35 @@ class TestParallelDeterminism:
 class TestDeduplication:
     def test_duplicate_slots_collapse_to_one_evaluation(self):
         problem = make_two_mode_problem()
-        synthesizer = MultiModeSynthesizer(
-            problem, SynthesisConfig(jobs=1)
-        )
+        config = SynthesisConfig(jobs=1)
+        driver = GenerationDriver(problem, config)
         rng = random.Random(2)
         unique = [MappingString.random(problem, rng) for _ in range(4)]
         population = unique + [unique[0], unique[2], unique[2]]
 
-        records = synthesizer._evaluate_population(population, None)
+        records = driver.evaluate_population(
+            population, SerialBackend(problem, config)
+        )
 
         assert len(records) == len(population)
-        assert synthesizer._evaluations == len(unique)
-        assert synthesizer._dedup_hits == len(population) - len(unique)
+        assert driver.evaluations == len(unique)
+        assert driver.dedup_hits == len(population) - len(unique)
         # Duplicate slots received the same cached record.
         assert records[4] == records[0]
         assert records[5] == records[2] == records[6]
 
     def test_cache_hits_across_generations(self):
         problem = make_two_mode_problem()
-        synthesizer = MultiModeSynthesizer(
-            problem, SynthesisConfig(jobs=1)
-        )
+        config = SynthesisConfig(jobs=1)
+        driver = GenerationDriver(problem, config)
+        backend = SerialBackend(problem, config)
         rng = random.Random(3)
         population = [
             MappingString.random(problem, rng) for _ in range(5)
         ]
-        synthesizer._evaluate_population(population, None)
-        evaluations_after_first = synthesizer._evaluations
+        driver.evaluate_population(population, backend)
+        evaluations_after_first = driver.evaluations
 
-        synthesizer._evaluate_population(population, None)
-        assert synthesizer._evaluations == evaluations_after_first
-        assert synthesizer._cache_hits >= len(population)
+        driver.evaluate_population(population, backend)
+        assert driver.evaluations == evaluations_after_first
+        assert driver.cache_hits >= len(population)

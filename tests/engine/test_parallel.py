@@ -106,13 +106,13 @@ class TestPooledPath:
         genomes = _genomes(problem, 10)
         with _pooled(problem, config) as backend:
             records = _evaluate(backend, genomes)
-            assert backend.batches == 1
+            assert backend.perf.batches == 1
             # The dispatching process evaluates the final chunk itself,
             # so worker-side counts cover all but that chunk.
-            assert 0 < backend.parallel_evaluations < len(genomes)
-            assert backend.pool_busy_seconds > 0.0
-            assert backend.pool_dispatch_seconds > 0.0
-            assert backend.worker_profile.snapshot()
+            assert 0 < backend.perf.parallel_evaluations < len(genomes)
+            assert backend.perf.pool_busy_seconds > 0.0
+            assert backend.perf.pool_dispatch_seconds > 0.0
+            assert backend.perf.phase_seconds
         assert records == _serial_records(problem, config, genomes)
 
     def test_order_preserved_across_chunks(self, problem):
@@ -138,7 +138,7 @@ class TestPooledPath:
             with pytest.warns(RuntimeWarning, match="in-process"):
                 records = _evaluate(backend, genomes)
             assert not backend.uses_pool
-            assert backend.pool_fallbacks == 1
+            assert backend.perf.pool_fallbacks == 1
             assert backend.last_pool_error is not None
             assert records == _serial_records(problem, config, genomes)
             # Later batches stay on the serial path without error.
@@ -154,7 +154,7 @@ class TestPooledPath:
             with pytest.raises(WorkerPoolError):
                 _evaluate(backend, genomes)
             assert not backend.uses_pool
-            assert backend.pool_fallbacks == 0
+            assert backend.perf.pool_fallbacks == 0
 
     def test_workers_leave_ctrl_c_to_the_parent(self, problem):
         # A worker killed by SIGINT while holding the task queue's lock
@@ -182,12 +182,12 @@ class TestAsyncPool:
             # map_async only queued the chunks; drain() is the barrier.
             assert not backend._dispatch.pending.ready()
             records = backend.drain()
-            assert backend.batches == 1
-            assert 0 < backend.parallel_evaluations < len(genomes)
+            assert backend.perf.batches == 1
+            assert 0 < backend.perf.parallel_evaluations < len(genomes)
             # Collected, not merely returned: the workers' time is booked.
             assert (
-                backend.pool_busy_seconds
-                >= 0.05 * backend.parallel_evaluations
+                backend.perf.pool_busy_seconds
+                >= 0.05 * backend.perf.parallel_evaluations
             )
         serial_config = SynthesisConfig(jobs=1)
         assert records == _serial_records(problem, serial_config, genomes)
@@ -201,8 +201,8 @@ class TestAsyncPool:
             assert backend.speculate(genomes) == len(genomes)
             early = _evaluate(backend, genomes)
             on_demand = _evaluate(backend, genomes)
-            assert backend.batches == 2
-            assert backend.speculation_hits == len(genomes)
+            assert backend.perf.batches == 2
+            assert backend.perf.speculation_hits == len(genomes)
         assert early == on_demand
 
     def test_dead_async_pool_falls_back_to_serial(self, problem, slow_workers):
@@ -219,8 +219,8 @@ class TestAsyncPool:
             with pytest.warns(RuntimeWarning, match="in-process"):
                 records = backend.drain()
             assert not backend.uses_pool
-            assert backend.pool_fallbacks == 1
-            assert backend.batches == 0
+            assert backend.perf.pool_fallbacks == 1
+            assert backend.perf.batches == 0
             serial_config = SynthesisConfig(jobs=1)
             assert records == _serial_records(
                 problem, serial_config, genomes
@@ -237,10 +237,10 @@ class TestEarlyDispatch:
             assert backend.supports_speculation
             assert backend.speculate(genomes) == len(genomes)
             records = _evaluate(backend, genomes)
-            assert backend.batches == 1
-            assert backend.speculation_issued == len(genomes)
-            assert backend.speculation_hits == len(genomes)
-            assert backend.speculation_discards == 0
+            assert backend.perf.batches == 1
+            assert backend.perf.speculation_issued == len(genomes)
+            assert backend.perf.speculation_hits == len(genomes)
+            assert backend.perf.speculation_discards == 0
         assert records == _serial_records(problem, config, genomes)
 
     def test_other_batch_collects_and_discards_it(self, problem):
@@ -250,9 +250,9 @@ class TestEarlyDispatch:
         with _pooled(problem, config) as backend:
             backend.speculate(predicted)
             records = _evaluate(backend, actual)
-            assert backend.speculation_hits == 0
-            assert backend.speculation_discards == len(predicted)
-            assert backend.batches == 1
+            assert backend.perf.speculation_hits == 0
+            assert backend.perf.speculation_discards == len(predicted)
+            assert backend.perf.batches == 1
         assert records == _serial_records(problem, config, actual)
 
     def test_tiny_prediction_is_not_dispatched(self, problem):
@@ -263,8 +263,8 @@ class TestEarlyDispatch:
             assert _evaluate(backend, genomes) == _serial_records(
                 problem, config, genomes
             )
-            assert backend.speculation_issued == 0
-            assert backend.inprocess_evaluations == 3
+            assert backend.perf.speculation_issued == 0
+            assert backend.perf.inprocess_evaluations == 3
 
     def test_pool_killed_before_drain_falls_back(self, problem, slow_workers):
         slow_workers(30.0)
@@ -276,9 +276,9 @@ class TestEarlyDispatch:
             backend._pool.join()
             with pytest.warns(RuntimeWarning, match="in-process"):
                 records = _evaluate(backend, genomes)
-            assert backend.pool_fallbacks == 1
+            assert backend.perf.pool_fallbacks == 1
             assert not backend.uses_pool
-            assert backend.batches == 0
+            assert backend.perf.batches == 0
         assert records == _serial_records(problem, config, genomes)
 
     def test_pool_killed_before_drain_raises_in_raise_mode(
@@ -308,9 +308,9 @@ class TestEarlyDispatch:
             assert not backend._early.pending.ready()
             getattr(backend, end)()
             assert backend._early is None
-            assert backend.speculation_discards == len(genomes)
+            assert backend.perf.speculation_discards == len(genomes)
             # Collected, not dropped: the workers' time is booked.
-            assert backend.pool_busy_seconds >= 0.05
+            assert backend.perf.pool_busy_seconds >= 0.05
 
 
 class TestInProcessAccounting:
@@ -326,16 +326,16 @@ class TestInProcessAccounting:
         with closing(PooledBackend(problem, config)) as backend:
             records = _evaluate(backend, genomes)
             assert len(records) == 2
-            assert backend.inprocess_evaluations == 2
-            assert backend.inprocess_eval_seconds > 0.0
-            assert backend.pool_busy_seconds == 0.0
-            assert backend.pool_dispatch_seconds == 0.0
-            assert backend.batches == 0
+            assert backend.perf.inprocess_evaluations == 2
+            assert backend.perf.inprocess_eval_seconds > 0.0
+            assert backend.perf.pool_busy_seconds == 0.0
+            assert backend.perf.pool_dispatch_seconds == 0.0
+            assert backend.perf.batches == 0
 
     def test_serial_evaluator_books_inprocess(self, problem):
         config = SynthesisConfig(jobs=1)
         genomes = _genomes(problem, 3, seed=6)
         with closing(SerialBackend(problem, config)) as backend:
             _evaluate(backend, genomes)
-            assert backend.inprocess_evaluations == 3
-            assert backend.inprocess_eval_seconds > 0.0
+            assert backend.perf.inprocess_evaluations == 3
+            assert backend.perf.inprocess_eval_seconds > 0.0

@@ -1,5 +1,8 @@
 """Unit tests for the phase profiler and the PerfStats summary."""
 
+import dataclasses
+import json
+import pathlib
 import time
 
 import pytest
@@ -10,6 +13,8 @@ from repro.engine.profile import (
     PhaseProfiler,
     split_phase_key,
 )
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
 class TestPhaseProfiler:
@@ -202,3 +207,118 @@ class TestPerfStats:
         assert payload["phase_seconds"] == {"schedule": 0.5}
         assert payload["phase_calls"] == {"schedule": 10}
         assert 0.0 <= payload["cache_hit_rate"] <= 1.0
+
+
+class TestPerfStatsLedger:
+    """``merge`` and ``from_dict``: how run ledgers add up and reload."""
+
+    def _ledger(self, **overrides):
+        stats = PerfStats(**overrides)
+        stats.merge_phase_totals(
+            {("schedule", "gsm"): (0.5, 2), "cores": (0.25, 1)}
+        )
+        return stats
+
+    def test_merge_is_a_field_wise_sum(self):
+        left = self._ledger(
+            evaluations=10,
+            wall_time=1.5,
+            jobs=2,
+            pool_workers=2,
+            pool_busy_seconds=0.75,
+            mode_cache_evictions=3,
+            speculation_issued=4,
+        )
+        right = self._ledger(
+            evaluations=5,
+            wall_time=0.5,
+            jobs=4,
+            pool_workers=0,
+            pool_busy_seconds=0.25,
+            mode_cache_evictions=1,
+            inprocess_evaluations=7,
+        )
+        right.merge_phase_totals({("schedule", "mp3"): (1.0, 1)})
+        left.merge(right)
+        assert left.evaluations == 15
+        assert left.wall_time == pytest.approx(2.0)
+        assert left.pool_busy_seconds == pytest.approx(1.0)
+        assert left.mode_cache_evictions == 4
+        assert left.speculation_issued == 4
+        assert left.inprocess_evaluations == 7
+        # Configuration figures take the larger value.
+        assert left.jobs == 4
+        assert left.pool_workers == 2
+        # Nested phase tables add up key by key.
+        assert left.phase_seconds == {
+            "schedule": pytest.approx(2.0),
+            "cores": pytest.approx(0.5),
+        }
+        assert left.phase_calls == {"schedule": 5, "cores": 2}
+        assert left.mode_phase_seconds["schedule"] == {
+            "gsm": pytest.approx(1.0),
+            "mp3": pytest.approx(1.0),
+        }
+        assert left.mode_phase_calls == {
+            "schedule": {"gsm": 4, "mp3": 1},
+            "cores": {SHARED_MODE: 2},
+        }
+
+    def test_merge_leaves_the_other_ledger_alone(self):
+        left = PerfStats()
+        right = self._ledger()
+        left.merge(right)
+        left.merge_phase_totals({("schedule", "gsm"): (1.0, 1)})
+        assert right.mode_phase_calls["schedule"] == {"gsm": 2}
+
+    def test_from_dict_round_trips(self):
+        stats = self._ledger(
+            evaluations=10,
+            cache_hits=4,
+            wall_time=2.0,
+            jobs=2,
+            pool_workers=2,
+            pool_busy_seconds=1.0,
+            pool_dispatch_seconds=0.75,
+            speculation_issued=6,
+            speculation_hits=5,
+        )
+        payload = stats.to_dict()
+        assert PerfStats.from_dict(payload) == stats
+        assert PerfStats.from_dict(payload).to_dict() == payload
+
+    def test_to_dict_carries_every_field_and_rate(self):
+        payload = PerfStats().to_dict()
+        for spec in dataclasses.fields(PerfStats):
+            assert spec.name in payload
+        for rate in (
+            "cache_hit_rate",
+            "evaluations_per_second",
+            "pool_utilisation",
+            "mode_cache_hit_rate",
+            "speculation_hit_rate",
+        ):
+            assert payload[rate] == 0.0
+
+    def test_from_dict_ignores_unknown_and_derived_keys(self):
+        stats = PerfStats.from_dict(
+            {"evaluations": 3, "pool_utilisation": 0.9, "not_a_field": 1}
+        )
+        assert stats == PerfStats(evaluations=3)
+
+    def test_from_dict_loads_an_old_summary(self):
+        summary = json.loads(
+            (FIXTURES / "run_summary_pr3.json").read_text()
+        )
+        stats = PerfStats.from_dict(summary["perf"])
+        assert stats.evaluations == 3760
+        assert stats.dedup_hits == 120
+        assert stats.phase_calls["schedule"] == 7520
+        assert stats.mode_phase_seconds == {
+            "schedule": {"m0": 11.0, "m1": 10.5}
+        }
+        # Fields the old schema lacked keep their defaults.
+        assert stats.mode_phase_calls == {}
+        assert stats.jobs == 1
+        assert stats.pool_workers == 0
+        assert stats.pool_utilisation == 0.0

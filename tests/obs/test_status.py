@@ -311,3 +311,25 @@ class TestPoolStats:
         assert "utilisation n/a" in text
         assert "workers n/a" in text
         assert "steals" in text
+
+    def test_poolless_summary_renders_na_workers(self):
+        # A serial campaign's summary carries every PerfStats field,
+        # pool_workers 0 and pool_utilisation 0.0 included; there was
+        # no pool, so both render n/a as they always have.
+        summary = {
+            "perf": {
+                "pool_workers": 0,
+                "pool_utilisation": 0.0,
+                "pool_busy_seconds": 0.0,
+                "parallel_evaluations": 0,
+                "batches": 0,
+                "pool_steals": 0,
+                "pool_fallbacks": 0,
+                "inprocess_evaluations": 250,
+                "inprocess_eval_seconds": 1.25,
+            }
+        }
+        text = format_pool_stats(summary)
+        assert "workers n/a, utilisation n/a, busy 0.0s" in text
+        assert "0 parallel evaluations in 0 batches" in text
+        assert "250 evaluations, 1.2s" in text

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.engine.profile import PerfStats
 from repro.errors import CampaignError
 from repro.obs.summary import (
     build_run_summary,
@@ -11,6 +12,10 @@ from repro.obs.summary import (
     run_summary_path,
     write_run_summary,
 )
+from repro.runtime.checkpoint import load_result
+from repro.runtime.runner import run_campaign
+from repro.runtime.spec import CampaignSpec
+from repro.synthesis.config import DvsMethod, SynthesisConfig
 
 
 def job_record(power=0.5, attempts=1, perf=None):
@@ -147,3 +152,76 @@ class TestWriteLoad:
         run_summary_path(tmp_path).write_text("{not json")
         with pytest.raises(CampaignError, match="corrupt run summary"):
             load_run_summary(tmp_path)
+
+
+class TestCampaignPerf:
+    """A real campaign's summary perf is the merge of its job records."""
+
+    @pytest.fixture(scope="class")
+    def run_dir(self, tmp_path_factory):
+        spec = CampaignSpec(
+            name="pooled",
+            instances=["mul1"],
+            dvs_methods=[DvsMethod.GRADIENT],
+            runs=1,
+            base_seed=4,
+            config=SynthesisConfig(
+                population_size=10,
+                max_generations=4,
+                convergence_generations=4,
+                jobs=2,
+            ),
+            retry_backoff=0.0,
+        )
+        run_dir = tmp_path_factory.mktemp("pooled")
+        outcome = run_campaign(spec, run_dir)
+        assert outcome.completed == 2
+        return run_dir
+
+    def test_summary_perf_is_the_merge_of_job_records(self, run_dir):
+        records = [
+            load_result(run_dir, job_id)["perf"]
+            for job_id in load_run_summary(run_dir)["job_results"]
+        ]
+        assert len(records) == 2
+        perf = load_run_summary(run_dir)["perf"]
+        # Nothing a job record carries is dropped from the summary.
+        for record in records:
+            assert set(record) == set(perf)
+        for name in (
+            "evaluations",
+            "cache_hits",
+            "dedup_hits",
+            "inprocess_evaluations",
+            "parallel_evaluations",
+            "batches",
+            "mode_cache_hits",
+            "mode_cache_misses",
+            "mode_cache_evictions",
+        ):
+            assert perf[name] == sum(record[name] for record in records)
+        assert perf["wall_time"] == pytest.approx(
+            sum(record["wall_time"] for record in records)
+        )
+        assert perf["jobs"] == 2
+        assert perf["pool_workers"] == 2
+        assert perf["parallel_evaluations"] > 0
+        for phase, modes in perf["mode_phase_calls"].items():
+            for mode, calls in modes.items():
+                assert calls == sum(
+                    record["mode_phase_calls"].get(phase, {}).get(mode, 0)
+                    for record in records
+                )
+        # The derived rates describe the merged totals.
+        assert perf["pool_utilisation"] == pytest.approx(
+            perf["pool_busy_seconds"]
+            / (perf["pool_dispatch_seconds"] * perf["pool_workers"])
+        )
+        assert perf["mode_cache_hit_rate"] == pytest.approx(
+            perf["mode_cache_hits"]
+            / (perf["mode_cache_hits"] + perf["mode_cache_misses"])
+        )
+        merged = PerfStats()
+        for record in records:
+            merged.merge(PerfStats.from_dict(record))
+        assert perf == json.loads(json.dumps(merged.to_dict()))
