@@ -66,6 +66,11 @@ class Architecture:
                     f"unknown PEs {sorted(unknown)}"
                 )
             self._links[link.name] = link
+        # Nothing changes an architecture after construction, so every
+        # component view is computed once.
+        self._pe_tuple = tuple(self._pes.values())
+        self._link_tuple = tuple(self._links.values())
+        self._hardware = tuple(pe for pe in self._pe_tuple if pe.is_hardware)
 
     # ------------------------------------------------------------------
     # Accessors
@@ -74,12 +79,12 @@ class Architecture:
     @property
     def pes(self) -> Tuple[ProcessingElement, ...]:
         """All processing elements, in insertion order."""
-        return tuple(self._pes.values())
+        return self._pe_tuple
 
     @property
     def links(self) -> Tuple[CommunicationLink, ...]:
         """All communication links, in insertion order."""
-        return tuple(self._links.values())
+        return self._link_tuple
 
     @property
     def pe_names(self) -> Tuple[str, ...]:
@@ -126,7 +131,7 @@ class Architecture:
 
     def hardware_pes(self) -> Tuple[ProcessingElement, ...]:
         """Core-based components (ASICs and FPGAs)."""
-        return tuple(pe for pe in self._pes.values() if pe.is_hardware)
+        return self._hardware
 
     def dvs_pes(self) -> Tuple[ProcessingElement, ...]:
         """DVS-enabled processing elements."""

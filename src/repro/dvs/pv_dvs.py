@@ -28,9 +28,12 @@ baseline) — run on one struct-of-arrays graph, :class:`_VectorGraph`:
 
 * **Construction** builds the graph — parallel arrays of
   duration/energy tables, current levels, deadlines and integer
-  adjacency — in one fused pass over the schedule, with no per-node
-  objects, no string keys and a single grouping of tasks/comms by
-  resource shared between the DVS graph and the replay graph.
+  adjacency — in one fused pass over the schedule's own arrays
+  (:class:`~repro.scheduling.schedule.ModeSchedule` is struct-of-arrays).
+  The execution order on every serial resource comes straight from the
+  schedule's per-resource order, shared between the DVS graph and the
+  replay graph; only a shared-rail component's Fig. 5 transformation
+  sorts, to merge its cores' tasks by ``(start, name)``.
 * **Selection** (gradient) pops moves from a heap ordered by
   ``(-saved/extra, -saved, position)``.  During the descent a node's
   earliest start only ever increases and its latest finish only ever
@@ -46,12 +49,10 @@ baseline) — run on one struct-of-arrays graph, :class:`_VectorGraph`:
   formulas of a full pass (``max`` over predecessor finishes, ``min``
   over successor latest starts, both exact on floats), so the arrays
   stay bit-identical to a full recompute.
-* **Emission** rebuilds :class:`~repro.scheduling.schedule.ScheduledTask`
-  / ``ScheduledComm`` instances through ``__new__`` fast constructors:
-  every emitted value satisfies the dataclass invariants by
-  construction (ends are ``start + non-negative duration``, energies
-  are non-negative), so re-validating each of them on the hot path
-  would only re-derive known facts.
+* **Emission** writes new start, end, energy and voltage-piece arrays
+  and returns them through :meth:`ModeSchedule.retimed`, which shares
+  every mapping-fixed array (names, PEs, links, resource order) with
+  the input schedule; no task or comm object is built.
 
 The frozen seed implementation under ``tests/oracles`` is the
 bit-identity reference both methods are fuzz-checked against.
@@ -61,31 +62,19 @@ from __future__ import annotations
 
 import math
 from heapq import heapify, heappop, heappush
-from operator import attrgetter
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.decode_cache import DecodeContext
 from repro.errors import VoltageScalingError
 from repro.problem import Problem
-from repro.scheduling.schedule import (
-    TIME_EPS,
-    ModeSchedule,
-    ScheduledComm,
-    ScheduledTask,
-)
+from repro.scheduling.schedule import TIME_EPS, ModeSchedule
 from repro.specification.mode import Mode
 
 #: Relative numerical guard when comparing slack against extensions.
 _SLACK_EPS = 1e-12
 
 _INF = math.inf
-
-#: C-level sort keys for the resource grouping (same orderings as
-#: ``ModeSchedule.tasks_on`` / ``comms_on`` / the by-core grouping).
-_TASK_ORDER = attrgetter("start", "name")
-_COMM_ORDER = attrgetter("start", "key")
-_START_ORDER = attrgetter("start")
 
 #: Table type of one scalable node: per-level durations or energies,
 #: ascending voltage (index ``len-1`` is nominal).
@@ -146,13 +135,13 @@ class _VectorGraph:
         self.finish: List[float] = []
         self.lft: List[float] = []
         self.latest_start: List[float] = []
-        # Back-mapping: task name -> position (tasks folded into
-        # segment chains are absent), first comm position (comms are
+        # Back-mapping: task index -> position (-1 for tasks folded
+        # into segment chains), first comm position (comms are
         # consecutive in schedule order), and per-task ordered segment
         # positions on shared-rail hardware.
-        self.task_pos: Dict[str, int] = {}
+        self.task_pos: List[int] = []
         self.comm_base = 0
-        self.task_segments: Dict[str, List[int]] = {}
+        self.task_segments: Dict[int, List[int]] = {}
         # True nominal duration per segment position.  The voltage
         # table's top entry is `(d·s)/s`, which can differ from `d` by
         # an ulp; the rebuild needs the exact original for energies.
@@ -161,76 +150,11 @@ class _VectorGraph:
 
 
 # ----------------------------------------------------------------------
-# Fast constructors (invariants hold by construction; see module doc)
-# ----------------------------------------------------------------------
-
-
-def _make_task(
-    name: str,
-    task_type: str,
-    pe: str,
-    start: float,
-    end: float,
-    energy: float,
-    power: float,
-    core_index: Optional[int],
-    pieces: Tuple[Tuple[float, float], ...],
-) -> ScheduledTask:
-    task = ScheduledTask.__new__(ScheduledTask)
-    values = task.__dict__
-    values["name"] = name
-    values["task_type"] = task_type
-    values["pe"] = pe
-    values["start"] = start
-    values["end"] = end
-    values["energy"] = energy
-    values["power"] = power
-    values["core_index"] = core_index
-    values["pieces"] = pieces
-    return task
-
-
-def _make_comm(
-    src: str,
-    dst: str,
-    link: Optional[str],
-    start: float,
-    end: float,
-    energy: float,
-) -> ScheduledComm:
-    comm = ScheduledComm.__new__(ScheduledComm)
-    values = comm.__dict__
-    values["src"] = src
-    values["dst"] = dst
-    values["link"] = link
-    values["start"] = start
-    values["end"] = end
-    values["energy"] = energy
-    return comm
-
-
-def _make_schedule(
-    mode_name: str,
-    tasks: Sequence[ScheduledTask],
-    comms: Sequence[ScheduledComm],
-) -> ModeSchedule:
-    # Inputs derive one-to-one from an already-validated ModeSchedule,
-    # so names/keys are unique and the duplicate checks of __init__
-    # cannot fire.
-    schedule = ModeSchedule.__new__(ModeSchedule)
-    schedule.mode_name = mode_name
-    schedule._tasks = {task.name: task for task in tasks}
-    schedule._comms = {(comm.src, comm.dst): comm for comm in comms}
-    return schedule
-
-
-# ----------------------------------------------------------------------
 # Construction
 # ----------------------------------------------------------------------
 
 
 def _build_vector_graph(
-    problem: Problem,
     mode: Mode,
     schedule: ModeSchedule,
     shared_rail: bool,
@@ -241,12 +165,13 @@ def _build_vector_graph(
 ]:
     """One fused pass: DVS graph arrays plus the shared replay graph.
 
-    Returns the graph and, when Fig. 5 segment chains exist, the replay
-    adjacency ``(preds, succs, durations)`` over task-level activities
-    (tasks in schedule order, then comms) — collected alongside the DVS
-    edges so the rebuild phase never re-derives the resource grouping.
+    Reads the schedule's arrays and its per-resource activity order
+    directly.  Returns the graph and, when Fig. 5 segment chains exist,
+    the replay adjacency ``(preds, succs, durations)`` over task-level
+    activities (tasks in schedule order, then comms) — collected
+    alongside the DVS edges so the rebuild phase never re-derives the
+    resource order.
     """
-    architecture = problem.architecture
     mode_data = context.modes[mode.name]
     deadlines_of = mode_data.deadlines
     pe_objects = context.pes
@@ -254,35 +179,15 @@ def _build_vector_graph(
     hw_dvs = context.hw_dvs_pes if shared_rail else frozenset()
     dvs_pes = context.dvs_pes
 
-    tasks = schedule.tasks
-    comms = schedule.comms
-    task_count = len(tasks)
-
-    # --- single resource grouping, shared by DVS and replay graphs ----
-    # Replicates ModeSchedule.tasks_on / comms_on exactly: filter by
-    # resource, order by (start, name) / (start, key).
-    tasks_by_pe: Dict[str, List[ScheduledTask]] = {}
-    for task in tasks:
-        tasks_by_pe.setdefault(task.pe, []).append(task)
-    for placed in tasks_by_pe.values():
-        placed.sort(key=_TASK_ORDER)
-    comms_by_link: Dict[str, List[ScheduledComm]] = {}
-    for comm in comms:
-        if comm.link is not None:
-            comms_by_link.setdefault(comm.link, []).append(comm)
-    for carried in comms_by_link.values():
-        carried.sort(key=_COMM_ORDER)
-
-    # --- nodes: tasks off shared-rail DVS hardware --------------------
-    folded = 0
-    seg_pes: List[str] = []
-    if hw_dvs:
-        for pe_name in hw_dvs:
-            group = tasks_by_pe.get(pe_name)
-            if group:
-                folded += len(group)
-                seg_pes.append(pe_name)
-        seg_pes.sort()
+    names = schedule.task_names
+    task_pes = schedule.task_pes
+    starts = schedule.task_starts
+    ends = schedule.task_ends
+    task_count = len(names)
+    comm_starts = schedule.comm_starts
+    comm_ends = schedule.comm_ends
+    comm_count = len(comm_starts)
+    seg_pes = sorted(hw_dvs.intersection(task_pes)) if hw_dvs else []
 
     graph = _VectorGraph(0)  # size fixed up after construction
     dur_tables = graph.dur_tables
@@ -292,19 +197,22 @@ def _build_vector_graph(
     durations = graph.durations
     deadlines = graph.deadlines
     scalable = graph.scalable
-    task_pos = graph.task_pos
+    graph.task_pos = task_pos = [-1] * task_count
     task_segments = graph.task_segments
     seg_nominal = graph.seg_nominal
     graph.seg_pes = seg_pes
 
+    # --- nodes: tasks off shared-rail DVS hardware --------------------
     position = 0
-    for task in tasks:
-        pe_name = task.pe
+    for index, pe_name in enumerate(task_pes):
         if pe_name in hw_dvs:
             continue
-        task_pos[task.name] = position
+        task_pos[index] = position
+        duration = ends[index] - starts[index]
         if pe_name in dvs_pes:
-            dur_t, en_t = tables(pe_name, task.duration, task.energy)
+            dur_t, en_t = tables(
+                pe_name, duration, schedule.task_energies[index]
+            )
             dur_tables.append(dur_t)
             en_tables.append(en_t)
             top = len(dur_t) - 1
@@ -317,26 +225,32 @@ def _build_vector_graph(
             en_tables.append(None)
             voltages.append(None)
             level.append(0)
-            durations.append(task.duration)
-        deadlines.append(deadlines_of[task.name])
+            durations.append(duration)
+        deadlines.append(deadlines_of[names[index]])
         position += 1
 
     # --- nodes: Fig. 5 segment chains on shared-rail hardware ---------
-    task_first_seg: Dict[str, int] = {}
-    task_last_seg: Dict[str, int] = {}
-    edges: List[Tuple[int, int]] = []
+    task_first_seg: Dict[int, int] = {}
+    task_last_seg: Dict[int, int] = {}
+    chain_edges: List[Tuple[int, int]] = []
+    task_powers = schedule.task_powers
     for pe_name in seg_pes:
-        placed = tasks_by_pe[pe_name]
+        # All cores of the component, by (start, name): the order of
+        # ModeSchedule.tasks_on, which fixes the float summation order.
+        placed = sorted(
+            (i for i in range(task_count) if task_pes[i] == pe_name),
+            key=lambda i: (starts[i], names[i]),
+        )
         pe = pe_objects[pe_name]
-        starts = [t.start for t in placed]
-        ends = [t.end for t in placed]
-        powers = [t.power for t in placed]
+        seg_starts = [starts[i] for i in placed]
+        seg_ends = [ends[i] for i in placed]
+        powers = [task_powers[i] for i in placed]
         count = len(placed)
-        breakpoints = sorted(set(starts) | set(ends))
+        breakpoints = sorted(set(seg_starts) | set(seg_ends))
         chain_prev = -1
         task_energy = 0.0
-        for t in placed:
-            task_energy += t.power * t.duration
+        for i in range(count):
+            task_energy += powers[i] * (seg_ends[i] - seg_starts[i])
         segment_energy = 0.0
         latest_segment = -_INF
         for left, right in zip(breakpoints, breakpoints[1:]):
@@ -347,7 +261,7 @@ def _build_vector_graph(
             active = [
                 i
                 for i in range(count)
-                if starts[i] <= left_eps and ends[i] >= right_eps
+                if seg_starts[i] <= left_eps and seg_ends[i] >= right_eps
             ]
             if not active:
                 continue
@@ -361,8 +275,8 @@ def _build_vector_graph(
                 latest_segment = right
             deadline = _INF
             for i in active:
-                if abs(ends[i] - right) <= TIME_EPS:
-                    candidate = deadlines_of[placed[i].name]
+                if abs(seg_ends[i] - right) <= TIME_EPS:
+                    candidate = deadlines_of[names[placed[i]]]
                     if candidate < deadline:
                         deadline = candidate
             dur_t, en_t = tables(pe_name, seg_duration, seg_energy)
@@ -376,16 +290,16 @@ def _build_vector_graph(
             scalable.append(position)
             seg_nominal[position] = seg_duration
             for i in active:
-                name = placed[i].name
-                segs = task_segments.get(name)
+                task = placed[i]
+                segs = task_segments.get(task)
                 if segs is None:
-                    task_segments[name] = [position]
-                    task_first_seg[name] = position
+                    task_segments[task] = [position]
+                    task_first_seg[task] = position
                 else:
                     segs.append(position)
-                task_last_seg[name] = position
+                task_last_seg[task] = position
             if chain_prev >= 0:
-                edges.append((chain_prev, position))
+                chain_edges.append((chain_prev, position))
             chain_prev = position
             position += 1
         # Transformation invariants (the same checks and tolerances as
@@ -397,9 +311,10 @@ def _build_vector_graph(
                 f"{task_energy}, segments {segment_energy}"
             )
         latest_task = -_INF
-        for t in placed:
-            if t.duration > TIME_EPS and t.end > latest_task:
-                latest_task = t.end
+        for i in range(count):
+            end = seg_ends[i]
+            if end - seg_starts[i] > TIME_EPS and end > latest_task:
+                latest_task = end
         if latest_task > -_INF and latest_segment > -_INF:
             if abs(latest_task - latest_segment) > TIME_EPS:
                 raise VoltageScalingError(
@@ -407,129 +322,93 @@ def _build_vector_graph(
                 )
 
     # --- nodes and edges: communications ------------------------------
+    # Every edge is inserted once (each activity sits on one resource,
+    # each comm has one producer and one consumer), so the adjacency is
+    # filled directly.
     comm_base = position
     graph.comm_base = comm_base
+    size = comm_base + comm_count
+    graph.size = size
+    dur_tables += [None] * comm_count
+    en_tables += [None] * comm_count
+    voltages += [None] * comm_count
+    level += [0] * comm_count
+    durations += [end - start for start, end in zip(comm_starts, comm_ends)]
+    deadlines += [_INF] * comm_count
+    preds: List[List[int]] = [[] for _ in range(size)]
+    succs: List[List[int]] = [[] for _ in range(size)]
+    for src, dst in chain_edges:
+        succs[src].append(dst)
+        preds[dst].append(src)
+    src_tasks = schedule.comm_src_tasks
+    dst_tasks = schedule.comm_dst_tasks
+    for offset in range(comm_count):
+        position = comm_base + offset
+        src_anchor = task_last_seg.get(src_tasks[offset])
+        if src_anchor is None:
+            src_anchor = task_pos[src_tasks[offset]]
+        dst_anchor = task_first_seg.get(dst_tasks[offset])
+        if dst_anchor is None:
+            dst_anchor = task_pos[dst_tasks[offset]]
+        succs[src_anchor].append(position)
+        preds[position].append(src_anchor)
+        preds[dst_anchor].append(position)
+        succs[position].append(dst_anchor)
+
+    # --- edges: execution order on serial resources --------------------
+    for ids in schedule.task_order:
+        if task_pes[ids[0]] in hw_dvs:
+            continue
+        prev = task_pos[ids[0]]
+        for nxt_task in ids[1:]:
+            nxt = task_pos[nxt_task]
+            succs[prev].append(nxt)
+            preds[nxt].append(prev)
+            prev = nxt
+    for ids in schedule.comm_order:
+        prev = comm_base + ids[0]
+        for nxt_comm in ids[1:]:
+            nxt = comm_base + nxt_comm
+            succs[prev].append(nxt)
+            preds[nxt].append(prev)
+            prev = nxt
+    graph.preds = preds
+    graph.succs = succs
+
+    # --- replay graph over task-level activities ----------------------
     replay: Optional[
         Tuple[List[List[int]], List[List[int]], List[float]]
     ] = None
     if seg_pes:
-        replay_count = task_count + len(comms)
+        replay_count = task_count + comm_count
         replay_preds: List[List[int]] = [[] for _ in range(replay_count)]
         replay_succs: List[List[int]] = [[] for _ in range(replay_count)]
-        replay_durations = [0.0] * replay_count
-        replay_task_index = {
-            task.name: index for index, task in enumerate(tasks)
-        }
-        for offset, comm in enumerate(comms):
-            replay_durations[task_count + offset] = comm.duration
-        replay = (replay_preds, replay_succs, replay_durations)
-    for comm in comms:
-        dur_tables.append(None)
-        en_tables.append(None)
-        voltages.append(None)
-        level.append(0)
-        durations.append(comm.duration)
-        deadlines.append(_INF)
-        src_anchor = task_last_seg.get(comm.src)
-        if src_anchor is None:
-            src_anchor = task_pos[comm.src]
-        dst_anchor = task_first_seg.get(comm.dst)
-        if dst_anchor is None:
-            dst_anchor = task_pos[comm.dst]
-        if src_anchor != position:
-            edges.append((src_anchor, position))
-        if dst_anchor != position:
-            edges.append((position, dst_anchor))
-        position += 1
-    if replay is not None:
-        replay_preds, replay_succs, _rd = replay
-        for offset, comm in enumerate(comms):
+        replay_durations = [0.0] * task_count + durations[comm_base:]
+        for offset in range(comm_count):
             index = task_count + offset
-            src_index = replay_task_index[comm.src]
-            dst_index = replay_task_index[comm.dst]
+            src_index = src_tasks[offset]
+            dst_index = dst_tasks[offset]
             replay_succs[src_index].append(index)
             replay_preds[index].append(src_index)
             replay_succs[index].append(dst_index)
             replay_preds[dst_index].append(index)
-
-    # --- edges: execution order on serial resources --------------------
-    for pe in architecture.pes:
-        pe_name = pe.name
-        in_segments = pe_name in hw_dvs
-        placed = tasks_by_pe.get(pe_name)
-        if not placed:
-            continue
-        if pe.is_software:
-            if not in_segments:
-                prev = task_pos[placed[0].name]
-                for nxt_task in placed[1:]:
-                    nxt = task_pos[nxt_task.name]
-                    edges.append((prev, nxt))
-                    prev = nxt
-            if replay is not None:
-                prev = replay_task_index[placed[0].name]
-                for nxt_task in placed[1:]:
-                    nxt = replay_task_index[nxt_task.name]
+        for base, order in (
+            (0, schedule.task_order),
+            (task_count, schedule.comm_order),
+        ):
+            for ids in order:
+                prev = base + ids[0]
+                for nxt_id in ids[1:]:
+                    nxt = base + nxt_id
                     replay_succs[prev].append(nxt)
                     replay_preds[nxt].append(prev)
                     prev = nxt
-        else:
-            by_core: Dict[Tuple[str, Optional[int]], List[ScheduledTask]]
-            by_core = {}
-            for task in placed:
-                by_core.setdefault(
-                    (task.task_type, task.core_index), []
-                ).append(task)
-            for group in by_core.values():
-                group.sort(key=_START_ORDER)
-                if not in_segments:
-                    prev = task_pos[group[0].name]
-                    for nxt_task in group[1:]:
-                        nxt = task_pos[nxt_task.name]
-                        edges.append((prev, nxt))
-                        prev = nxt
-                if replay is not None:
-                    prev = replay_task_index[group[0].name]
-                    for nxt_task in group[1:]:
-                        nxt = replay_task_index[nxt_task.name]
-                        replay_succs[prev].append(nxt)
-                        replay_preds[nxt].append(prev)
-                        prev = nxt
-    if comms_by_link:
-        comm_index = {comm.key: index for index, comm in enumerate(comms)}
-        for link in architecture.links:
-            carried = comms_by_link.get(link.name)
-            if not carried:
-                continue
-            prev_i = comm_index[carried[0].key]
-            for nxt_comm in carried[1:]:
-                nxt_i = comm_index[nxt_comm.key]
-                edges.append((comm_base + prev_i, comm_base + nxt_i))
-                if replay is not None:
-                    replay_succs[task_count + prev_i].append(
-                        task_count + nxt_i
-                    )
-                    replay_preds[task_count + nxt_i].append(
-                        task_count + prev_i
-                    )
-                prev_i = nxt_i
+        replay = (replay_preds, replay_succs, replay_durations)
 
-    # --- freeze: adjacency, topological order, reachability bitsets ----
-    size = position
-    graph.size = size
+    # --- freeze: scalable flags, topological order ---------------------
     graph.scalable_flags = flags = bytearray(size)
     for pos in scalable:
         flags[pos] = 1
-    preds: List[List[int]] = [[] for _ in range(size)]
-    succs: List[List[int]] = [[] for _ in range(size)]
-    for src, dst in edges:
-        adjacent = succs[src]
-        if dst not in adjacent:
-            adjacent.append(dst)
-            preds[dst].append(src)
-    graph.preds = preds
-    graph.succs = succs
-
     in_degree = [len(entry) for entry in preds]
     ready = [pos for pos in range(size) if not in_degree[pos]]
     topo: List[int] = []
@@ -808,24 +687,26 @@ def _descent(graph: _VectorGraph, need_final_est: bool) -> None:
 # ----------------------------------------------------------------------
 
 
-def _emit_direct(
-    mode: Mode, schedule: ModeSchedule, graph: _VectorGraph
-) -> ModeSchedule:
-    """Materialise the scaled schedule straight from the graph arrays.
+def _emit_direct(schedule: ModeSchedule, graph: _VectorGraph) -> ModeSchedule:
+    """The scaled schedule straight from the graph arrays.
 
     Only valid without segment chains: every activity is its own node,
     so the final earliest starts *are* the replayed start times.
     """
     est = graph.est
-    task_pos = graph.task_pos
     level = graph.level
     dur_tables = graph.dur_tables
     en_tables = graph.en_tables
     voltages = graph.voltages
     flags = graph.scalable_flags
-    new_tasks: List[ScheduledTask] = []
-    for task in schedule.tasks:
-        pos = task_pos[task.name]
+    starts = schedule.task_starts
+    ends = schedule.task_ends
+    energies = schedule.task_energies
+    new_starts: List[float] = []
+    new_ends: List[float] = []
+    new_energies: List[float] = []
+    new_pieces: List[Tuple[Tuple[float, float], ...]] = []
+    for index, pos in enumerate(graph.task_pos):
         start = est[pos]
         if flags[pos]:
             current = level[pos]
@@ -836,76 +717,51 @@ def _emit_direct(
                 dur_t is not None and en_t is not None and volts is not None
             )
             duration = dur_t[current]
-            energy = en_t[current]
-            pieces: Tuple[Tuple[float, float], ...] = (
-                (duration, volts[current]),
-            )
+            new_energies.append(en_t[current])
+            new_pieces.append(((duration, volts[current]),))
         else:
-            duration = task.duration
-            energy = task.energy
-            pieces = ()
-            # An untouched activity re-emits the exact same floats —
-            # reuse the immutable input object instead of rebuilding.
-            if (
-                start == task.start
-                and start + duration == task.end
-                and not task.pieces
-            ):
-                new_tasks.append(task)
-                continue
-        new_tasks.append(
-            _make_task(
-                task.name,
-                task.task_type,
-                task.pe,
-                start,
-                start + duration,
-                energy,
-                task.power,
-                task.core_index,
-                pieces,
+            duration = ends[index] - starts[index]
+            new_energies.append(energies[index])
+            new_pieces.append(())
+        new_starts.append(start)
+        new_ends.append(start + duration)
+    comm_starts = est[graph.comm_base :]
+    return schedule.retimed(
+        task_starts=new_starts,
+        task_ends=new_ends,
+        task_energies=new_energies,
+        task_pieces=new_pieces,
+        comm_starts=comm_starts,
+        comm_ends=[
+            start + (end - begin)
+            for start, begin, end in zip(
+                comm_starts, schedule.comm_starts, schedule.comm_ends
             )
-        )
-    comm_base = graph.comm_base
-    new_comms: List[ScheduledComm] = []
-    for offset, comm in enumerate(schedule.comms):
-        start = est[comm_base + offset]
-        duration = comm.duration
-        if start == comm.start and start + duration == comm.end:
-            new_comms.append(comm)
-            continue
-        new_comms.append(
-            _make_comm(
-                comm.src,
-                comm.dst,
-                comm.link,
-                start,
-                start + duration,
-                comm.energy,
-            )
-        )
-    return _make_schedule(mode.name, new_tasks, new_comms)
+        ],
+    )
 
 
-def _rebuild_replay(
-    problem: Problem,
-    mode: Mode,
+def _emit(
     schedule: ModeSchedule,
     graph: _VectorGraph,
-    replay: Tuple[List[List[int]], List[List[int]], List[float]],
+    replay: Optional[Tuple[List[List[int]], List[List[int]], List[float]]],
     context: "DecodeContext",
 ) -> ModeSchedule:
-    """Map segment voltages back to tasks and replay the mode.
+    """The scaled schedule of a finished voltage selection.
 
-    Piece durations are read from the segment voltage tables (the exact
-    floats ``scaled_duration`` produces — the tables were built from
-    it) and piece energies reuse precomputed per-level ``(v/vmax)²``
-    factors, matching ``scaled_energy``'s operation order.
+    Without segment chains the graph's own arrays are the result
+    (:func:`_emit_direct`).  Otherwise segment voltages are mapped back
+    to tasks and the mode is replayed: piece durations are read from
+    the segment voltage tables (the exact floats ``scaled_duration``
+    produces — the tables were built from it) and piece energies reuse
+    precomputed per-level ``(v/vmax)²`` factors, matching
+    ``scaled_energy``'s operation order.
     """
+    if replay is None:
+        return _emit_direct(schedule, graph)
     replay_preds, replay_succs, replay_durations = replay
-    tasks = schedule.tasks
-    comms = schedule.comms
-    task_count = len(tasks)
+    task_pes = schedule.task_pes
+    task_count = len(task_pes)
     task_pos = graph.task_pos
     task_segments = graph.task_segments
     seg_nominal = graph.seg_nominal
@@ -913,7 +769,6 @@ def _rebuild_replay(
     dur_tables = graph.dur_tables
     voltages = graph.voltages
     flags = graph.scalable_flags
-    durations = graph.durations
 
     # Per-PE (v/vmax)² table, shared by every task on that rail.
     energy_factors: Dict[str, Tuple[float, ...]] = {}
@@ -924,16 +779,15 @@ def _rebuild_replay(
             (vdd / vmax) ** 2 for vdd in levels
         )
 
-    scaled_duration_of = [0.0] * task_count
-    scaled_energy_of = [0.0] * task_count
+    scaled_energy_of = list(schedule.task_energies)
     scaled_pieces: List[Tuple[Tuple[float, float], ...]] = [
         ()
     ] * task_count
-    for index, task in enumerate(tasks):
-        segs = task_segments.get(task.name)
+    for index in range(task_count):
+        segs = task_segments.get(index)
         if segs is not None:
-            factors = energy_factors[task.pe]
-            power = task.power
+            factors = energy_factors[task_pes[index]]
+            power = schedule.task_powers[index]
             pieces_list: List[Tuple[float, float]] = []
             duration = 0.0
             energy = 0.0
@@ -950,11 +804,10 @@ def _rebuild_replay(
                 # entry), then the (v/vmax)² scaling — the same float
                 # ops scaled_energy performs.
                 energy += (power * seg_nominal[pos]) * factors[seg_level]
-            scaled_duration_of[index] = duration
             scaled_energy_of[index] = energy
             scaled_pieces[index] = tuple(pieces_list)
         else:
-            pos = task_pos[task.name]
+            pos = task_pos[index]
             if flags[pos]:
                 current = level[pos]
                 dur_t = dur_tables[pos]
@@ -965,17 +818,18 @@ def _rebuild_replay(
                     and en_t is not None
                     and volts is not None
                 )
-                scaled_duration_of[index] = dur_t[current]
+                duration = dur_t[current]
                 scaled_energy_of[index] = en_t[current]
-                scaled_pieces[index] = ((dur_t[current], volts[current]),)
+                scaled_pieces[index] = ((duration, volts[current]),)
             else:
-                scaled_duration_of[index] = task.duration
-                scaled_energy_of[index] = task.energy
-        replay_durations[index] = scaled_duration_of[index]
+                duration = (
+                    schedule.task_ends[index] - schedule.task_starts[index]
+                )
+        replay_durations[index] = duration
 
     # Kahn replay: start times are exact max-accumulations, so visit
     # order cannot change a float.
-    count = task_count + len(comms)
+    count = len(replay_durations)
     in_degree = [len(entries) for entries in replay_preds]
     ready = [index for index in range(count) if not in_degree[index]]
     start = [0.0] * count
@@ -998,51 +852,14 @@ def _rebuild_replay(
     if visited != count:
         raise VoltageScalingError("replay graph contains a cycle")
 
-    new_tasks: List[ScheduledTask] = []
-    for index, task in enumerate(tasks):
-        begin = start[index]
-        duration = scaled_duration_of[index]
-        # Untouched activities re-emit the exact same floats — reuse
-        # the immutable input objects instead of rebuilding them.
-        if (
-            not scaled_pieces[index]
-            and begin == task.start
-            and begin + duration == task.end
-            and not task.pieces
-        ):
-            new_tasks.append(task)
-            continue
-        new_tasks.append(
-            _make_task(
-                task.name,
-                task.task_type,
-                task.pe,
-                begin,
-                begin + duration,
-                scaled_energy_of[index],
-                task.power,
-                task.core_index,
-                scaled_pieces[index],
-            )
-        )
-    new_comms: List[ScheduledComm] = []
-    for offset, comm in enumerate(comms):
-        begin = start[task_count + offset]
-        duration = comm.duration
-        if begin == comm.start and begin + duration == comm.end:
-            new_comms.append(comm)
-            continue
-        new_comms.append(
-            _make_comm(
-                comm.src,
-                comm.dst,
-                comm.link,
-                begin,
-                begin + duration,
-                comm.energy,
-            )
-        )
-    return _make_schedule(mode.name, new_tasks, new_comms)
+    return schedule.retimed(
+        task_starts=start[:task_count],
+        task_ends=finish[:task_count],
+        task_energies=scaled_energy_of,
+        task_pieces=scaled_pieces,
+        comm_starts=start[task_count:],
+        comm_ends=finish[task_count:],
+    )
 
 
 # ----------------------------------------------------------------------
@@ -1081,15 +898,11 @@ def scale_schedule(
         from repro.engine.decode_cache import context_for
 
         context = context_for(problem)
-    graph, replay = _build_vector_graph(
-        problem, mode, schedule, shared_rail, context
-    )
+    graph, replay = _build_vector_graph(mode, schedule, shared_rail, context)
     _forward_full(graph)
     _backward_full(graph)
     _descent(graph, need_final_est=replay is None)
-    if replay is None:
-        return _emit_direct(mode, schedule, graph)
-    return _rebuild_replay(problem, mode, schedule, graph, replay, context)
+    return _emit(schedule, graph, replay, context)
 
 
 def uniform_scale_schedule(
@@ -1110,7 +923,7 @@ def uniform_scale_schedule(
         from repro.engine.decode_cache import context_for
 
         context = context_for(problem)
-    graph, replay = _build_vector_graph(problem, mode, schedule, True, context)
+    graph, replay = _build_vector_graph(mode, schedule, True, context)
     dur_tables = graph.dur_tables
     level = graph.level
     durations = graph.durations
@@ -1146,6 +959,4 @@ def uniform_scale_schedule(
             else:
                 high = mid
         apply_factor(low)
-    if replay is None:
-        return _emit_direct(mode, schedule, graph)
-    return _rebuild_replay(problem, mode, schedule, graph, replay, context)
+    return _emit(schedule, graph, replay, context)

@@ -41,7 +41,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
-from repro.obs.metrics import REGISTRY
+from repro.obs.metrics import REGISTRY, MetricKey, metric_key
 from repro.scheduling.mobility import MobilityInfo
 from repro.scheduling.schedule import ModeSchedule
 
@@ -135,7 +135,7 @@ class ModeOutcome:
             footprint = 128
         else:
             footprint = 512 + 320 * (
-                len(schedule.tasks) + len(schedule.comms)
+                len(schedule.task_names) + len(schedule.comm_srcs)
             )
         self.approx_bytes = footprint + 64 * len(timing)
 
@@ -163,6 +163,7 @@ class ModeResultCache:
         "misses",
         "evictions",
         "bytes_resident",
+        "_series",
     )
 
     def __init__(self, capacity: int = MODE_CACHE_SIZE) -> None:
@@ -175,6 +176,9 @@ class ModeResultCache:
         self.misses = 0
         self.evictions = 0
         self.bytes_resident = 0
+        # (hit, mode, stage) -> its hits/misses counter series, resolved
+        # once per series instead of once per lookup.
+        self._series: Dict[Tuple[bool, str, str], MetricKey] = {}
 
     # ------------------------------------------------------------------
     # Prep segment
@@ -237,14 +241,17 @@ class ModeResultCache:
     def _count(self, hit: bool, mode: str, stage: str) -> None:
         if hit:
             self.hits += 1
-            REGISTRY.inc(
-                "eval_mode_cache_hits_total", mode=mode, stage=stage
-            )
         else:
             self.misses += 1
-            REGISTRY.inc(
-                "eval_mode_cache_misses_total", mode=mode, stage=stage
+        series = self._series.get((hit, mode, stage))
+        if series is None:
+            series = self._series[(hit, mode, stage)] = metric_key(
+                "eval_mode_cache_hits_total"
+                if hit
+                else "eval_mode_cache_misses_total",
+                {"mode": mode, "stage": stage},
             )
+        REGISTRY.add(series)
         REGISTRY.set_gauge("eval_mode_cache_hit_rate", self.hit_rate)
 
     def _publish_gauges(self) -> None:

@@ -142,7 +142,10 @@ class MetricsRegistry:
 
     def inc(self, name: str, amount: float = 1.0, **labels: Any) -> float:
         """Increment a counter; returns its new value."""
-        key = metric_key(name, labels)
+        return self.add(metric_key(name, labels), amount)
+
+    def add(self, key: MetricKey, amount: float = 1.0) -> float:
+        """:meth:`inc` for a series key resolved once by the caller."""
         if self._paused:
             return self._counters.get(key, 0.0)
         value = self._counters.get(key, 0.0) + amount

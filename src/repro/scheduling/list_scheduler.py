@@ -22,12 +22,7 @@ from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 from repro.errors import SchedulingError
 from repro.problem import Problem
 from repro.scheduling.mobility import MobilityInfo, compute_mobilities
-from repro.scheduling.schedule import (
-    ModeSchedule,
-    ResourceTimeline,
-    ScheduledComm,
-    ScheduledTask,
-)
+from repro.scheduling.schedule import ModeSchedule, ResourceTimeline
 from repro.specification.mode import Mode
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -59,9 +54,12 @@ def schedule_mode(
     mobilities:
         Optional precomputed mobility table for priority computation.
     context:
-        Optional decode context with precomputed implementation tables,
-        adjacency and feasible-link tables; the produced schedule is
-        identical with and without it.
+        Decode context with precomputed implementation tables,
+        adjacency and feasible-link tables; resolved per problem when
+        omitted.
+
+    The schedule's arrays are filled in scheduling order, and every
+    booked resource's timeline supplies its activity order.
 
     Raises
     ------
@@ -70,56 +68,31 @@ def schedule_mode(
         (communication-infeasible mapping), or if the mapping misses a
         task.
     """
-    graph = mode.task_graph
-    technology = problem.technology
-    architecture = problem.architecture
-    mode_data = context.modes[mode.name] if context is not None else None
+    if context is None:
+        from repro.engine.decode_cache import context_for
 
+        context = context_for(problem)
+    mode_data = context.modes[mode.name]
     exec_times: Dict[str, float] = {}
     powers: Dict[str, float] = {}
-    if mode_data is not None:
-        cached_times = mode_data.exec_times
-        cached_powers = mode_data.powers
-        for name in mode_data.task_names:
-            try:
-                pe_name = task_mapping[name]
-            except KeyError:
-                raise SchedulingError(
-                    f"mode {mode.name!r}: no mapping for task {name!r}"
-                ) from None
-            exec_times[name] = cached_times[name][pe_name]
-            powers[name] = cached_powers[name][pe_name]
-        task_types = mode_data.task_types
-        pe_objects = context.pes
-        feasible_links = context.links_between
-        predecessors = mode_data.predecessors
-        successors = mode_data.successors
-        in_edges = mode_data.in_edges
-        graph_rank = mode_data.graph_rank
-        task_names = mode_data.task_names
-    else:
-        for task in graph:
-            try:
-                pe_name = task_mapping[task.name]
-            except KeyError:
-                raise SchedulingError(
-                    f"mode {mode.name!r}: no mapping for task {task.name!r}"
-                ) from None
-            entry = technology.implementation(task.task_type, pe_name)
-            exec_times[task.name] = entry.exec_time
-            powers[task.name] = entry.power
-        task_types = {task.name: task.task_type for task in graph}
-        pe_objects = {pe.name: pe for pe in architecture.pes}
-        feasible_links = None
-        predecessors = {
-            name: graph.predecessors(name) for name in graph.task_names
-        }
-        successors = {
-            name: graph.successors(name) for name in graph.task_names
-        }
-        in_edges = {name: graph.in_edges(name) for name in graph.task_names}
-        graph_rank = {name: i for i, name in enumerate(graph.task_names)}
-        task_names = graph.task_names
+    cached_times = mode_data.exec_times
+    cached_powers = mode_data.powers
+    for name in mode_data.task_names:
+        try:
+            pe_name = task_mapping[name]
+        except KeyError:
+            raise SchedulingError(
+                f"mode {mode.name!r}: no mapping for task {name!r}"
+            ) from None
+        exec_times[name] = cached_times[name][pe_name]
+        powers[name] = cached_powers[name][pe_name]
+    task_types = mode_data.task_types
+    pe_objects = context.pes
+    feasible_links = context.links_between
+    successors = mode_data.successors
+    in_edges = mode_data.in_edges
+    graph_rank = mode_data.graph_rank
+    task_names = mode_data.task_names
 
     if mobilities is None:
         mobilities = compute_mobilities(mode, lambda name: exec_times[name])
@@ -128,14 +101,20 @@ def schedule_mode(
     core_timelines: Dict[Tuple[str, str, int], ResourceTimeline] = {}
     link_timelines: Dict[str, ResourceTimeline] = {
         link.name: ResourceTimeline(link.name)
-        for link in architecture.links
+        for link in problem.architecture.links
     }
 
-    scheduled_tasks: Dict[str, ScheduledTask] = {}
-    scheduled_comms: Dict[Tuple[str, str], ScheduledComm] = {}
+    # The schedule's arrays, in scheduling order (see ModeSchedule).
+    names: List[str] = []
+    index_of: Dict[str, int] = {}
+    types, pes, core_of, power_of, starts, ends, energies = (
+        [] for _ in range(7)
+    )
+    srcs, dsts, src_tasks, dst_tasks, links = ([] for _ in range(5))
+    comm_starts, comm_ends, comm_energies = ([] for _ in range(3))
 
     pending_preds = {
-        name: len(predecessors[name]) for name in task_names
+        name: len(mode_data.predecessors[name]) for name in task_names
     }
     # Priority queue: most urgent (lowest ALAP) ready task first; ties
     # broken by graph order for determinism.
@@ -146,12 +125,11 @@ def schedule_mode(
                 ready, (mobilities[name].alap, graph_rank[name], name)
             )
 
-    processed = 0
     while ready:
         _, _, current = heapq.heappop(ready)
-        processed += 1
         pe_name = task_mapping[current]
         pe = pe_objects[pe_name]
+        index = len(names)
 
         # ------------------------------------------------------------
         # Communication mapping: route every incoming edge, earliest
@@ -159,82 +137,87 @@ def schedule_mode(
         # ------------------------------------------------------------
         data_ready = 0.0
         for edge in in_edges[current]:
-            producer = scheduled_tasks[edge.src]
-            if producer.pe == pe_name:
-                message = ScheduledComm(
-                    src=edge.src,
-                    dst=edge.dst,
-                    link=None,
-                    start=producer.end,
-                    end=producer.end,
-                    energy=0.0,
+            producer = index_of[edge.src]
+            produced = ends[producer]
+            src_pe = pes[producer]
+            link_name: Optional[str] = None
+            arrival = slot = produced
+            energy = 0.0
+            if src_pe != pe_name:
+                candidates = feasible_links[(src_pe, pe_name)]
+                if not candidates:
+                    raise SchedulingError(
+                        f"mode {mode.name!r}: no communication link between "
+                        f"{src_pe!r} and {pe_name!r} for message "
+                        f"{edge.src!r}->{current!r}"
+                    )
+                best: Optional[Tuple[float, float, str, float]] = None
+                for candidate in candidates:
+                    transfer = candidate.transfer_time(edge.data_bits)
+                    slot = link_timelines[candidate.name].earliest_slot(
+                        produced, transfer
+                    )
+                    key = (slot + transfer, slot, candidate.name, transfer)
+                    if best is None or key < best:
+                        best = key
+                        link = candidate
+                arrival, slot, link_name, transfer = best
+                energy = link.comm_power * transfer
+                link_timelines[link_name].book(
+                    slot, arrival - slot, len(srcs)
                 )
-            else:
-                message = _route_message(
-                    architecture,
-                    link_timelines,
-                    edge.src,
-                    edge.dst,
-                    producer.pe,
-                    pe_name,
-                    producer.end,
-                    edge.data_bits,
-                    mode.name,
-                    candidates=(
-                        feasible_links[(producer.pe, pe_name)]
-                        if feasible_links is not None
-                        else None
-                    ),
-                )
-                link_timelines[message.link].book(
-                    message.start, message.duration
-                )
-            scheduled_comms[edge.key] = message
-            data_ready = max(data_ready, message.end)
+            srcs.append(edge.src)
+            dsts.append(current)
+            src_tasks.append(producer)
+            dst_tasks.append(index)
+            links.append(link_name)
+            comm_starts.append(slot)
+            comm_ends.append(arrival)
+            comm_energies.append(energy)
+            if arrival > data_ready:
+                data_ready = arrival
 
         # ------------------------------------------------------------
         # Task placement on the execution resource.
         # ------------------------------------------------------------
         duration = exec_times[current]
         task_type = task_types[current]
+        core_index: Optional[int] = None
         if pe.is_software:
-            timeline = pe_timelines.setdefault(
-                pe_name, ResourceTimeline(pe_name)
-            )
+            timeline = pe_timelines.get(pe_name)
+            if timeline is None:
+                timeline = pe_timelines[pe_name] = ResourceTimeline(pe_name)
             start = timeline.earliest_slot(data_ready, duration)
-            timeline.book(start, duration)
-            core_index: Optional[int] = None
         else:
             available = max(
                 1, cores.available_cores(pe_name, mode.name, task_type)
             )
+            start = data_ready
             best_start = None
-            best_core = 0
             for core in range(available):
-                timeline = core_timelines.setdefault(
-                    (pe_name, task_type, core),
-                    ResourceTimeline(f"{pe_name}/{task_type}#{core}"),
-                )
-                slot = timeline.earliest_slot(data_ready, duration)
+                key = (pe_name, task_type, core)
+                core_timeline = core_timelines.get(key)
+                if core_timeline is None:
+                    core_timeline = core_timelines[key] = ResourceTimeline(
+                        f"{pe_name}/{task_type}#{core}"
+                    )
+                slot = core_timeline.earliest_slot(data_ready, duration)
                 if best_start is None or slot < best_start:
-                    best_start = slot
-                    best_core = core
-            start = best_start if best_start is not None else data_ready
-            core_timelines[(pe_name, task_type, best_core)].book(
-                start, duration
-            )
-            core_index = best_core
+                    best_start = start = slot
+                    core_index = core
+                    timeline = core_timeline
+        timeline.book(start, duration, index)
 
-        scheduled_tasks[current] = ScheduledTask(
-            name=current,
-            task_type=task_type,
-            pe=pe_name,
-            start=start,
-            end=start + duration,
-            energy=powers[current] * duration,
-            power=powers[current],
-            core_index=core_index,
-        )
+        power = powers[current]
+        index_of[current] = index
+        names.append(current)
+        types.append(task_type)
+        pes.append(pe_name)
+        core_of.append(core_index)
+        power_of.append(power)
+        starts.append(start)
+        ends.append(start + duration)
+        energies.append(power * duration)
 
         for succ in successors[current]:
             pending_preds[succ] -= 1
@@ -244,55 +227,47 @@ def schedule_mode(
                     (mobilities[succ].alap, graph_rank[succ], succ),
                 )
 
-    if processed != len(graph):
+    if len(names) != len(task_names):
         # Cannot happen for a validated (acyclic) task graph, but guards
         # against future model changes.
         raise SchedulingError(
-            f"mode {mode.name!r}: scheduler processed {processed} of "
-            f"{len(graph)} tasks"
+            f"mode {mode.name!r}: scheduler processed {len(names)} of "
+            f"{len(task_names)} tasks"
         )
 
-    return ModeSchedule(
-        mode.name, scheduled_tasks.values(), scheduled_comms.values()
-    )
-
-
-def _route_message(
-    architecture,
-    link_timelines: Dict[str, ResourceTimeline],
-    src_task: str,
-    dst_task: str,
-    src_pe: str,
-    dst_pe: str,
-    ready: float,
-    data_bits: float,
-    mode_name: str,
-    candidates=None,
-) -> ScheduledComm:
-    """Pick the link delivering the message earliest and build the entry."""
-    if candidates is None:
-        candidates = architecture.links_between(src_pe, dst_pe)
-    if not candidates:
-        raise SchedulingError(
-            f"mode {mode_name!r}: no communication link between "
-            f"{src_pe!r} and {dst_pe!r} for message "
-            f"{src_task!r}->{dst_task!r}"
-        )
-    best: Optional[Tuple[float, float, str, float]] = None
-    for link in candidates:
-        duration = link.transfer_time(data_bits)
-        slot = link_timelines[link.name].earliest_slot(ready, duration)
-        arrival = slot + duration
-        key = (arrival, slot, link.name, duration)
-        if best is None or key < best:
-            best = key
-    arrival, slot, link_name, duration = best
-    link = architecture.link(link_name)
-    return ScheduledComm(
-        src=src_task,
-        dst=dst_task,
-        link=link_name,
-        start=slot,
-        end=arrival,
-        energy=link.comm_power * duration,
+    # Timelines created while comparing cores but never booked hold no
+    # activity and stay out of the resource order.
+    task_order = [
+        timeline.order(names.__getitem__)
+        for timelines in (pe_timelines, core_timelines)
+        for timeline in timelines.values()
+        if len(timeline)
+    ]
+    comm_order = [
+        timeline.order(lambda i: (srcs[i], dsts[i]))
+        for timeline in link_timelines.values()
+        if len(timeline)
+    ]
+    return ModeSchedule.from_arrays(
+        mode.name,
+        task_names=names,
+        task_types=types,
+        task_pes=pes,
+        task_cores=core_of,
+        task_powers=power_of,
+        task_starts=starts,
+        task_ends=ends,
+        task_energies=energies,
+        task_pieces=[()] * len(names),
+        task_index=index_of,
+        comm_srcs=srcs,
+        comm_dsts=dsts,
+        comm_src_tasks=src_tasks,
+        comm_dst_tasks=dst_tasks,
+        comm_links=links,
+        comm_starts=comm_starts,
+        comm_ends=comm_ends,
+        comm_energies=comm_energies,
+        task_order=task_order,
+        comm_order=comm_order,
     )

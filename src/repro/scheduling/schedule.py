@@ -3,9 +3,11 @@
 A :class:`ModeSchedule` is the inner loop's product for one operational
 mode: start/end times for every task (with its core assignment on
 hardware components) and for every inter-PE communication (with its link
-choice).  :meth:`ModeSchedule.validate` re-checks all scheduling
-invariants — precedence, data arrival, mutual exclusion per serial
-resource — and is used heavily by the test suite.
+choice), held as parallel arrays that the list scheduler fills and
+PV-DVS reads; task and comm objects are built only when read.
+:meth:`ModeSchedule.validate` re-checks all scheduling invariants —
+precedence, data arrival, mutual exclusion per serial resource — and is
+used heavily by the test suite.
 
 :class:`ResourceTimeline` models one serial resource (a software
 processor, one hardware core, one bus) as a set of booked intervals with
@@ -16,7 +18,16 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.errors import SchedulingError
 from repro.architecture.platform import Architecture
@@ -104,13 +115,17 @@ class ResourceTimeline:
 
     Bookings never overlap; :meth:`earliest_slot` returns the earliest
     start time ``>= ready`` at which an interval of the given duration
-    fits, considering gaps between existing bookings.
+    fits, considering gaps between existing bookings.  Each booking may
+    carry an activity id; :meth:`order` lists the ids by start time.
     """
 
     def __init__(self, name: str) -> None:
         self.name = name
         self._starts: List[float] = []
         self._ends: List[float] = []
+        self._ids: List[int] = []
+        # Two bookings share a start only if one has zero length.
+        self._tied = False
 
     def __len__(self) -> int:
         return len(self._starts)
@@ -136,8 +151,8 @@ class ResourceTimeline:
             index += 1
         return candidate
 
-    def book(self, start: float, duration: float) -> None:
-        """Reserve ``[start, start+duration)``; must not overlap."""
+    def book(self, start: float, duration: float, ident: int = -1) -> None:
+        """Reserve ``[start, start+duration)`` for ``ident``; no overlap."""
         end = start + duration
         index = bisect.bisect_left(self._starts, start)
         if index > 0 and self._ends[index - 1] > start + TIME_EPS:
@@ -150,8 +165,18 @@ class ResourceTimeline:
                 f"resource {self.name!r}: booking [{start}, {end}) overlaps "
                 f"existing interval"
             )
+        if index < len(self._starts) and self._starts[index] == start:
+            self._tied = True
         self._starts.insert(index, start)
         self._ends.insert(index, end)
+        self._ids.insert(index, ident)
+
+    def order(self, tie_key: Callable[[int], Any]) -> List[int]:
+        """Booked ids by start; equal starts ordered by ``tie_key(id)``."""
+        if not self._tied:
+            return self._ids
+        ranked = sorted(zip(self._starts, map(tie_key, self._ids), self._ids))
+        return [ident for _, _, ident in ranked]
 
     def next_free(self) -> float:
         """End of the last booking (0 if the resource is idle)."""
@@ -159,7 +184,55 @@ class ResourceTimeline:
 
 
 class ModeSchedule:
-    """The complete static schedule of one operational mode."""
+    """The complete static schedule of one operational mode.
+
+    Stored as struct-of-arrays, which is all the synthesis loop reads:
+
+    * per task, in scheduling order: ``task_names``, ``task_types``,
+      ``task_pes``, ``task_cores``, ``task_powers``, ``task_starts``,
+      ``task_ends``, ``task_energies`` and ``task_pieces``, plus the
+      ``task_index`` map from name to position;
+    * per comm, in scheduling order: ``comm_srcs``, ``comm_dsts``, the
+      positions of those tasks (``comm_src_tasks``/``comm_dst_tasks``,
+      ``-1`` for a task the schedule lacks), ``comm_links``,
+      ``comm_starts``, ``comm_ends`` and ``comm_energies``;
+    * per serial resource (a software PE, a hardware core, a link) with
+      at least one booking: ``task_order``/``comm_order`` list the
+      positions by start, equal starts by name or ``(src, dst)``.
+
+    Arrays are never mutated after construction, so a voltage-scaled
+    schedule shares the mapping-fixed arrays of its input
+    (:meth:`retimed`).  The :class:`ScheduledTask`/:class:`ScheduledComm`
+    objects behind :attr:`tasks`, :attr:`comms`, :meth:`task`,
+    :meth:`comm`, :meth:`tasks_on`, :meth:`comms_on` and
+    :meth:`validate` are built on first access and cached.
+    """
+
+    mode_name: str
+    task_names: List[str]
+    task_types: List[str]
+    task_pes: List[str]
+    task_cores: List[Optional[int]]
+    task_powers: List[float]
+    task_starts: List[float]
+    task_ends: List[float]
+    task_energies: List[float]
+    task_pieces: List[Tuple[Tuple[float, float], ...]]
+    task_index: Dict[str, int]
+    comm_srcs: List[str]
+    comm_dsts: List[str]
+    comm_src_tasks: List[int]
+    comm_dst_tasks: List[int]
+    comm_links: List[Optional[str]]
+    comm_starts: List[float]
+    comm_ends: List[float]
+    comm_energies: List[float]
+    task_order: List[List[int]]
+    comm_order: List[List[int]]
+    _task_objects: Optional[Dict[str, ScheduledTask]]
+    _comm_objects: Optional[Dict[Tuple[str, str], ScheduledComm]]
+    # One slot per attribute annotated above.
+    __slots__ = tuple(__annotations__)
 
     def __init__(
         self,
@@ -167,26 +240,142 @@ class ModeSchedule:
         tasks: Iterable[ScheduledTask],
         comms: Iterable[ScheduledComm],
     ) -> None:
-        self.mode_name = mode_name
-        self._tasks: Dict[str, ScheduledTask] = {}
+        task_objects: Dict[str, ScheduledTask] = {}
         for entry in tasks:
-            if entry.name in self._tasks:
+            if entry.name in task_objects:
                 raise SchedulingError(
                     f"schedule {mode_name!r}: task {entry.name!r} scheduled "
                     f"twice"
                 )
-            self._tasks[entry.name] = entry
-        self._comms: Dict[Tuple[str, str], ScheduledComm] = {}
+            task_objects[entry.name] = entry
+        comm_objects: Dict[Tuple[str, str], ScheduledComm] = {}
         for entry in comms:
-            if entry.key in self._comms:
+            if entry.key in comm_objects:
                 raise SchedulingError(
                     f"schedule {mode_name!r}: comm {entry.key} scheduled twice"
                 )
-            self._comms[entry.key] = entry
+            comm_objects[entry.key] = entry
+        placed = tuple(task_objects.values())
+        carried = tuple(comm_objects.values())
+        index = {task.name: i for i, task in enumerate(placed)}
+        on_resource: Dict[Any, List[int]] = {}
+        for i, task in enumerate(placed):
+            on_resource.setdefault(
+                task.pe
+                if task.core_index is None
+                else (task.pe, task.task_type, task.core_index),
+                [],
+            ).append(i)
+        on_link: Dict[str, List[int]] = {}
+        for i, comm in enumerate(carried):
+            if comm.link is not None:
+                on_link.setdefault(comm.link, []).append(i)
+        self._set(
+            mode_name,
+            dict(
+                task_names=[t.name for t in placed],
+                task_types=[t.task_type for t in placed],
+                task_pes=[t.pe for t in placed],
+                task_cores=[t.core_index for t in placed],
+                task_powers=[t.power for t in placed],
+                task_starts=[t.start for t in placed],
+                task_ends=[t.end for t in placed],
+                task_energies=[t.energy for t in placed],
+                task_pieces=[t.pieces for t in placed],
+                task_index=index,
+                comm_srcs=[c.src for c in carried],
+                comm_dsts=[c.dst for c in carried],
+                comm_src_tasks=[index.get(c.src, -1) for c in carried],
+                comm_dst_tasks=[index.get(c.dst, -1) for c in carried],
+                comm_links=[c.link for c in carried],
+                comm_starts=[c.start for c in carried],
+                comm_ends=[c.end for c in carried],
+                comm_energies=[c.energy for c in carried],
+                task_order=[
+                    sorted(ids, key=lambda i: (placed[i].start, placed[i].name))
+                    for ids in on_resource.values()
+                ],
+                comm_order=[
+                    sorted(ids, key=lambda i: (carried[i].start, carried[i].key))
+                    for ids in on_link.values()
+                ],
+            ),
+        )
+        self._task_objects = task_objects
+        self._comm_objects = comm_objects
+
+    def _set(self, mode_name: str, arrays: Dict[str, Any]) -> None:
+        if len(arrays) != len(_ARRAY_SLOTS):
+            raise TypeError(f"a ModeSchedule takes the arrays {_ARRAY_SLOTS}")
+        self.mode_name = mode_name
+        for name, values in arrays.items():
+            setattr(self, name, values)
+        self._task_objects = None
+        self._comm_objects = None
+
+    @classmethod
+    def from_arrays(cls, mode_name: str, **arrays: Any) -> "ModeSchedule":
+        """A schedule over ready-made arrays, one keyword per array slot."""
+        schedule = cls.__new__(cls)
+        schedule._set(mode_name, arrays)
+        return schedule
+
+    def retimed(self, **arrays: Any) -> "ModeSchedule":
+        """This schedule with the given arrays replaced, sharing the rest.
+
+        Voltage scaling passes new times, energies and pieces; names,
+        placement, links and resource order stay the input's.
+        """
+        shared = {name: getattr(self, name) for name in _ARRAY_SLOTS}
+        shared.update(arrays)
+        return ModeSchedule.from_arrays(self.mode_name, **shared)
 
     # ------------------------------------------------------------------
-    # Accessors
+    # Object view
     # ------------------------------------------------------------------
+
+    def _build_objects(self) -> None:
+        """One ScheduledTask/ScheduledComm per activity, from the arrays."""
+        self._task_objects = {
+            name: ScheduledTask(
+                name, task_type, pe, start, end, energy, power, core, pieces
+            )
+            for name, task_type, pe, start, end, energy, power, core, pieces
+            in zip(
+                self.task_names,
+                self.task_types,
+                self.task_pes,
+                self.task_starts,
+                self.task_ends,
+                self.task_energies,
+                self.task_powers,
+                self.task_cores,
+                self.task_pieces,
+            )
+        }
+        self._comm_objects = {
+            (src, dst): ScheduledComm(src, dst, link, start, end, energy)
+            for src, dst, link, start, end, energy in zip(
+                self.comm_srcs,
+                self.comm_dsts,
+                self.comm_links,
+                self.comm_starts,
+                self.comm_ends,
+                self.comm_energies,
+            )
+        }
+
+    @property
+    def _tasks(self) -> Dict[str, ScheduledTask]:
+        if self._task_objects is None:
+            self._build_objects()
+        return self._task_objects  # type: ignore[return-value]
+
+    @property
+    def _comms(self) -> Dict[Tuple[str, str], ScheduledComm]:
+        if self._comm_objects is None:
+            self._build_objects()
+        return self._comm_objects  # type: ignore[return-value]
 
     @property
     def tasks(self) -> Tuple[ScheduledTask, ...]:
@@ -225,32 +414,27 @@ class ModeSchedule:
         placed.sort(key=lambda c: (c.start, c.key))
         return tuple(placed)
 
+    # ------------------------------------------------------------------
+    # Array summaries
+    # ------------------------------------------------------------------
+
     @property
     def makespan(self) -> float:
         """Latest finish time over all activities."""
-        latest = 0.0
-        for task in self._tasks.values():
-            latest = max(latest, task.end)
-        for comm in self._comms.values():
-            latest = max(latest, comm.end)
-        return latest
+        return max((0.0, *self.task_ends, *self.comm_ends))
 
     def total_dynamic_energy(self) -> float:
         """Sum of task and communication dynamic energies, in joules."""
-        return sum(t.energy for t in self._tasks.values()) + sum(
-            c.energy for c in self._comms.values()
-        )
+        return sum(self.task_energies) + sum(self.comm_energies)
 
     def active_pes(self) -> Tuple[str, ...]:
         """PEs executing at least one task in this mode (sorted)."""
-        return tuple(sorted({t.pe for t in self._tasks.values()}))
+        return tuple(sorted(set(self.task_pes)))
 
     def active_links(self) -> Tuple[str, ...]:
         """Links carrying at least one message in this mode (sorted)."""
         return tuple(
-            sorted(
-                {c.link for c in self._comms.values() if c.link is not None}
-            )
+            sorted({link for link in self.comm_links if link is not None})
         )
 
     # ------------------------------------------------------------------
@@ -360,23 +544,21 @@ class ModeSchedule:
         deadlines (``{task: seconds}``), saving the per-task graph walk
         on the synthesis hot path.
         """
+        if deadlines is None:
+            deadlines = {
+                task.name: mode.effective_deadline(task.name)
+                for task in mode.task_graph
+            }
+        index = self.task_index
+        ends = self.task_ends
         violations: Dict[str, float] = {}
-        if deadlines is not None:
-            tasks = self._tasks
-            for name, deadline in deadlines.items():
-                scheduled = tasks.get(name)
-                if scheduled is None:
-                    scheduled = self.task(name)
-                overshoot = scheduled.end - deadline
-                if overshoot > TIME_EPS:
-                    violations[name] = overshoot
-            return violations
-        for task in mode.task_graph:
-            scheduled = self.task(task.name)
-            deadline = mode.effective_deadline(task.name)
-            overshoot = scheduled.end - deadline
+        for name, deadline in deadlines.items():
+            position = index.get(name)
+            if position is None:
+                self.task(name)  # raises: not scheduled
+            overshoot = ends[position] - deadline
             if overshoot > TIME_EPS:
-                violations[task.name] = overshoot
+                violations[name] = overshoot
         return violations
 
     def is_timing_feasible(self, mode: Mode) -> bool:
@@ -385,9 +567,14 @@ class ModeSchedule:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"ModeSchedule({self.mode_name!r}, tasks={len(self._tasks)}, "
-            f"comms={len(self._comms)}, makespan={self.makespan:.6g})"
+            f"ModeSchedule({self.mode_name!r}, tasks={len(self.task_names)}, "
+            f"comms={len(self.comm_srcs)}, makespan={self.makespan:.6g})"
         )
+
+
+#: Every array slot of :class:`ModeSchedule` (all but the name and the
+#: object-view caches).
+_ARRAY_SLOTS = ModeSchedule.__slots__[1:-2]
 
 
 def _check_serial(activities: Sequence, resource: str) -> None:

@@ -4,6 +4,9 @@ Nothing under ``src/`` imports this package; it exists so the test
 suite (and the benchmark scripts) can compare the one runtime path per
 algorithm with the seed behaviour, bit for bit:
 
+* :mod:`tests.oracles.list_scheduler_reference` — the object-building
+  list scheduler, the reference for
+  :mod:`repro.scheduling.list_scheduler`;
 * :mod:`tests.oracles.pv_dvs_reference` — the seed's dict-based PV-DVS
   (gradient and uniform), the reference for :mod:`repro.dvs.pv_dvs`;
 * :mod:`tests.oracles.seed_evaluator` — the seed's monolithic

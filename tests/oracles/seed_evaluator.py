@@ -24,12 +24,12 @@ from repro.mapping.encoding import MappingString
 from repro.mapping.implementation import Implementation, ImplementationMetrics
 from repro.power.energy_model import average_power, power_breakdown
 from repro.problem import Problem
-from repro.scheduling.list_scheduler import schedule_mode
 from repro.scheduling.mobility import compute_mobilities
 from repro.scheduling.schedule import ModeSchedule
 from repro.synthesis.config import DvsMethod, SynthesisConfig
 from repro.synthesis.fitness import FitnessWeights, mapping_fitness
 
+from tests.oracles.list_scheduler_reference import schedule_mode
 from tests.oracles.pv_dvs_reference import (
     reference_scale_schedule,
     reference_uniform_scale_schedule,
