@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast lint typecheck bench bench-fast bench-smoke serve-smoke tables examples verify clean
+.PHONY: install test test-fast lint typecheck bench bench-fast bench-smoke tables examples verify clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -26,8 +26,8 @@ lint:
 # Static type check.  mypy is pinned in the `dev` optional-dependency
 # group; environments without it skip the check instead of failing.
 # Scope: the strictly annotated subsystems ([tool.mypy] in
-# pyproject.toml) — currently the adaptive, dvs, engine and eval
-# packages.
+# pyproject.toml) — currently the adaptive, dvs, engine, eval and
+# synthesis packages.
 typecheck:
 	@if command -v mypy >/dev/null 2>&1; then \
 	    mypy --config-file pyproject.toml; \
@@ -53,24 +53,16 @@ bench-smoke:
 	    --check benchmarks/results/bench_engine_quick_baseline.json
 	$(PYTHON) benchmarks/bench_dvs.py --quick
 
-# Campaign job server smoke: boot a real server through the CLI,
-# submit a quick campaign, and require the served result to be
-# identical to a direct in-process run of the same spec.
-serve-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.server.smoke
-
 # The full pre-merge gate: lint + typecheck (when available), tier-1
 # test suite, the end-to-end benchmark's contract tests (every name
-# its layer tracer wraps must still exist), the engine smoke benchmark
-# (bit-identity + performance regression check), plus the job-server
-# equivalence smoke.  Runs from a bare checkout — no `make install`
-# needed.
+# its layer tracer wraps must still exist) and the engine smoke
+# benchmark (bit-identity + performance regression check).  Runs from
+# a bare checkout — no `make install` needed.
 verify: lint typecheck
 	PYTHONPATH=src $(PYTHON) -m pytest tests/
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/e2e -q
 	$(PYTHON) benchmarks/bench_engine.py --quick \
 	    --check benchmarks/results/bench_engine_quick_baseline.json
-	PYTHONPATH=src $(PYTHON) -m repro.server.smoke
 
 tables:
 	$(PYTHON) -m repro.cli table1 --runs 5

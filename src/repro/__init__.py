@@ -38,13 +38,11 @@ Long experiment campaigns (resumable, observable)::
 """
 
 from repro.errors import (
-    AdmissionError,
     ArchitectureError,
     CampaignError,
     MappingError,
     ReproError,
     SchedulingError,
-    ServerError,
     SpecificationError,
     SynthesisError,
     TechnologyError,
@@ -116,16 +114,12 @@ from repro.api import (
     problem_names,
     resume_campaign,
     run_campaign,
-    serve_campaigns,
-    submit_job,
 )
 
 __version__ = "1.1.0"
 
 __all__ = [
     "AdaptationConfig",
-    "AdmissionError",
-    "ServerError",
     "AdaptationController",
     "AdaptationReport",
     "Architecture",
@@ -186,9 +180,7 @@ __all__ = [
     "run_campaign",
     "scale_schedule",
     "schedule_mode",
-    "serve_campaigns",
     "smartphone_problem",
-    "submit_job",
     "suite_problem",
     "synthesize",
     "transform_parallel_tasks",

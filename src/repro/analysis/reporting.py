@@ -17,11 +17,42 @@ from repro.analysis.experiments import ComparisonResult, PolicyOutcome
 from repro.analysis.paper_data import PaperRow
 
 
+def _is_complete(result: ComparisonResult) -> bool:
+    return bool(result.without.powers and result.with_probabilities.powers)
+
+
+def _comparison_cells(result: ComparisonResult) -> str:
+    """Power (mW) and CPU (s) per policy, then the reduction, of one row.
+
+    A policy with no finished run yet (a live campaign between a pair's
+    two jobs, or one whose other job failed) shows ``n/a``, and so does
+    the row's reduction.
+    """
+    cells = ""
+    for outcome, width in (
+        (result.without, 14),
+        (result.with_probabilities, 15),
+    ):
+        if outcome.powers:
+            cells += (
+                f"{outcome.mean_power * 1e3:>{width}.3f}"
+                f"{outcome.mean_cpu_time:>10.1f}"
+            )
+        else:
+            cells += f"{'n/a':>{width}}{'n/a':>10}"
+    if _is_complete(result):
+        return cells + f"{result.reduction_pct:>12.2f}"
+    return cells + f"{'n/a':>12}"
+
+
 def format_comparison_table(
     results: Sequence[ComparisonResult],
     title: str = "Considering Execution Probabilities",
 ) -> str:
-    """The Tables-1/2 layout: example, power/CPU per policy, reduction."""
+    """The Tables-1/2 layout: example, power/CPU per policy, reduction.
+
+    One-sided rows render ``n/a`` and stay out of the average.
+    """
     header = (
         f"{'Example':<14}{'P w/o Ψ (mW)':>14}{'CPU (s)':>10}"
         f"{'P with Ψ (mW)':>15}{'CPU (s)':>10}{'Reduc. (%)':>12}"
@@ -30,14 +61,10 @@ def format_comparison_table(
     for result in results:
         lines.append(
             f"{result.example + f' ({result.modes})':<14}"
-            f"{result.without.mean_power * 1e3:>14.3f}"
-            f"{result.without.mean_cpu_time:>10.1f}"
-            f"{result.with_probabilities.mean_power * 1e3:>15.3f}"
-            f"{result.with_probabilities.mean_cpu_time:>10.1f}"
-            f"{result.reduction_pct:>12.2f}"
+            + _comparison_cells(result)
         )
-    if results:
-        reductions = [r.reduction_pct for r in results]
+    reductions = [r.reduction_pct for r in results if _is_complete(r)]
+    if reductions:
         lines.append("-" * len(header))
         lines.append(
             f"{'average':<14}{'':>14}{'':>10}{'':>15}{'':>10}"
@@ -103,14 +130,7 @@ def format_smartphone_table(
         result = results.get(label)
         if result is None:
             continue
-        lines.append(
-            f"{label:<12}"
-            f"{result.without.mean_power * 1e3:>14.3f}"
-            f"{result.without.mean_cpu_time:>10.1f}"
-            f"{result.with_probabilities.mean_power * 1e3:>15.3f}"
-            f"{result.with_probabilities.mean_cpu_time:>10.1f}"
-            f"{result.reduction_pct:>12.2f}"
-        )
+        lines.append(f"{label:<12}" + _comparison_cells(result))
     both = [results.get("w/o DVS"), results.get("with DVS")]
     if all(both):
         overall = 100.0 * (

@@ -44,8 +44,6 @@ __all__ = [
     "problem_names",
     "resume_campaign",
     "run_campaign",
-    "serve_campaigns",
-    "submit_job",
     "synthesize",
 ]
 
@@ -98,65 +96,6 @@ def run_campaign(
     return CampaignRunner(
         spec, run_dir, problem_loader=problem_loader, on_event=on_event
     ).run()
-
-
-def serve_campaigns(
-    state_dir: Union[str, pathlib.Path],
-    socket_path: Union[str, pathlib.Path, None] = None,
-    slots: int = 2,
-    tenant_quota: int = 8,
-    queue_bound: int = 64,
-    tenant_weights: Optional[Mapping[str, float]] = None,
-) -> None:
-    """Run the multi-tenant campaign job server (blocking).
-
-    Binds a JSON-lines Unix socket at ``socket_path`` (default
-    ``state_dir/server.sock``) and serves ``submit``/``status``/
-    ``cancel``/``result``/``stream`` until SIGTERM/SIGINT.  Jobs are
-    durable in ``state_dir``: a restart with the same directory
-    requeues whatever was in flight and resumes it bit-identically
-    from its latest checkpoint.  See ``docs/server.md``.
-    """
-    from repro.server.service import CampaignServer
-
-    CampaignServer(
-        state_dir,
-        socket_path=socket_path,
-        slots=slots,
-        tenant_quota=tenant_quota,
-        queue_bound=queue_bound,
-        tenant_weights=tenant_weights,
-    ).run()
-
-
-def submit_job(
-    spec: Union[CampaignSpec, Mapping[str, Any], str, pathlib.Path],
-    socket_path: Union[str, pathlib.Path],
-    tenant: str = "default",
-    priority: int = 0,
-    wait: bool = False,
-    timeout: float = 3600.0,
-) -> Dict[str, Any]:
-    """Submit a campaign to a running server; returns the job record.
-
-    ``spec`` accepts the same shapes as :func:`run_campaign`.  Raises
-    :class:`~repro.errors.AdmissionError` when the server rejects the
-    job for backpressure (tenant quota or queue bound).  With ``wait``
-    the call blocks (up to ``timeout`` seconds) until the job reaches
-    a terminal state and returns its final record; otherwise it
-    returns the freshly queued record immediately.
-    """
-    from repro.server.client import ServerClient
-
-    if isinstance(spec, (str, pathlib.Path)):
-        spec = CampaignSpec.load(spec)
-    elif not isinstance(spec, CampaignSpec):
-        spec = CampaignSpec.from_dict(spec)
-    client = ServerClient(socket_path)
-    submitted = client.submit(spec, tenant=tenant, priority=priority)
-    if not wait:
-        return dict(client.status(submitted["job_id"])["job"])
-    return dict(client.wait(submitted["job_id"], timeout=timeout))
 
 
 def adapt_online(

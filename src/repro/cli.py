@@ -14,10 +14,6 @@ Examples::
     repro-mm campaign --report runs/t1          # tables from events only
     repro-mm campaign --status runs/t1          # progress + ETA snapshot
     repro-mm campaign --tail runs/t1            # follow the event stream
-    repro-mm serve --state srv --slots 2        # campaign job server
-    repro-mm submit spec.json --state srv --tenant alice --wait
-    repro-mm jobs --state srv                   # list server jobs
-    repro-mm cancel j000001-alice --state srv   # cancel one job
 
 The module is also runnable as ``python -m repro.cli``.
 """
@@ -351,125 +347,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     return 1 if outcome.failures else 0
 
 
-def _server_socket(args: argparse.Namespace) -> str:
-    """Resolve the server socket from ``--socket`` or ``--state``."""
-    import pathlib
-
-    from repro.server.service import SOCKET_FILENAME
-
-    if getattr(args, "socket", None):
-        return str(args.socket)
-    if getattr(args, "state", None):
-        return str(pathlib.Path(args.state) / SOCKET_FILENAME)
-    raise SystemExit(
-        f"repro-mm: error: {args.command} needs --state DIR or "
-        f"--socket PATH to locate the server"
-    )
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.errors import ServerError
-    from repro.server.service import CampaignServer
-
-    try:
-        server = CampaignServer(
-            args.state,
-            socket_path=args.socket,
-            slots=args.slots,
-            tenant_quota=args.tenant_quota,
-            queue_bound=args.queue_bound,
-        )
-    except ServerError as exc:
-        raise SystemExit(f"repro-mm: error: {exc}") from None
-    print(
-        f"serving campaigns from {server.state_dir} "
-        f"(socket {server.socket_path}, {args.slots} slots)",
-        flush=True,
-    )
-    try:
-        server.run()
-    except ServerError as exc:
-        raise SystemExit(f"repro-mm: error: {exc}") from None
-    except KeyboardInterrupt:
-        pass
-    print("server stopped")
-    return 0
-
-
-def _cmd_submit(args: argparse.Namespace) -> int:
-    from repro.errors import AdmissionError, ServerError
-    from repro.obs import format_event
-    from repro.server.client import ServerClient
-
-    client = ServerClient(_server_socket(args))
-    try:
-        spec = CampaignSpec.load(args.spec)
-        submitted = client.submit(
-            spec, tenant=args.tenant, priority=args.priority
-        )
-    except AdmissionError as exc:
-        raise SystemExit(
-            f"repro-mm: rejected (backpressure): {exc}"
-        ) from None
-    except (CampaignError, ServerError) as exc:
-        raise SystemExit(f"repro-mm: error: {exc}") from None
-    job_id = submitted["job_id"]
-    print(f"submitted {job_id} ({submitted['state']})")
-    if not (args.wait or args.follow):
-        return 0
-    try:
-        if args.follow:
-            for event in client.stream(job_id, follow=True):
-                print(format_event(event), flush=True)
-        job = client.wait(job_id, timeout=args.timeout)
-    except ServerError as exc:
-        raise SystemExit(f"repro-mm: error: {exc}") from None
-    except KeyboardInterrupt:
-        print(f"\ndetached; job {job_id} keeps running on the server")
-        return 0
-    state = job["state"]
-    if state == "done":
-        print(f"{job_id} done")
-        return 0
-    print(f"{job_id} ended {state!r}: {job.get('error') or 'n/a'}")
-    return 1
-
-
-def _cmd_jobs(args: argparse.Namespace) -> int:
-    from repro.errors import ServerError
-    from repro.server.client import ServerClient
-
-    client = ServerClient(_server_socket(args))
-    try:
-        rows = client.jobs(tenant=args.tenant)
-    except ServerError as exc:
-        raise SystemExit(f"repro-mm: error: {exc}") from None
-    if not rows:
-        print("no jobs")
-        return 0
-    width = max(len(str(row["job_id"])) for row in rows)
-    print(f"{'job':<{width}}  {'tenant':<12}  {'state':<9}  campaign")
-    for row in rows:
-        print(
-            f"{row['job_id']:<{width}}  {row['tenant']:<12}  "
-            f"{row['state']:<9}  {row.get('campaign') or '-'}"
-        )
-    return 0
-
-
-def _cmd_cancel(args: argparse.Namespace) -> int:
-    from repro.errors import ServerError
-    from repro.server.client import ServerClient
-
-    client = ServerClient(_server_socket(args))
-    try:
-        response = client.cancel(args.job_id)
-    except ServerError as exc:
-        raise SystemExit(f"repro-mm: error: {exc}") from None
-    print(f"{args.job_id}: {response['state']}")
-    return 0
-
-
 def _cmd_problems(args: argparse.Namespace) -> int:
     """List every registry instance with its mode and gene counts."""
     names = registry.names()
@@ -761,103 +638,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="suppress per-job progress lines",
     )
 
-    serve = sub.add_parser(
-        "serve",
-        help=(
-            "run the multi-tenant campaign job server: JSON-lines over "
-            "a Unix socket, weighted fair scheduling, durable jobs that "
-            "survive restarts"
-        ),
-    )
-    serve.add_argument(
-        "--state",
-        metavar="DIR",
-        required=True,
-        help="server state directory (jobs, runs, socket, events)",
-    )
-    serve.add_argument(
-        "--socket",
-        metavar="PATH",
-        default=None,
-        help="socket path override (default: STATE/server.sock)",
-    )
-    serve.add_argument(
-        "--slots",
-        type=int,
-        default=2,
-        help="concurrent campaign worker subprocesses",
-    )
-    serve.add_argument(
-        "--tenant-quota",
-        type=int,
-        default=8,
-        help="max queued+running jobs per tenant before rejection",
-    )
-    serve.add_argument(
-        "--queue-bound",
-        type=int,
-        default=64,
-        help="max queued jobs across all tenants before rejection",
-    )
-
-    submit = sub.add_parser(
-        "submit", help="submit a campaign spec to a running server"
-    )
-    submit.add_argument("spec", help="campaign spec JSON file")
-    submit.add_argument(
-        "--state",
-        metavar="DIR",
-        default=None,
-        help="server state directory (to find STATE/server.sock)",
-    )
-    submit.add_argument(
-        "--socket",
-        metavar="PATH",
-        default=None,
-        help="server socket path (overrides --state)",
-    )
-    submit.add_argument(
-        "--tenant", default="default", help="tenant identity"
-    )
-    submit.add_argument(
-        "--priority",
-        type=int,
-        default=0,
-        help="priority within the tenant's queue (higher first)",
-    )
-    submit.add_argument(
-        "--wait",
-        action="store_true",
-        help="block until the job reaches a terminal state",
-    )
-    submit.add_argument(
-        "--follow",
-        action="store_true",
-        help="stream the job's campaign events while waiting",
-    )
-    submit.add_argument(
-        "--timeout",
-        type=float,
-        default=3600.0,
-        help="with --wait/--follow: seconds before giving up",
-    )
-
-    jobs_parser = sub.add_parser(
-        "jobs", help="list jobs known to a running server"
-    )
-    jobs_parser.add_argument("--state", metavar="DIR", default=None)
-    jobs_parser.add_argument("--socket", metavar="PATH", default=None)
-    jobs_parser.add_argument(
-        "--tenant", default=None, help="restrict to one tenant"
-    )
-
-    cancel = sub.add_parser(
-        "cancel", help="cancel a queued or running server job"
-    )
-    cancel.add_argument("job_id", help="job id as printed by submit/jobs")
-    cancel.add_argument("--state", metavar="DIR", default=None)
-    cancel.add_argument("--socket", metavar="PATH", default=None)
-
     simulate = sub.add_parser(
         "simulate",
         help=(
@@ -911,14 +691,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _cmd_simulate(args)
     if args.command == "campaign":
         return _cmd_campaign(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "submit":
-        return _cmd_submit(args)
-    if args.command == "jobs":
-        return _cmd_jobs(args)
-    if args.command == "cancel":
-        return _cmd_cancel(args)
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

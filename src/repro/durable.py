@@ -1,7 +1,7 @@
 """The one writer of every JSON file the package saves.
 
-Campaign specs, checkpoints, job results, run summaries, server job
-records, the design library and the ``repro.io`` files all go through
+Campaign specs, checkpoints, job results, run summaries, the design
+library and the ``repro.io`` files all go through
 :func:`atomic_write_json`.  The module imports nothing from the
 package, so any layer can use it without an import cycle.
 """

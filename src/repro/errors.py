@@ -73,30 +73,3 @@ class CampaignError(ReproError):
     ``spec.json``, or when a checkpoint file does not match the job it
     claims to belong to.
     """
-
-
-class ServerError(ReproError):
-    """A campaign job-server request failed.
-
-    Carries the protocol error ``kind`` (``"invalid"``, ``"not_found"``,
-    ``"conflict"``, ``"backpressure"``, ``"internal"``, …) so callers
-    can branch without parsing the message.
-    """
-
-    def __init__(self, message: str, kind: str = "internal") -> None:
-        super().__init__(message)
-        self.kind = kind
-
-
-class AdmissionError(ServerError):
-    """The job server refused a submission (backpressure).
-
-    Raised when a tenant is over its queued+running quota or the
-    server's global queue bound is reached.  This is the *typed*
-    rejection clients are expected to back off on; every rejection is
-    also counted in ``server_admission_rejections_total{tenant}``.
-    """
-
-    def __init__(self, message: str, tenant: str = "") -> None:
-        super().__init__(message, kind="backpressure")
-        self.tenant = tenant

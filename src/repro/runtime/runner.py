@@ -44,7 +44,7 @@ from repro.obs.metrics import REGISTRY
 from repro.obs.summary import build_run_summary, write_run_summary
 from repro.problem import Problem
 from repro.runtime import checkpoint as ckpt
-from repro.runtime.events import EventLog, events_path, read_events
+from repro.runtime.events import EventLog, events_path, iter_events, read_events
 from repro.runtime.spec import CampaignSpec, JobSpec
 from repro.synthesis.cosynthesis import MultiModeSynthesizer
 from repro.synthesis.state import GAState
@@ -60,12 +60,12 @@ RESULT_VERSION = 1
 def _sigterm_as_interrupt():
     """Convert SIGTERM into ``KeyboardInterrupt`` for the enclosed block.
 
-    A supervised campaign process (a server worker subprocess, a
-    systemd unit, a container being stopped) is told to go away with
-    SIGTERM, not Ctrl-C.  Routing it through the same interrupt path
-    gives SIGTERM the identical graceful shutdown: the latest
-    checkpoint is already durable, the ``campaign_interrupted`` event
-    is emitted and the best-effort ``run_summary.json`` export fires.
+    A supervised campaign process (a systemd unit, a batch scheduler,
+    a container being stopped) is told to go away with SIGTERM, not
+    Ctrl-C.  Routing it through the same interrupt path gives SIGTERM
+    the identical graceful shutdown: the latest checkpoint is already
+    durable, the ``campaign_interrupted`` event is emitted and the
+    best-effort ``run_summary.json`` export fires.
     Signal handlers can only be installed from the main thread; from
     any other thread the campaign runs with the process default
     behaviour, unchanged.
@@ -249,20 +249,37 @@ class CampaignRunner:
         :attr:`CampaignResult.failures`.  ``KeyboardInterrupt`` *does*
         abort, after the interrupted job's latest checkpoint is
         already on disk; resuming later continues bit-identically.
-        SIGTERM (supervisors, server worker slots, container stops)
-        takes the same graceful path when the campaign runs on the
-        main thread.
+        SIGTERM (supervisors, batch schedulers, container stops) takes
+        the same graceful path when the campaign runs on the main
+        thread.
+
+        A stored result whose ``job_finished`` event is missing from
+        the stream — the process died between writing the result and
+        logging it — is logged ``job_finished`` now, from the stored
+        record, in place of ``job_skipped``; so every completed job
+        appears finished in the stream exactly once.
         """
         queue = self.spec.jobs()
         outcome = CampaignResult(spec=self.spec, run_dir=self.run_dir)
         with _sigterm_as_interrupt(), EventLog(
             events_path(self.run_dir)
         ) as events:
-            pending = [
-                job
+            stored = {
+                job.job_id: ckpt.load_result(self.run_dir, job.job_id)
                 for job in queue
-                if ckpt.load_result(self.run_dir, job.job_id) is None
-            ]
+            }
+            pending = [job for job in queue if stored[job.job_id] is None]
+            # Only a run directory with stored results can have lost a
+            # job_finished event; a fresh campaign never reads its stream.
+            logged_finished = (
+                {
+                    event.get("job_id")
+                    for event in iter_events(events.path)
+                    if event.get("event") == "job_finished"
+                }
+                if len(pending) < len(queue)
+                else set()
+            )
             remaining = len(pending)
             REGISTRY.set_gauge("campaign_jobs_pending", remaining)
             self._emit(
@@ -274,17 +291,27 @@ class CampaignRunner:
             )
             try:
                 for job in queue:
-                    stored = ckpt.load_result(self.run_dir, job.job_id)
-                    if stored is not None:
-                        result = JobResult.from_dict(stored)
+                    record = stored[job.job_id]
+                    if record is not None:
+                        result = JobResult.from_dict(record)
                         outcome.results[job.job_id] = result
                         REGISTRY.inc("campaign_jobs_skipped_total")
-                        self._emit(
-                            events,
-                            "job_skipped",
-                            job_id=job.job_id,
-                            reason="already complete",
-                        )
+                        if job.job_id in logged_finished:
+                            self._emit(
+                                events,
+                                "job_skipped",
+                                job_id=job.job_id,
+                                reason="already complete",
+                            )
+                        else:
+                            config = job.configure(self.spec.config)
+                            self._emit(
+                                events,
+                                "job_finished",
+                                **_finished_fields(
+                                    result, config.max_generations
+                                ),
+                            )
                         continue
                     try:
                         result = self._run_job(job, events)
@@ -435,9 +462,6 @@ class CampaignRunner:
                 continue
 
             validate_implementation(synthesis.best)
-            converged = (
-                synthesis.generations < config.max_generations
-            )
             result = JobResult(
                 job_id=job.job_id,
                 instance=job.instance,
@@ -474,24 +498,33 @@ class CampaignRunner:
             self._emit(
                 events,
                 "job_finished",
-                job_id=job.job_id,
-                instance=job.instance,
-                modes=result.modes,
-                dvs=result.dvs,
-                use_probabilities=result.use_probabilities,
-                seed=result.seed,
-                power=result.power,
-                cpu_time=result.cpu_time,
-                feasible=result.feasible,
-                converged=converged,
-                generations=result.generations,
-                evaluations=result.evaluations,
-                attempts=result.attempts,
-                perf=result.perf,
-                mode_powers=result.mode_powers,
+                **_finished_fields(result, config.max_generations),
             )
             return result
         raise AssertionError("unreachable: retry loop exits via return/raise")
+
+
+def _finished_fields(
+    result: JobResult, max_generations: int
+) -> Dict[str, Any]:
+    """The fields of a job's ``job_finished`` event."""
+    return dict(
+        job_id=result.job_id,
+        instance=result.instance,
+        modes=result.modes,
+        dvs=result.dvs,
+        use_probabilities=result.use_probabilities,
+        seed=result.seed,
+        power=result.power,
+        cpu_time=result.cpu_time,
+        feasible=result.feasible,
+        converged=result.generations < max_generations,
+        generations=result.generations,
+        evaluations=result.evaluations,
+        attempts=result.attempts,
+        perf=result.perf,
+        mode_powers=result.mode_powers,
+    )
 
 
 # ----------------------------------------------------------------------

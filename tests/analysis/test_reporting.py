@@ -46,6 +46,20 @@ class TestComparisonTable:
         text = format_comparison_table([])
         assert "Example" in text
 
+    def test_one_sided_row_is_na_and_left_out_of_the_average(self):
+        # A campaign between a pair's two jobs: only the Ψ-neglecting
+        # run of mul2 has finished.
+        one_sided = fake_result("mul2", 4, 4e-3)
+        one_sided.with_probabilities = PolicyOutcome()
+        text = format_comparison_table([fake_result(), one_sided])
+        row = next(line for line in text.splitlines() if "mul2" in line)
+        assert "4.000" in row
+        assert row.split()[-3:] == ["n/a", "n/a", "n/a"]
+        average = next(
+            line for line in text.splitlines() if "average" in line
+        )
+        assert average.split()[-1] == "12.50"  # mul1's alone
+
 
 class TestPaperComparison:
     def test_side_by_side(self):

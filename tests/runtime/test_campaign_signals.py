@@ -1,11 +1,11 @@
 """SIGTERM must take the same graceful path as Ctrl-C.
 
-A supervised campaign (server worker subprocess, systemd unit,
-container stop) is told to go away with SIGTERM.  The regression
-pinned here: the ``run_summary.json`` export and the
-``campaign_interrupted`` event — long wired to ``KeyboardInterrupt`` —
-must also fire on SIGTERM, and the interrupted campaign must resume
-bit-identically afterwards.
+A supervised campaign (systemd unit, batch scheduler, container
+stop) is told to go away with SIGTERM.  The regression pinned here:
+the ``run_summary.json`` export and the ``campaign_interrupted`` event
+— long wired to ``KeyboardInterrupt`` — must also fire on SIGTERM, and
+the interrupted campaign must resume bit-identically afterwards.
+SIGKILL, which no handler sees, is ``test_campaign_kill``'s subject.
 """
 
 import json

@@ -35,6 +35,16 @@ class TestFacadeSurface:
             assert hasattr(repro, name), name
             assert name in repro.__all__
 
+    @pytest.mark.parametrize("module", [repro, repro.api])
+    def test_every_exported_name_resolves(self, module):
+        # A stale __all__ entry for a deleted name fails here, not at
+        # the first `from repro import *` downstream.
+        missing = [
+            name for name in module.__all__ if not hasattr(module, name)
+        ]
+        assert not missing
+        assert len(set(module.__all__)) == len(module.__all__)
+
     def test_load_problem_uses_registry(self):
         problem = load_problem("mul2")
         assert isinstance(problem, Problem)

@@ -254,6 +254,30 @@ class TestCampaign:
         assert "already complete, skipped" in out
         assert "campaign done: 2 jobs completed" in out
 
+    def test_report_with_one_of_two_jobs_finished(self, capsys, tmp_path):
+        from repro.runtime.runner import run_campaign
+        from repro.runtime.spec import CampaignSpec
+
+        class Killed(KeyboardInterrupt):
+            pass
+
+        def kill_after_first_job(event):
+            if event["event"] == "job_finished":
+                raise Killed
+
+        spec = CampaignSpec.load(self._write_spec(tmp_path))
+        run_dir = tmp_path / "run"
+        with pytest.raises(Killed):
+            run_campaign(spec, run_dir, on_event=kill_after_first_job)
+
+        assert main(["campaign", "--report", str(run_dir)]) == 0
+        row = next(
+            line
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("mul9")
+        )
+        assert row.split()[-3:] == ["n/a", "n/a", "n/a"]
+
     def test_report_without_events_errors(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["campaign", "--report", str(tmp_path / "nowhere")])
