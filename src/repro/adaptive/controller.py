@@ -302,11 +302,15 @@ class AdaptationController:
     # ------------------------------------------------------------------
 
     def step(self, mode: str, dwell: float) -> None:
-        """Account one visit, then check for (and react to) drift."""
+        """Account one visit, then check for (and react to) drift.
+
+        The estimator checks the visit first, so a rejected visit
+        changes neither the energy, the clock nor the estimate.
+        """
+        self.estimator.observe(mode, dwell)
         self._current_mode = mode
         self.energy += dwell * self.deployed.mode_power(mode)
         self.now += dwell
-        self.estimator.observe(mode, dwell)
         self._check_drift()
 
     def run(self, visits: Iterable[Any]) -> AdaptationReport:

@@ -101,9 +101,9 @@ class PsiEstimator:
                 f"estimator knows no mode {mode!r} "
                 f"(modes: {list(self._mode_names)})"
             )
-        if dwell < 0:
+        if not math.isfinite(dwell) or dwell < 0:
             raise SpecificationError(
-                f"dwell time must be non-negative, got {dwell}"
+                f"dwell time must be finite and non-negative, got {dwell}"
             )
         if dwell == 0:
             return

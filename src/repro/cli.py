@@ -371,8 +371,13 @@ def _cmd_problems(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_trace(path: str) -> list:
-    """Read a trace file: a JSON list of ``[mode, dwell]`` pairs."""
+def _load_trace(path: str, problem: Problem) -> list:
+    """Read a trace file: a JSON list of ``[mode, dwell]`` pairs.
+
+    Every entry must name a mode of ``problem`` and carry a finite
+    dwell of at least 0 s; the first bad entry ends the command with
+    one error line, before any synthesis runs.
+    """
     import json
 
     try:
@@ -386,7 +391,27 @@ def _load_trace(path: str) -> list:
             f"repro-mm: error: trace {path!r} must be a JSON list of "
             f"[mode, dwell] pairs"
         )
-    return [(str(mode), float(dwell)) for mode, dwell in data]
+    modes = problem.omsm.mode_names
+    trace = []
+    for number, entry in enumerate(data, start=1):
+        if not isinstance(entry, list) or len(entry) != 2:
+            reason = f"expected a [mode, dwell] pair, got {entry!r}"
+        elif entry[0] not in modes:
+            reason = (
+                f"unknown mode {entry[0]!r} (modes: {', '.join(modes)})"
+            )
+        elif type(entry[1]) not in (int, float):
+            reason = f"dwell {entry[1]!r} is not a number"
+        elif not 0 <= entry[1] <= sys.float_info.max:
+            # NaN fails both comparisons.
+            reason = f"dwell {entry[1]!r} is not a finite time >= 0"
+        else:
+            trace.append((entry[0], float(entry[1])))
+            continue
+        raise SystemExit(
+            f"repro-mm: error: trace {path!r}: entry {number}: {reason}"
+        )
+    return trace
 
 
 def _cmd_adapt(args: argparse.Namespace) -> int:
@@ -398,7 +423,7 @@ def _cmd_adapt(args: argparse.Namespace) -> int:
         synthesis=_config_from_args(args),
         seed=args.seed,
     )
-    trace = _load_trace(args.trace) if args.trace else None
+    trace = _load_trace(args.trace, problem) if args.trace else None
     report = adapt_online(
         problem,
         trace=trace,

@@ -178,8 +178,7 @@ class EvaluationBackend(ABC):
         The one in-process path: serial batches, a pool's tiny and
         post-fallback batches and the local-search polish.  Takes the
         :class:`~repro.mapping.encoding.MappingString` objects
-        themselves (not gene tuples) to keep their dirty-mode sets for
-        the incremental pipeline.
+        themselves (not gene tuples), so nothing is re-validated.
         """
         from repro.synthesis.evaluator import evaluate_mapping
 

@@ -9,9 +9,9 @@ depends on the mapping string — only on the :class:`Problem`.
 
 A :class:`DecodeContext` computes all of it exactly once (per process:
 pool workers build their own at initialisation) and the evaluator's
-phases read from plain dicts.  The fast paths replicate the original
-float operations in the original order, so results are bit-identical
-with and without the context — asserted by the engine test suite.
+phases read from plain dicts.  They replicate the original float
+operations in the original order, so results are bit-identical to the
+context-free references under ``tests/oracles``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Dict, FrozenSet, List, Mapping, Tuple
 
 from repro.architecture.processing_element import ProcessingElement
 from repro.problem import Problem
-from repro.scheduling.mobility import MobilityInfo
+from repro.scheduling.mobility import MobilityInfo, asap_alap
 from repro.specification.task_graph import CommEdge
 
 #: Soft cap on the memoised DVS voltage tables (segment durations vary
@@ -113,7 +113,6 @@ class DecodeContext:
     """
 
     __slots__ = (
-        "problem",
         "modes",
         "pes",
         "links_between",
@@ -124,14 +123,12 @@ class DecodeContext:
 
     def __init__(
         self,
-        problem: Problem,
         modes: Dict[str, ModeDecodeData],
         pes: Dict[str, ProcessingElement],
         links_between: Dict[Tuple[str, str], tuple],
         hw_dvs_pes: FrozenSet[str],
         dvs_pes: FrozenSet[str] = frozenset(),
     ) -> None:
-        self.problem = problem
         self.modes = modes
         self.pes = pes
         self.links_between = links_between
@@ -169,7 +166,7 @@ class DecodeContext:
         dvs = frozenset(
             pe.name for pe in architecture.pes if pe.dvs_enabled
         )
-        return cls(problem, modes, pes, links, hw_dvs, dvs)
+        return cls(modes, pes, links, hw_dvs, dvs)
 
     def mode(self, mode_name: str) -> ModeDecodeData:
         return self.modes[mode_name]
@@ -205,37 +202,19 @@ class DecodeContext:
     def compute_mobilities(
         self, mode_name: str, pe_by_task: Mapping[str, str]
     ) -> Dict[str, MobilityInfo]:
-        """ASAP/ALAP analysis from the cached tables.
-
-        Mirrors :func:`repro.scheduling.mobility.compute_mobilities`
-        operation-for-operation (same traversal and accumulation order)
-        so the produced floats are bit-identical.
-        """
+        """ASAP/ALAP analysis of one mode mapping, on the cached tables."""
         data = self.modes[mode_name]
-        order = data.topo_order
         exec_times = data.exec_times
         durations = {
-            name: exec_times[name][pe_by_task[name]] for name in order
+            name: exec_times[name][pe_by_task[name]] for name in data.topo_order
         }
-
-        asap: Dict[str, float] = {}
-        for name in order:
-            arrival = 0.0
-            for pred in data.predecessors[name]:
-                arrival = max(arrival, asap[pred] + durations[pred])
-            asap[name] = arrival
-
-        alap: Dict[str, float] = {}
-        for name in reversed(order):
-            latest_finish = data.deadlines[name]
-            for succ in data.successors[name]:
-                latest_finish = min(latest_finish, alap[succ])
-            alap[name] = latest_finish - durations[name]
-
-        return {
-            name: MobilityInfo(asap=asap[name], alap=alap[name])
-            for name in order
-        }
+        return asap_alap(
+            data.topo_order,
+            data.predecessors,
+            data.successors,
+            data.deadlines,
+            durations,
+        )
 
 
 def context_for(problem: Problem) -> DecodeContext:

@@ -41,6 +41,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
+from repro.mapping.cores import ModeDemand
 from repro.obs.metrics import REGISTRY, MetricKey, metric_key
 from repro.scheduling.mobility import MobilityInfo
 from repro.scheduling.schedule import ModeSchedule
@@ -57,7 +58,7 @@ MODE_CACHE_SIZE = 4096
 #: configs with equal fingerprints produce bit-identical mode results,
 #: so entries are shared; anything else (fitness weights, probability
 #: policy, GA sizing) only affects the uncached combine stages.
-ConfigFingerprint = Tuple[str, bool, int]
+ConfigFingerprint = Tuple[str, bool]
 
 #: ``(mode, mode-gene slice, fingerprint)``.
 PrepKey = Tuple[str, Tuple[str, ...], ConfigFingerprint]
@@ -68,17 +69,10 @@ CoreSignature = Tuple[Tuple[str, Tuple[Tuple[str, int], ...]], ...]
 #: ``(mode, mode-gene slice, core signature, fingerprint)``.
 SchedKey = Tuple[str, Tuple[str, ...], CoreSignature, ConfigFingerprint]
 
-#: Per-PE ``(base_counts, desired_counts)`` core demand of one mode.
-ModeDemand = Dict[str, Tuple[Dict[str, int], Dict[str, int]]]
-
 
 def config_fingerprint(config: "SynthesisConfig") -> ConfigFingerprint:
     """The facets of a configuration that per-mode results depend on."""
-    return (
-        config.dvs.value,
-        config.dvs_shared_rail,
-        config.inner_loop_iterations,
-    )
+    return (config.dvs.value, config.dvs_shared_rail)
 
 
 class ModePrep:

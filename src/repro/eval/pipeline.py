@@ -14,13 +14,10 @@ everything else is a cache hit recorded in the profiler's dedicated
 ``cache_hit`` phase (per-mode buckets keep summing exactly to the
 aggregates because skipped stages simply record nothing).
 
-The cache is consulted by *key*, not by dirty-set bookkeeping: a mode's
-prep is keyed on its gene slice and a config fingerprint, its schedule
-additionally on the core counts its scheduler reads (see
-:mod:`repro.eval.cache`).  Dirty-mode sets reported by the genetic
-operators (:meth:`~repro.mapping.encoding.MappingString.dirty_modes`)
-are therefore an observability and testing aid — correctness never
-depends on them being precise.
+The cache is consulted by *key*: a mode's prep is keyed on its gene
+slice and a config fingerprint, its schedule additionally on the core
+counts its scheduler reads (see :mod:`repro.eval.cache`), so the
+pipeline needs no record of which modes an operator changed.
 
 Results are pinned bit-for-bit to the frozen seed evaluator under
 ``tests/oracles`` (a single monolithic recompute-per-candidate pass).
@@ -39,12 +36,8 @@ from repro.eval.cache import (
     config_fingerprint,
     mode_cache_for,
 )
-from repro.eval.stages import (
-    combine_cores,
-    core_signature,
-    prepare_mode,
-    run_mode,
-)
+from repro.eval.stages import core_signature, prepare_mode, run_mode
+from repro.mapping.cores import combine_cores
 from repro.mapping.encoding import MappingString
 from repro.mapping.implementation import Implementation, ImplementationMetrics
 from repro.power.energy_model import weighted_power

@@ -8,27 +8,22 @@ the caching).  Every stage works on a resolved
 corresponding slice of a monolithic recompute-per-candidate evaluation
 — same float operations, same iteration order — so pipeline results
 are bit-identical to the frozen seed evaluator under ``tests/oracles``.
-Where a kernel could be shared it was extracted rather than duplicated
-(:func:`repro.mapping.cores.mode_pe_demand`,
-:func:`repro.power.energy_model.weighted_power`).
+Core demand and fitting are the kernels
+:func:`repro.mapping.cores.allocate_cores` runs too
+(:func:`~repro.mapping.cores.mode_demand`,
+:func:`~repro.mapping.cores.combine_cores`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from repro.architecture.processing_element import PEKind
 from repro.dvs.pv_dvs import scale_schedule, uniform_scale_schedule
 from repro.engine.decode_cache import DecodeContext
 from repro.engine.profile import PROFILER
 from repro.errors import SchedulingError
-from repro.eval.cache import CoreSignature, ModeDemand, ModeOutcome, ModePrep
-from repro.mapping.cores import (
-    CoreAllocation,
-    _fit_asic,
-    _fit_fpga,
-    mode_pe_demand,
-)
+from repro.eval.cache import CoreSignature, ModeOutcome, ModePrep
+from repro.mapping.cores import CoreAllocation, ModeDemand, mode_demand
 from repro.mapping.encoding import MappingString
 from repro.power.energy_model import mode_dynamic_power
 from repro.power.shutdown import mode_static_power
@@ -48,61 +43,16 @@ def prepare_mode(
     """Mobility stage: mode mapping, ASAP/ALAP mobilities, core demand.
 
     Pure function of the mode's gene slice (prep cache segment).  The
-    demand part hoists this mode's share of ``allocate_cores`` out of
-    the (cross-mode) combine stage — it too depends only on this mode's
+    demand part hoists this mode's share of core allocation out of the
+    (cross-mode) combine stage — it too depends only on this mode's
     genes.
     """
     mode_mapping = mapping.mode_mapping(mode.name)
     mobilities = context.compute_mobilities(mode.name, mode_mapping)
-    mode_data = context.modes[mode.name]
-    demand: ModeDemand = {}
-    for pe in problem.architecture.hardware_pes():
-        demand[pe.name] = mode_pe_demand(
-            problem,
-            mode,
-            pe,
-            mobilities,
-            mapping=mapping,
-            mode_data=mode_data,
-            pe_by_task=mode_mapping,
-        )
+    demand = mode_demand(
+        problem, context.modes[mode.name], mode_mapping, mobilities
+    )
     return ModePrep(mode_mapping, mobilities, demand)
-
-
-def combine_cores(
-    problem: Problem, demands: Mapping[str, ModeDemand]
-) -> CoreAllocation:
-    """Core-allocation stage: recombine cached per-mode demands.
-
-    The only cross-mode coupling of the whole pipeline: ASICs take the
-    per-type max over modes (union configuration), FPGAs fit each mode
-    separately.  Base/desired dictionaries are assembled in OMSM mode
-    order, reproducing ``allocate_cores``'s iteration (and therefore
-    greedy fitting) order exactly.
-    """
-    architecture = problem.architecture
-    counts: Dict[str, Dict[str, Dict[str, int]]] = {}
-    area_used: Dict[str, float] = {}
-    mode_names = problem.omsm.mode_names
-
-    for pe in architecture.hardware_pes():
-        base: Dict[str, Dict[str, int]] = {}
-        desired: Dict[str, Dict[str, int]] = {}
-        for mode in problem.omsm.modes:
-            base_counts, desired_counts = demands[mode.name][pe.name]
-            base[mode.name] = base_counts
-            desired[mode.name] = desired_counts
-        if pe.kind is PEKind.ASIC:
-            pe_counts, used = _fit_asic(problem, pe, base, desired)
-        else:
-            pe_counts, used = _fit_fpga(problem, pe, base, desired)
-        counts[pe.name] = {
-            mode_name: pe_counts.get(mode_name, {})
-            for mode_name in mode_names
-        }
-        area_used[pe.name] = used
-
-    return CoreAllocation(counts=counts, area_used=area_used, _problem=problem)
 
 
 def core_signature(
@@ -159,27 +109,14 @@ def run_mode(
     schedule: Optional[ModeSchedule]
     with PROFILER.phase("schedule", mode=mode.name):
         try:
-            if config.inner_loop_iterations > 0:
-                from repro.scheduling.priority_search import (
-                    refine_schedule,
-                )
-
-                schedule = refine_schedule(
-                    problem,
-                    mode,
-                    prep.mode_mapping,
-                    cores,
-                    iterations=config.inner_loop_iterations,
-                )
-            else:
-                schedule = schedule_mode(
-                    problem,
-                    mode,
-                    prep.mode_mapping,
-                    cores,
-                    prep.mobilities,
-                    context=context,
-                )
+            schedule = schedule_mode(
+                problem,
+                mode,
+                prep.mode_mapping,
+                cores,
+                prep.mobilities,
+                context=context,
+            )
         except SchedulingError:
             schedule = None
     if schedule is None:

@@ -22,15 +22,15 @@ Area accounting distinguishes the two hardware kinds:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Tuple
 
 from repro.architecture.processing_element import PEKind, ProcessingElement
 from repro.mapping.encoding import MappingString
 from repro.problem import Problem
-from repro.scheduling.mobility import MobilityInfo, compute_mobilities
+from repro.scheduling.mobility import MobilityInfo
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.engine.decode_cache import DecodeContext
+    from repro.engine.decode_cache import ModeDecodeData
 
 
 @dataclass
@@ -133,54 +133,101 @@ class CoreAllocation:
         return violations
 
 
-def allocate_cores(
-    problem: Problem,
-    mapping: MappingString,
-    mobilities: Optional[Mapping[str, Mapping[str, MobilityInfo]]] = None,
-    context: Optional["DecodeContext"] = None,
-    mode_mappings: Optional[Mapping[str, Mapping[str, str]]] = None,
-) -> CoreAllocation:
+#: Per-PE ``(base_counts, desired_counts)`` core demand of one mode.
+ModeDemand = Dict[str, Tuple[Dict[str, int], Dict[str, int]]]
+
+
+def allocate_cores(problem: Problem, mapping: MappingString) -> CoreAllocation:
     """Derive the hardware core sets implied by a mapping string.
 
-    Parameters
-    ----------
-    problem:
-        The co-synthesis instance.
-    mapping:
-        The multi-mode mapping string to realise.
-    mobilities:
-        Optional per-mode mobility tables (``{mode: {task: info}}``).
-        Computed on demand when omitted.
-    context:
-        Optional decode context; supplies precomputed task types and
-        same-type independence, avoiding per-candidate graph queries.
-    mode_mappings:
-        Optional predecoded ``{mode: {task: pe}}`` dictionaries (the
-        evaluator already built them); avoids ``O(genes)`` ``pe_of``
-        scans per task.
+    Runs the evaluation pipeline's own stages: per mode the mobilities
+    on the decode tables and :func:`mode_demand`, then
+    :func:`combine_cores`.
     """
-    architecture = problem.architecture
-    technology = problem.technology
-    if mobilities is None:
-        mobilities = {
-            mode.name: compute_mobilities(
-                mode,
-                lambda task, _m=mode: technology.implementation(
-                    _m.task_graph.task(task).task_type,
-                    mapping.pe_of(_m.name, task),
-                ).exec_time,
-            )
-            for mode in problem.omsm.modes
-        }
+    from repro.engine.decode_cache import context_for
 
+    context = context_for(problem)
+    demands: Dict[str, ModeDemand] = {}
+    for mode in problem.omsm.modes:
+        mode_mapping = mapping.mode_mapping(mode.name)
+        demands[mode.name] = mode_demand(
+            problem,
+            context.modes[mode.name],
+            mode_mapping,
+            context.compute_mobilities(mode.name, mode_mapping),
+        )
+    return combine_cores(problem, demands)
+
+
+def mode_demand(
+    problem: Problem,
+    mode_data: "ModeDecodeData",
+    pe_by_task: Mapping[str, str],
+    mobilities: Mapping[str, MobilityInfo],
+) -> ModeDemand:
+    """Minimum and desired core counts of one mode on every hardware PE.
+
+    The minimum is one core per task type with at least one task mapped
+    to the PE.  The desired count additionally provisions cores for
+    parallel low-mobility tasks: within a (PE, type) group sorted by
+    mobility, the k-th member (k = 1, 2, ...) deserves its own core when
+    it is independent of some other group member and its mobility is
+    below ``k`` times the type's execution time — i.e. when queueing
+    behind the k earlier executions on a single core would push it past
+    its ALAP start.  The result depends only on the mode's gene slice,
+    so the pipeline caches it per mode.
+    """
+    groups: Dict[str, Dict[str, List[str]]] = {
+        pe.name: {} for pe in problem.architecture.hardware_pes()
+    }
+    task_types = mode_data.task_types
+    for name in mode_data.task_names:
+        pe_groups = groups.get(pe_by_task[name])
+        if pe_groups is not None:
+            pe_groups.setdefault(task_types[name], []).append(name)
+    independent = mode_data.independent_same_type
+    demand: ModeDemand = {}
+    for pe_name, pe_groups in groups.items():
+        base_counts: Dict[str, int] = {}
+        desired_counts: Dict[str, int] = {}
+        for task_type, members in pe_groups.items():
+            base_counts[task_type] = 1
+            extra = 0
+            if len(members) > 1:
+                exec_time = problem.technology.implementation(
+                    task_type, pe_name
+                ).exec_time
+                ordered = sorted(
+                    members, key=lambda n: mobilities[n].mobility
+                )
+                for position, name in enumerate(ordered[1:], start=1):
+                    parallel = not independent[name].isdisjoint(members)
+                    urgent = mobilities[name].mobility < position * exec_time
+                    if parallel and urgent:
+                        extra += 1
+            desired_counts[task_type] = 1 + min(extra, len(members) - 1)
+        demand[pe_name] = (base_counts, desired_counts)
+    return demand
+
+
+def combine_cores(
+    problem: Problem, demands: Mapping[str, ModeDemand]
+) -> CoreAllocation:
+    """Fit the per-mode demands of all modes into the hardware PEs.
+
+    The only cross-mode coupling of core allocation: ASICs take the
+    per-type max over modes (union configuration), FPGAs fit each mode
+    separately.  Modes are visited in OMSM order, which fixes the
+    greedy fitting order.
+    """
     counts: Dict[str, Dict[str, Dict[str, int]]] = {}
     area_used: Dict[str, float] = {}
     mode_names = problem.omsm.mode_names
-
-    for pe in architecture.hardware_pes():
-        base, desired = _per_mode_demand(
-            problem, mapping, mobilities, pe, context, mode_mappings
-        )
+    for pe in problem.architecture.hardware_pes():
+        base: Dict[str, Dict[str, int]] = {}
+        desired: Dict[str, Dict[str, int]] = {}
+        for mode_name in mode_names:
+            base[mode_name], desired[mode_name] = demands[mode_name][pe.name]
         if pe.kind is PEKind.ASIC:
             pe_counts, used = _fit_asic(problem, pe, base, desired)
         else:
@@ -190,115 +237,7 @@ def allocate_cores(
             for mode_name in mode_names
         }
         area_used[pe.name] = used
-
     return CoreAllocation(counts=counts, area_used=area_used, _problem=problem)
-
-
-def _per_mode_demand(
-    problem: Problem,
-    mapping: MappingString,
-    mobilities: Mapping[str, Mapping[str, MobilityInfo]],
-    pe: ProcessingElement,
-    context: Optional["DecodeContext"] = None,
-    mode_mappings: Optional[Mapping[str, Mapping[str, str]]] = None,
-) -> Tuple[Dict[str, Dict[str, int]], Dict[str, Dict[str, int]]]:
-    """Minimum and desired per-mode core counts for one hardware PE.
-
-    The minimum is one core per task type with at least one task mapped
-    here.  The desired count additionally provisions cores for parallel
-    low-mobility tasks: within a (mode, type) group sorted by mobility,
-    the k-th member (k = 1, 2, ...) deserves its own core when it is
-    independent of some other group member and its mobility is below
-    ``k`` times the type's execution time — i.e. when queueing behind
-    the k earlier executions on a single core would push it past its
-    ALAP start.
-    """
-    base: Dict[str, Dict[str, int]] = {}
-    desired: Dict[str, Dict[str, int]] = {}
-    for mode in problem.omsm.modes:
-        mode_data = context.modes[mode.name] if context is not None else None
-        pe_by_task = (
-            mode_mappings[mode.name] if mode_mappings is not None else None
-        )
-        base_counts, desired_counts = mode_pe_demand(
-            problem,
-            mode,
-            pe,
-            mobilities[mode.name],
-            mapping=mapping,
-            mode_data=mode_data,
-            pe_by_task=pe_by_task,
-        )
-        base[mode.name] = base_counts
-        desired[mode.name] = desired_counts
-    return base, desired
-
-
-def mode_pe_demand(
-    problem: Problem,
-    mode,
-    pe: ProcessingElement,
-    mode_mobilities: Mapping[str, MobilityInfo],
-    mapping: Optional[MappingString] = None,
-    mode_data=None,
-    pe_by_task: Optional[Mapping[str, str]] = None,
-) -> Tuple[Dict[str, int], Dict[str, int]]:
-    """Minimum and desired core counts of one (mode, hardware PE) pair.
-
-    The single-mode kernel of :func:`_per_mode_demand`, shared with the
-    incremental evaluation pipeline: the result depends only on the
-    mode's gene slice (through ``pe_by_task``/``mapping``) and its
-    mobilities, so it can be memoised per mode.  Either ``mode_data`` +
-    ``pe_by_task`` (decode-cache fast path) or ``mapping`` (legacy
-    path) must be provided.
-    """
-    graph = mode.task_graph
-    groups: Dict[str, List[str]] = {}
-    if mode_data is not None and pe_by_task is not None:
-        task_types = mode_data.task_types
-        for name in mode_data.task_names:
-            if pe_by_task[name] == pe.name:
-                groups.setdefault(task_types[name], []).append(name)
-    else:
-        assert mapping is not None
-        for task in graph:
-            if mapping.pe_of(mode.name, task.name) == pe.name:
-                groups.setdefault(task.task_type, []).append(task.name)
-    base_counts: Dict[str, int] = {}
-    desired_counts: Dict[str, int] = {}
-    for task_type, members in groups.items():
-        base_counts[task_type] = 1
-        extra = 0
-        if len(members) > 1:
-            entry = problem.technology.implementation(task_type, pe.name)
-            ordered = sorted(
-                members,
-                key=lambda n: mode_mobilities[n].mobility,
-            )
-            for position, name in enumerate(ordered[1:], start=1):
-                if mode_data is not None:
-                    independent = mode_data.independent_same_type.get(
-                        name, frozenset()
-                    )
-                    parallel = any(
-                        other in independent
-                        for other in members
-                        if other != name
-                    )
-                else:
-                    parallel = any(
-                        graph.independent(name, other)
-                        for other in members
-                        if other != name
-                    )
-                urgent = (
-                    mode_mobilities[name].mobility
-                    < position * entry.exec_time
-                )
-                if parallel and urgent:
-                    extra += 1
-        desired_counts[task_type] = 1 + min(extra, len(members) - 1)
-    return base_counts, desired_counts
 
 
 def _core_area(problem: Problem, pe_name: str, task_type: str) -> float:

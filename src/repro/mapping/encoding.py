@@ -12,16 +12,7 @@ order.
 from __future__ import annotations
 
 import random
-from typing import (
-    Dict,
-    FrozenSet,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
 
 from repro.errors import MappingError
 from repro.problem import Problem
@@ -32,17 +23,9 @@ class MappingString:
 
     Instances compare and hash by gene content, so populations can be
     deduplicated with sets/dicts.
-
-    Genomes produced by the genetic operators additionally carry a
-    *dirty-mode set* (:attr:`dirty_modes`): the modes whose gene slice
-    differs from the genome the operator derived them from.  The set is
-    metadata — it never enters equality or hashing — and feeds the
-    incremental evaluation pipeline's observability (clean modes are
-    recognised by cache key regardless, so a stale or missing set can
-    never corrupt results).
     """
 
-    __slots__ = ("_problem", "_genes", "_hash", "_dirty_modes")
+    __slots__ = ("_problem", "_genes", "_hash")
 
     def __init__(self, problem: Problem, genes: Sequence[str]) -> None:
         layout = _layout(problem)
@@ -60,7 +43,6 @@ class MappingString:
         self._problem = problem
         self._genes: Tuple[str, ...] = tuple(genes)
         self._hash = hash(self._genes)
-        self._dirty_modes: Optional[FrozenSet[str]] = None
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -144,24 +126,6 @@ class MappingString:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"MappingString({list(self._genes)!r})"
 
-    @property
-    def dirty_modes(self) -> Optional[FrozenSet[str]]:
-        """Modes whose genes may differ from this genome's parent.
-
-        ``None`` means "unknown provenance" (constructed directly, not
-        via a genetic operator) and is treated as all-modes-dirty by
-        consumers.  An empty set means the operator produced an exact
-        copy.
-        """
-        return self._dirty_modes
-
-    def _with_dirty(
-        self, dirty: FrozenSet[str]
-    ) -> "MappingString":
-        """Annotate this genome's dirty-mode set (internal, post-init)."""
-        self._dirty_modes = dirty
-        return self
-
     def mode_mapping(self, mode_name: str) -> Dict[str, str]:
         """Task → PE assignment for one mode (``M_τ^O``)."""
         start, genes = self._mode_slice(mode_name)
@@ -181,20 +145,6 @@ class MappingString:
             if name == mode_name:
                 return self._genes[start:end]
         raise MappingError(f"unknown mode {mode_name!r}")
-
-    def diff_modes(self, other: "MappingString") -> FrozenSet[str]:
-        """Modes whose gene slices differ between two genomes (exact)."""
-        if self._problem is not other._problem:
-            raise MappingError(
-                "cannot diff genomes from different problems"
-            )
-        if self._genes == other._genes:
-            return frozenset()
-        return frozenset(
-            name
-            for name, start, end in mode_bounds(self._problem)
-            if self._genes[start:end] != other._genes[start:end]
-        )
 
     def full_mapping(self) -> Dict[str, Dict[str, str]]:
         """``{mode: {task: pe}}`` for all modes."""
@@ -234,29 +184,18 @@ class MappingString:
             raise MappingError(f"gene index {index} out of range")
         genes = list(self._genes)
         genes[index] = pe
-        child = MappingString(self._problem, genes)
-        return child._with_dirty(
-            _modes_of_indices(self._problem, (index,))
-            if pe != self._genes[index]
-            else frozenset()
-        )
+        return MappingString(self._problem, genes)
 
     def with_genes(
         self, replacements: Mapping[int, str]
     ) -> "MappingString":
         """A copy with several genes replaced at once."""
         genes = list(self._genes)
-        changed: List[int] = []
         for index, pe in replacements.items():
             if not 0 <= index < len(genes):
                 raise MappingError(f"gene index {index} out of range")
-            if genes[index] != pe:
-                changed.append(index)
             genes[index] = pe
-        child = MappingString(self._problem, genes)
-        return child._with_dirty(
-            _modes_of_indices(self._problem, changed)
-        )
+        return MappingString(self._problem, genes)
 
     def mutate(
         self, rng: random.Random, per_gene_rate: float
@@ -264,18 +203,15 @@ class MappingString:
         """Uniform gene mutation: each gene re-drawn with probability."""
         layout = _layout(self._problem)
         genes = list(self._genes)
-        changed: List[int] = []
+        changed = False
         for index, (_, _, candidates) in enumerate(layout):
             if len(candidates) > 1 and rng.random() < per_gene_rate:
                 alternatives = [c for c in candidates if c != genes[index]]
                 genes[index] = rng.choice(alternatives)
-                changed.append(index)
+                changed = True
         if not changed:
             return self
-        child = MappingString(self._problem, genes)
-        return child._with_dirty(
-            _modes_of_indices(self._problem, changed)
-        )
+        return MappingString(self._problem, genes)
 
     def crossover_two_point(
         self, other: "MappingString", rng: random.Random
@@ -303,14 +239,9 @@ class MappingString:
             child_b[low:high],
             child_a[low:high],
         )
-        first_child = MappingString(self._problem, child_a)
-        second_child = MappingString(self._problem, child_b)
-        # Each child inherits everything outside [low, high) from its
-        # base parent, so its dirty modes (relative to that parent) are
-        # exactly the modes whose slice the exchange actually changed.
         return (
-            first_child._with_dirty(first_child.diff_modes(self)),
-            second_child._with_dirty(second_child.diff_modes(other)),
+            MappingString(self._problem, child_a),
+            MappingString(self._problem, child_b),
         )
 
     # ------------------------------------------------------------------
@@ -362,18 +293,3 @@ def mode_bounds(problem: Problem) -> Tuple[Tuple[str, int, int], ...]:
         problem._mode_bounds = cached  # type: ignore[attr-defined]
     return cached
 
-
-def _modes_of_indices(
-    problem: Problem, indices: Sequence[int]
-) -> FrozenSet[str]:
-    """The modes owning the given flat gene indices."""
-    if not indices:
-        return frozenset()
-    bounds = mode_bounds(problem)
-    dirty = set()
-    for index in indices:
-        for name, start, end in bounds:
-            if start <= index < end:
-                dirty.add(name)
-                break
-    return frozenset(dirty)

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import SchedulingError
 from repro.problem import Problem
-from repro.scheduling.mobility import MobilityInfo, compute_mobilities
+from repro.scheduling.mobility import MobilityInfo
 from repro.scheduling.schedule import ModeSchedule, ResourceTimeline
 from repro.specification.mode import Mode
 
@@ -95,7 +95,7 @@ def schedule_mode(
     task_names = mode_data.task_names
 
     if mobilities is None:
-        mobilities = compute_mobilities(mode, lambda name: exec_times[name])
+        mobilities = context.compute_mobilities(mode.name, task_mapping)
 
     pe_timelines: Dict[str, ResourceTimeline] = {}
     core_timelines: Dict[Tuple[str, str, int], ResourceTimeline] = {}

@@ -17,7 +17,7 @@ mapping-level heuristic needs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict
+from typing import Callable, Dict, Mapping, Sequence
 
 from repro.errors import SchedulingError
 from repro.specification.mode import Mode
@@ -34,6 +34,40 @@ class MobilityInfo:
     def mobility(self) -> float:
         """Scheduling freedom ``ALAP − ASAP`` (0 on the critical path)."""
         return self.alap - self.asap
+
+
+def asap_alap(
+    order: Sequence[str],
+    predecessors: Mapping[str, Sequence[str]],
+    successors: Mapping[str, Sequence[str]],
+    deadlines: Mapping[str, float],
+    durations: Mapping[str, float],
+) -> Dict[str, MobilityInfo]:
+    """The one ASAP/ALAP pass, over plain adjacency and timing tables.
+
+    ``order`` is a topological order of the graph; ``deadlines`` holds
+    each task's effective deadline (the earlier of the mode period and
+    its own deadline).  Both :func:`compute_mobilities` and
+    :meth:`repro.engine.decode_cache.DecodeContext.compute_mobilities`
+    run on it.
+    """
+    asap: Dict[str, float] = {}
+    for name in order:
+        arrival = 0.0
+        for pred in predecessors[name]:
+            arrival = max(arrival, asap[pred] + durations[pred])
+        asap[name] = arrival
+
+    alap: Dict[str, float] = {}
+    for name in reversed(order):
+        latest_finish = deadlines[name]
+        for succ in successors[name]:
+            latest_finish = min(latest_finish, alap[succ])
+        alap[name] = latest_finish - durations[name]
+
+    return {
+        name: MobilityInfo(asap=asap[name], alap=alap[name]) for name in order
+    }
 
 
 def compute_mobilities(
@@ -70,24 +104,13 @@ def compute_mobilities(
                 f"task {name!r}"
             )
         durations[name] = duration
-
-    asap: Dict[str, float] = {}
-    for name in order:
-        arrival = 0.0
-        for pred in graph.predecessors(name):
-            arrival = max(arrival, asap[pred] + durations[pred])
-        asap[name] = arrival
-
-    alap: Dict[str, float] = {}
-    for name in reversed(order):
-        latest_finish = mode.effective_deadline(name)
-        for succ in graph.successors(name):
-            latest_finish = min(latest_finish, alap[succ])
-        alap[name] = latest_finish - durations[name]
-
-    return {
-        name: MobilityInfo(asap=asap[name], alap=alap[name]) for name in order
-    }
+    return asap_alap(
+        order,
+        {name: graph.predecessors(name) for name in order},
+        {name: graph.successors(name) for name in order},
+        {name: mode.effective_deadline(name) for name in order},
+        durations,
+    )
 
 
 def critical_path_length(

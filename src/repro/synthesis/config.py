@@ -12,9 +12,9 @@ from repro.errors import SynthesisError
 #: Evaluation and pool switches of earlier versions.  Each one only
 #: chose between bit-identical implementations, so specs, checkpoints
 #: and ``with_updates`` calls that still carry them load with the key
-#: dropped, whatever its value.  ``dvs_warm_start`` (see
-#: :func:`_drop_retired`) is the one retired key whose ``True`` value
-#: changed results.
+#: dropped, whatever its value.  ``dvs_warm_start`` and
+#: ``inner_loop_iterations`` (see :func:`_drop_retired`) are the retired
+#: keys whose non-default values changed results.
 RETIRED_KEYS = frozenset(
     {
         "decode_cache",
@@ -31,13 +31,19 @@ RETIRED_KEYS = frozenset(
 def _drop_retired(values: Dict[str, Any]) -> Dict[str, Any]:
     """Strip retired keys from ``values`` (in place) and return it.
 
-    ``dvs_warm_start: false`` is dropped like the others; ``true``
-    asked for a descent that no longer exists and is rejected.
+    ``dvs_warm_start: false`` and ``inner_loop_iterations: 0`` are
+    dropped like the others; any other value asked for a search that
+    no longer exists and is rejected.
     """
     if values.pop("dvs_warm_start", False):
         raise SynthesisError(
             "the analytical DVS warm start (dvs_warm_start) was removed; "
             "drop the key or set it to false"
+        )
+    if values.pop("inner_loop_iterations", 0):
+        raise SynthesisError(
+            "the priority-search scheduler (inner_loop_iterations) was "
+            "removed; drop the key or set it to 0"
         )
     for key in RETIRED_KEYS:
         values.pop(key, None)
@@ -114,10 +120,6 @@ class SynthesisConfig:
         ``factor × genome length`` evaluations (0 disables).  On large
         genomes this reliably trims the last few cells of an area
         overflow the GA's crossover cannot hit exactly.
-    inner_loop_iterations:
-        Priority-refinement iterations of the list scheduler per mode
-        and candidate (0 = plain ALAP priorities).  Improves schedule
-        quality at a multiplicative inner-loop cost.
     jobs:
         Worker processes for population evaluation.  ``1`` (default)
         evaluates in-process; ``N > 1`` dispatches each generation's
@@ -165,7 +167,6 @@ class SynthesisConfig:
     timing_weight: float = 20.0
 
     local_search_budget_factor: float = 3.0
-    inner_loop_iterations: int = 0
 
     jobs: int = 1
     pool_failure_mode: str = "fallback"
@@ -213,10 +214,6 @@ class SynthesisConfig:
         if self.local_search_budget_factor < 0:
             raise SynthesisError(
                 "local search budget factor must be non-negative"
-            )
-        if self.inner_loop_iterations < 0:
-            raise SynthesisError(
-                "inner loop iterations must be non-negative"
             )
         if self.jobs < 1:
             raise SynthesisError("jobs must be at least 1")

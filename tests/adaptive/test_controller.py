@@ -222,6 +222,27 @@ class TestClosedLoop:
         )
         assert report.resyntheses == 0
 
+    @pytest.mark.parametrize(
+        "mode,dwell",
+        [("O1", -1.0), ("O1", float("nan")), ("O1", float("inf")), ("X", 1.0)],
+        ids=["negative", "nan", "inf", "unknown-mode"],
+    )
+    def test_rejected_visit_changes_nothing(
+        self, problem, library, mode, dwell
+    ):
+        controller = AdaptationController(
+            problem, fresh_library(library), make_config()
+        )
+        for visit in TRACE[:4]:
+            controller.step(*visit)
+        energy, now = controller.energy, controller.now
+        estimate = controller.estimator.estimate()
+        with pytest.raises(SpecificationError):
+            controller.step(mode, dwell)
+        assert controller.energy == energy
+        assert controller.now == now
+        assert controller.estimator.estimate() == estimate
+
     def test_initial_design_is_honoured(self, problem, library):
         controller = AdaptationController(
             problem,

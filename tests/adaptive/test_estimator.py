@@ -51,6 +51,18 @@ class TestObserve:
         with pytest.raises(SpecificationError, match="non-negative"):
             estimator.observe("A", -1.0)
 
+    @pytest.mark.parametrize(
+        "dwell", [float("nan"), float("inf")], ids=["nan", "inf"]
+    )
+    def test_non_finite_dwell_rejected(self, dwell):
+        estimator = PsiEstimator(["A", "B"], half_life=1.0)
+        estimator.observe("A", 1.0)
+        before = estimator.estimate()
+        with pytest.raises(SpecificationError, match="finite"):
+            estimator.observe("B", dwell)
+        assert estimator.estimate() == before
+        assert estimator.observed_time == 1.0
+
     def test_zero_dwell_is_a_no_op(self):
         estimator = PsiEstimator(["A", "B"], half_life=1.0)
         estimator.observe("A", 0.0)

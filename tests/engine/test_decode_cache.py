@@ -21,6 +21,9 @@ from repro.synthesis.evaluator import evaluate_mapping
 
 from tests.conftest import make_two_mode_problem
 from tests.oracles import seed_evaluator
+from tests.oracles.cores_reference import (
+    compute_mobilities as frozen_compute_mobilities,
+)
 
 
 @pytest.fixture(scope="module")
@@ -211,10 +214,7 @@ class TestDecodeContext:
         for mode in tgff_problem.omsm.modes:
             mapping = genome.mode_mapping(mode.name)
             fast = context.compute_mobilities(mode.name, mapping)
-
-            from repro.scheduling.mobility import compute_mobilities
-
-            slow = compute_mobilities(
+            slow = frozen_compute_mobilities(
                 mode,
                 lambda task, _mode=mode: technology.implementation(
                     _mode.task_graph.task(task).task_type,

@@ -167,7 +167,6 @@ class TestConfigFingerprint:
         for changed in (
             base.with_updates(dvs=DvsMethod.GRADIENT),
             base.with_updates(dvs_shared_rail=False),
-            base.with_updates(inner_loop_iterations=2),
         ):
             assert config_fingerprint(changed) != config_fingerprint(base)
 
@@ -214,7 +213,6 @@ class TestDirtyModeConsistency:
         if replacement is None:
             pytest.skip("gene 0 has a single candidate PE")
         edited = genome.with_gene(index, replacement)
-        assert edited.dirty_modes == frozenset({dirty_name})
 
         before = cache.hits
         evaluate_mapping(problem, edited, config, cache=cache)

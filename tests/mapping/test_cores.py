@@ -1,12 +1,20 @@
 """Unit tests for hardware core allocation."""
 
+import random
+
 import pytest
 
 from repro.architecture import PEKind
+from repro.benchgen import registry
+from repro.engine.decode_cache import context_for
 from repro.mapping.cores import allocate_cores
 from repro.mapping.encoding import MappingString
+from repro.problem import Problem
+from repro.scheduling.mobility import compute_mobilities
+from repro.specification import OMSM, Mode
 
 from tests.conftest import make_parallel_hw_problem, make_two_mode_problem
+from tests.oracles import cores_reference
 
 
 def all_hw_genome(problem):
@@ -208,3 +216,98 @@ class TestFpgaAreaAccounting:
         cores = allocate_cores(problem, genome)
         assert cores.transition_time("O1", "O2") == 0.0
         assert cores.transition_violations() == {}
+
+
+def _genomes(problem, rng, count):
+    """Random, software-biased and mutation-chain genomes, in turn."""
+    genome = MappingString.random(problem, rng)
+    partner = MappingString.random_software_biased(problem, rng)
+    for step in range(count):
+        kind = step % 3
+        if kind == 0:
+            yield MappingString.random(problem, rng)
+        elif kind == 1:
+            yield MappingString.random_software_biased(problem, rng)
+        else:
+            roll = rng.random()
+            if roll < 0.5:
+                genome = genome.mutate(rng, 4.0 / len(genome))
+            elif roll < 0.8:
+                genome, partner = genome.crossover_two_point(partner, rng)
+            else:
+                index = rng.randrange(len(genome))
+                genome = genome.with_gene(
+                    index, rng.choice(genome.candidates_at(index))
+                )
+            yield genome
+
+
+def _tightened(problem, factor):
+    """The instance with every mode period scaled by ``factor``.
+
+    A period is never cut below the mode's largest task deadline.
+    """
+    modes = []
+    for mode in problem.omsm.modes:
+        floor = max(
+            (t.deadline for t in mode.task_graph if t.deadline is not None),
+            default=0.0,
+        )
+        modes.append(
+            Mode(
+                mode.name,
+                mode.task_graph,
+                mode.probability,
+                max(mode.period * factor, floor),
+            )
+        )
+    omsm = OMSM(problem.omsm.name, modes, problem.omsm.transitions)
+    return Problem(omsm, problem.architecture, problem.technology)
+
+
+class TestMatchesFrozenAllocator:
+    """The decode-table allocator against the seed's context-free copy.
+
+    ``allocate_cores`` runs the evaluation pipeline's stages (decode
+    tables, ``mode_demand``, ``combine_cores``); the frozen copy in
+    :mod:`tests.oracles.cores_reference` walks the task graph and the
+    genome directly.  Counts, areas and reconfiguration times must be
+    equal bit for bit, and so must every mode's mobilities.  The
+    shipped periods leave so much slack that no extra core is ever
+    provisioned, so every instance also runs with its periods cut to a
+    tenth, where about half the genomes get extra cores.
+    """
+
+    @pytest.mark.parametrize("period_factor", [1.0, 0.1])
+    @pytest.mark.parametrize("name", registry.names())
+    def test_registry_instance(self, name, period_factor):
+        problem = _tightened(registry.get(name), period_factor)
+        context = context_for(problem)
+        technology = problem.technology
+        rng = random.Random(1803)
+        count = 6 if name.startswith("stress") else 30
+        for step, genome in enumerate(_genomes(problem, rng, count)):
+            runtime = allocate_cores(problem, genome)
+            frozen = cores_reference.allocate_cores(problem, genome)
+            where = f"{name}, genome {step}"
+            assert runtime.counts == frozen.counts, where
+            assert runtime.area_used == frozen.area_used, where
+            assert runtime.transition_times() == frozen.transition_times()
+            for mode in problem.omsm.modes:
+                mapping = genome.mode_mapping(mode.name)
+
+                def exec_time(task, _mode=mode, _mapping=mapping):
+                    return technology.implementation(
+                        _mode.task_graph.task(task).task_type,
+                        _mapping[task],
+                    ).exec_time
+
+                expected = list(
+                    cores_reference.compute_mobilities(mode, exec_time).items()
+                )
+                assert list(
+                    context.compute_mobilities(mode.name, mapping).items()
+                ) == expected, where
+                assert list(
+                    compute_mobilities(mode, exec_time).items()
+                ) == expected, where

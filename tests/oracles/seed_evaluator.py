@@ -2,7 +2,8 @@
 
 One recompute-per-candidate pass over the whole mapping: no
 :class:`~repro.engine.decode_cache.DecodeContext`, no per-mode result
-cache, the seed PV-DVS implementation
+cache, the seed mobility analysis and core allocator
+(:mod:`tests.oracles.cores_reference`), the seed PV-DVS implementation
 (:mod:`tests.oracles.pv_dvs_reference`) and no profiler phases.  The
 staged pipeline :func:`repro.eval.pipeline.evaluate_mapping_incremental`
 must reproduce its results bit for bit; :func:`seed_path` swaps it in
@@ -19,16 +20,15 @@ from typing import Any, Dict, Iterator, Optional
 
 import repro.eval.pipeline
 from repro.errors import SchedulingError
-from repro.mapping.cores import allocate_cores
 from repro.mapping.encoding import MappingString
 from repro.mapping.implementation import Implementation, ImplementationMetrics
 from repro.power.energy_model import average_power, power_breakdown
 from repro.problem import Problem
-from repro.scheduling.mobility import compute_mobilities
 from repro.scheduling.schedule import ModeSchedule
 from repro.synthesis.config import DvsMethod, SynthesisConfig
 from repro.synthesis.fitness import FitnessWeights, mapping_fitness
 
+from tests.oracles.cores_reference import allocate_cores, compute_mobilities
 from tests.oracles.list_scheduler_reference import schedule_mode
 from tests.oracles.pv_dvs_reference import (
     reference_scale_schedule,
@@ -72,24 +72,13 @@ def evaluate_mapping(
     timing_violations: Dict[str, Dict[str, float]] = {}
     for mode in problem.omsm.modes:
         try:
-            if config.inner_loop_iterations > 0:
-                from repro.scheduling.priority_search import refine_schedule
-
-                schedule = refine_schedule(
-                    problem,
-                    mode,
-                    mode_mappings[mode.name],
-                    cores,
-                    iterations=config.inner_loop_iterations,
-                )
-            else:
-                schedule = schedule_mode(
-                    problem,
-                    mode,
-                    mode_mappings[mode.name],
-                    cores,
-                    mobilities[mode.name],
-                )
+            schedule = schedule_mode(
+                problem,
+                mode,
+                mode_mappings[mode.name],
+                cores,
+                mobilities[mode.name],
+            )
         except SchedulingError:
             return None
         if config.dvs is DvsMethod.GRADIENT:

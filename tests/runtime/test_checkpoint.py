@@ -137,6 +137,7 @@ class TestRetiredKeys:
             assert config["async_pool"] is True
             assert config["speculative"] is True
             assert config["speculation_depth"] == 1
+            assert config["inner_loop_iterations"] == 0
 
     def test_checkpoint_loads_under_normalised_config(self):
         spec = CampaignSpec.load(RETIRED_KEYS_RUN / "spec.json")

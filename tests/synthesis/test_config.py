@@ -153,6 +153,27 @@ class TestSerialisation:
         with pytest.raises(SynthesisError, match="warm start .* removed"):
             SynthesisConfig().with_updates(dvs_warm_start=True)
 
+    def test_inner_loop_iterations_zero_dropped(self):
+        # The retired priority-search knob at its old default loads
+        # with the key dropped, through both entry points.
+        config = SynthesisConfig(seed=3)
+        data = config.to_dict()
+        data["inner_loop_iterations"] = 0
+        assert SynthesisConfig.from_dict(data) == config
+        assert config.with_updates(inner_loop_iterations=0) == config
+        fields = {f.name for f in dataclasses.fields(SynthesisConfig)}
+        assert "inner_loop_iterations" not in fields
+        assert "inner_loop_iterations" not in config.to_dict()
+
+    def test_inner_loop_iterations_nonzero_rejected(self):
+        # A non-zero value changed results; it cannot load silently.
+        data = SynthesisConfig().to_dict()
+        data["inner_loop_iterations"] = 2
+        with pytest.raises(SynthesisError, match="inner_loop_iterations"):
+            SynthesisConfig.from_dict(data)
+        with pytest.raises(SynthesisError, match="inner_loop_iterations"):
+            SynthesisConfig().with_updates(inner_loop_iterations=2)
+
     def test_speculation_fields_round_trip(self):
         # A dict written before the pool switches were retired still
         # loads, whatever they were set to; the keys are dropped.
@@ -181,7 +202,7 @@ class TestSerialisation:
         fields = {f.name for f in dataclasses.fields(SynthesisConfig)}
         for key in ("async_pool", "speculative", "speculation_depth"):
             assert key not in data and key not in fields
-        assert len(fields) == 28
+        assert len(fields) == 27
 
     def test_speculation_depth_validated(self):
         # Retired keys are dropped before validation, so any depth

@@ -592,6 +592,38 @@ class TestAdaptCommand:
                 ]
             )
 
+    @pytest.mark.parametrize(
+        "text,reason",
+        [
+            ('[["rlc", "soon"]]', "entry 1: dwell 'soon' is not a number"),
+            ('[["rlc"]]', "entry 1: expected a [mode, dwell] pair"),
+            ('[["rlc", 1.0], ["nomode", 1.0]]', "entry 2: unknown mode"),
+            ('[["rlc", -1.0]]', "entry 1: dwell -1.0 is not a finite"),
+            ('[["rlc", NaN]]', "entry 1: dwell nan is not a finite"),
+            ('[["rlc", Infinity]]', "entry 1: dwell inf is not a finite"),
+        ],
+        ids=["word", "short", "unknown-mode", "negative", "nan", "infinity"],
+    )
+    def test_bad_trace_entry_rejected_before_synthesis(
+        self, tmp_path, monkeypatch, text, reason
+    ):
+        from repro.synthesis.cosynthesis import MultiModeSynthesizer
+
+        def no_synthesis(self, *args, **kwargs):
+            raise AssertionError("synthesis ran on a bad trace")
+
+        monkeypatch.setattr(MultiModeSynthesizer, "run", no_synthesis)
+        trace_path = tmp_path / "trace.json"
+        trace_path.write_text(text)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["adapt", "smartphone", "--trace", str(trace_path)])
+        message = excinfo.value.code
+        assert isinstance(message, str)  # printed, exit status 1
+        assert "\n" not in message
+        assert message.startswith(
+            f"repro-mm: error: trace {str(trace_path)!r}: {reason}"
+        )
+
     def test_missing_trace_file_rejected(self, tmp_path):
         with pytest.raises(SystemExit, match="cannot read trace"):
             main(
