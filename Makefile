@@ -47,11 +47,14 @@ bench-fast:
 # stay bit-identical to the seed path (tests/oracles) and fails on a
 # >20% speedup regression against the committed baseline at jobs=4;
 # then the PV-DVS kernel microbench (gradient and uniform bit-identity
-# gates against the seed reference).
+# gates against the seed reference).  Both reports go to the ignored
+# benchmarks/out/, so a smoke run leaves the tree clean.
 bench-smoke:
 	$(PYTHON) benchmarks/bench_engine.py --quick --jobs 4 \
-	    --check benchmarks/results/bench_engine_quick_baseline.json
-	$(PYTHON) benchmarks/bench_dvs.py --quick
+	    --check benchmarks/results/bench_engine_quick_baseline.json \
+	    --out benchmarks/out/bench_engine_quick.json
+	$(PYTHON) benchmarks/bench_dvs.py --quick \
+	    --out benchmarks/out/bench_dvs_quick.json
 
 # The full pre-merge gate: lint + typecheck (when available), tier-1
 # test suite, the end-to-end benchmark's contract tests (every name
@@ -62,7 +65,8 @@ verify: lint typecheck
 	PYTHONPATH=src $(PYTHON) -m pytest tests/
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/e2e -q
 	$(PYTHON) benchmarks/bench_engine.py --quick \
-	    --check benchmarks/results/bench_engine_quick_baseline.json
+	    --check benchmarks/results/bench_engine_quick_baseline.json \
+	    --out benchmarks/out/bench_engine_quick.json
 
 tables:
 	$(PYTHON) -m repro.cli table1 --runs 5

@@ -62,7 +62,8 @@ from __future__ import annotations
 
 import math
 from heapq import heapify, heappop, heappush
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from operator import add, sub
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.decode_cache import DecodeContext
@@ -110,7 +111,7 @@ class _VectorGraph:
         "lft",
         "latest_start",
         "task_pos",
-        "comm_base",
+        "comm_pos",
         "task_segments",
         "seg_nominal",
         "seg_pes",
@@ -136,11 +137,11 @@ class _VectorGraph:
         self.lft: List[float] = []
         self.latest_start: List[float] = []
         # Back-mapping: task index -> position (-1 for tasks folded
-        # into segment chains), first comm position (comms are
-        # consecutive in schedule order), and per-task ordered segment
-        # positions on shared-rail hardware.
+        # into segment chains), comm index -> position (-1 for internal
+        # messages, which are plain task-to-task edges), and per-task
+        # ordered segment positions on shared-rail hardware.
         self.task_pos: List[int] = []
-        self.comm_base = 0
+        self.comm_pos: List[int] = []
         self.task_segments: Dict[int, List[int]] = {}
         # True nominal duration per segment position.  The voltage
         # table's top entry is `(d·s)/s`, which can differ from `d` by
@@ -322,19 +323,31 @@ def _build_vector_graph(
                 )
 
     # --- nodes and edges: communications ------------------------------
-    # Every edge is inserted once (each activity sits on one resource,
-    # each comm has one producer and one consumer), so the adjacency is
-    # filled directly.
+    # A message on a link is a node.  An internal one (same PE, zero
+    # time, on no serial resource) would only pass its producer's finish
+    # on unchanged, so it is a plain producer -> consumer edge and its
+    # times are the producer's finish.  Every edge is inserted once
+    # (each activity sits on one resource, each comm has one producer
+    # and one consumer), so the adjacency is filled directly.
     comm_base = position
-    graph.comm_base = comm_base
-    size = comm_base + comm_count
+    comm_links = schedule.comm_links
+    graph.comm_pos = comm_pos = [-1] * comm_count
+    for offset in range(comm_count):
+        start = comm_starts[offset]
+        end = comm_ends[offset]
+        if comm_links[offset] is None and start == end:
+            continue
+        comm_pos[offset] = position
+        durations.append(end - start)
+        position += 1
+    size = position
     graph.size = size
-    dur_tables += [None] * comm_count
-    en_tables += [None] * comm_count
-    voltages += [None] * comm_count
-    level += [0] * comm_count
-    durations += [end - start for start, end in zip(comm_starts, comm_ends)]
-    deadlines += [_INF] * comm_count
+    node_count = size - comm_base
+    dur_tables += [None] * node_count
+    en_tables += [None] * node_count
+    voltages += [None] * node_count
+    level += [0] * node_count
+    deadlines += [_INF] * node_count
     preds: List[List[int]] = [[] for _ in range(size)]
     succs: List[List[int]] = [[] for _ in range(size)]
     for src, dst in chain_edges:
@@ -343,13 +356,17 @@ def _build_vector_graph(
     src_tasks = schedule.comm_src_tasks
     dst_tasks = schedule.comm_dst_tasks
     for offset in range(comm_count):
-        position = comm_base + offset
         src_anchor = task_last_seg.get(src_tasks[offset])
         if src_anchor is None:
             src_anchor = task_pos[src_tasks[offset]]
         dst_anchor = task_first_seg.get(dst_tasks[offset])
         if dst_anchor is None:
             dst_anchor = task_pos[dst_tasks[offset]]
+        position = comm_pos[offset]
+        if position < 0:
+            succs[src_anchor].append(dst_anchor)
+            preds[dst_anchor].append(src_anchor)
+            continue
         succs[src_anchor].append(position)
         preds[position].append(src_anchor)
         preds[dst_anchor].append(position)
@@ -366,9 +383,9 @@ def _build_vector_graph(
             preds[nxt].append(prev)
             prev = nxt
     for ids in schedule.comm_order:
-        prev = comm_base + ids[0]
+        prev = comm_pos[ids[0]]
         for nxt_comm in ids[1:]:
-            nxt = comm_base + nxt_comm
+            nxt = comm_pos[nxt_comm]
             succs[prev].append(nxt)
             preds[nxt].append(prev)
             prev = nxt
@@ -376,33 +393,26 @@ def _build_vector_graph(
     graph.succs = succs
 
     # --- replay graph over task-level activities ----------------------
+    # Tasks in schedule order, then the comm nodes of the DVS graph in
+    # the same order; internal messages are task-to-task edges again.
     replay: Optional[
         Tuple[List[List[int]], List[List[int]], List[float]]
     ] = None
     if seg_pes:
-        replay_count = task_count + comm_count
-        replay_preds: List[List[int]] = [[] for _ in range(replay_count)]
-        replay_succs: List[List[int]] = [[] for _ in range(replay_count)]
+        shift = task_count - comm_base
+        replay_preds: List[List[int]] = [[] for _ in range(size + shift)]
+        replay_succs: List[List[int]] = [[] for _ in range(size + shift)]
+        # Every edge lies on a path: a resource's order, or a message's
+        # producer -> (comm node ->) consumer.
+        paths: List[Sequence[int]] = list(schedule.task_order)
+        paths += [[comm_pos[i] + shift for i in ids] for ids in schedule.comm_order]
+        for src, dst, pos in zip(src_tasks, dst_tasks, comm_pos):
+            paths.append((src, dst) if pos < 0 else (src, pos + shift, dst))
+        for path in paths:
+            for prev, nxt in zip(path, path[1:]):
+                replay_succs[prev].append(nxt)
+                replay_preds[nxt].append(prev)
         replay_durations = [0.0] * task_count + durations[comm_base:]
-        for offset in range(comm_count):
-            index = task_count + offset
-            src_index = src_tasks[offset]
-            dst_index = dst_tasks[offset]
-            replay_succs[src_index].append(index)
-            replay_preds[index].append(src_index)
-            replay_succs[index].append(dst_index)
-            replay_preds[dst_index].append(index)
-        for base, order in (
-            (0, schedule.task_order),
-            (task_count, schedule.comm_order),
-        ):
-            for ids in order:
-                prev = base + ids[0]
-                for nxt_id in ids[1:]:
-                    nxt = base + nxt_id
-                    replay_succs[prev].append(nxt)
-                    replay_preds[nxt].append(prev)
-                    prev = nxt
         replay = (replay_preds, replay_succs, replay_durations)
 
     # --- freeze: scalable flags, topological order ---------------------
@@ -702,11 +712,12 @@ def _emit_direct(schedule: ModeSchedule, graph: _VectorGraph) -> ModeSchedule:
     starts = schedule.task_starts
     ends = schedule.task_ends
     energies = schedule.task_energies
+    task_pos = graph.task_pos
     new_starts: List[float] = []
     new_ends: List[float] = []
     new_energies: List[float] = []
     new_pieces: List[Tuple[Tuple[float, float], ...]] = []
-    for index, pos in enumerate(graph.task_pos):
+    for index, pos in enumerate(task_pos):
         start = est[pos]
         if flags[pos]:
             current = level[pos]
@@ -725,19 +736,23 @@ def _emit_direct(schedule: ModeSchedule, graph: _VectorGraph) -> ModeSchedule:
             new_pieces.append(())
         new_starts.append(start)
         new_ends.append(start + duration)
-    comm_starts = est[graph.comm_base :]
+    # An internal message starts at its producer's finish, as a
+    # zero-time node after the producer would.
+    finish = graph.finish
+    comm_starts = tuple(
+        [
+            est[pos] if pos >= 0 else finish[task_pos[producer]]
+            for pos, producer in zip(graph.comm_pos, schedule.comm_src_tasks)
+        ]
+    )
+    durations = map(sub, schedule.comm_ends, schedule.comm_starts)
     return schedule.retimed(
-        task_starts=new_starts,
-        task_ends=new_ends,
-        task_energies=new_energies,
-        task_pieces=new_pieces,
+        task_starts=tuple(new_starts),
+        task_ends=tuple(new_ends),
+        task_energies=tuple(new_energies),
+        task_pieces=tuple(new_pieces),
         comm_starts=comm_starts,
-        comm_ends=[
-            start + (end - begin)
-            for start, begin, end in zip(
-                comm_starts, schedule.comm_starts, schedule.comm_ends
-            )
-        ],
+        comm_ends=tuple(map(add, comm_starts, durations)),
     )
 
 
@@ -852,13 +867,22 @@ def _emit(
     if visited != count:
         raise VoltageScalingError("replay graph contains a cycle")
 
+    # A comm node's replay index is its graph position plus `shift`;
+    # an internal message starts and ends at its producer's finish.
+    shift = count - graph.size
+    comm_slots = [
+        (start[pos + shift], finish[pos + shift])
+        if pos >= 0
+        else (finish[producer], finish[producer])
+        for pos, producer in zip(graph.comm_pos, schedule.comm_src_tasks)
+    ]
     return schedule.retimed(
-        task_starts=start[:task_count],
-        task_ends=finish[:task_count],
-        task_energies=scaled_energy_of,
-        task_pieces=scaled_pieces,
-        comm_starts=start[task_count:],
-        comm_ends=finish[task_count:],
+        task_starts=tuple(start[:task_count]),
+        task_ends=tuple(finish[:task_count]),
+        task_energies=tuple(scaled_energy_of),
+        task_pieces=tuple(scaled_pieces),
+        comm_starts=tuple([slot[0] for slot in comm_slots]),
+        comm_ends=tuple([slot[1] for slot in comm_slots]),
     )
 
 

@@ -8,20 +8,20 @@ per-(task, PE) voltage/duration tables of the DVS layer.  None of it
 depends on the mapping string — only on the :class:`Problem`.
 
 A :class:`DecodeContext` computes all of it exactly once (per process:
-pool workers build their own at initialisation) and the evaluator's
-phases read from plain dicts.  They replicate the original float
-operations in the original order, so results are bit-identical to the
-context-free references under ``tests/oracles``.
+pool workers build their own at initialisation).  Per mode the tables
+are rows indexed by gene position, so the mobility, core-demand and
+list-scheduling kernels run on a mode's gene slice directly.  They
+replicate the original float operations in the original order, so
+results are bit-identical to the context-free references under
+``tests/oracles``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Mapping, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 from repro.architecture.processing_element import ProcessingElement
 from repro.problem import Problem
-from repro.scheduling.mobility import MobilityInfo, asap_alap
-from repro.specification.task_graph import CommEdge
 
 #: Soft cap on the memoised DVS voltage tables (segment durations vary
 #: per schedule, so the memo can grow without bound on long runs).
@@ -29,79 +29,88 @@ _DVS_TABLE_CAP = 65536
 
 
 class ModeDecodeData:
-    """Per-mode immutable decode tables (see :class:`DecodeContext`)."""
+    """Per-mode immutable decode tables, indexed by gene position.
+
+    A mode's gene slice lists its tasks in ``task_names`` order, so the
+    slice *is* the mode mapping: position ``i`` of every row below is
+    task ``task_names[i]``, mapped to ``genes[i]``.
+    """
 
     __slots__ = (
-        "name",
         "task_names",
-        "topo_order",
-        "graph_rank",
         "task_types",
-        "predecessors",
-        "successors",
+        "topo",
+        "preds",
+        "succs",
         "in_edges",
-        "deadlines",
         "exec_times",
         "powers",
-        "independent_same_type",
-        "period",
+        "deadline_row",
+        "deadlines",
+        "independent",
     )
 
     def __init__(self, problem: Problem, mode) -> None:
         graph = mode.task_graph
         technology = problem.technology
-        self.name: str = mode.name
-        self.period: float = mode.period
         self.task_names: Tuple[str, ...] = graph.task_names
-        self.topo_order: Tuple[str, ...] = graph.topological_order()
-        self.graph_rank: Dict[str, int] = {
-            name: index for index, name in enumerate(self.task_names)
-        }
-        self.task_types: Dict[str, str] = {
-            task.name: task.task_type for task in graph
-        }
-        self.predecessors: Dict[str, Tuple[str, ...]] = {
-            name: graph.predecessors(name) for name in self.task_names
-        }
-        self.successors: Dict[str, Tuple[str, ...]] = {
-            name: graph.successors(name) for name in self.task_names
-        }
-        self.in_edges: Dict[str, Tuple[CommEdge, ...]] = {
-            name: graph.in_edges(name) for name in self.task_names
-        }
-        self.deadlines: Dict[str, float] = {
-            name: mode.effective_deadline(name) for name in self.task_names
-        }
-
-        self.exec_times: Dict[str, Dict[str, float]] = {}
-        self.powers: Dict[str, Dict[str, float]] = {}
-        for task_name, candidates in problem.gene_space(mode.name):
-            task_type = self.task_types[task_name]
-            times: Dict[str, float] = {}
-            powers: Dict[str, float] = {}
-            for pe_name in candidates:
-                entry = technology.implementation(task_type, pe_name)
-                times[pe_name] = entry.exec_time
-                powers[pe_name] = entry.power
-            self.exec_times[task_name] = times
-            self.powers[task_name] = powers
-
+        position = {name: i for i, name in enumerate(self.task_names)}
+        self.task_types: Tuple[str, ...] = tuple(
+            task.task_type for task in graph
+        )
+        self.topo: Tuple[int, ...] = tuple(
+            position[name] for name in graph.topological_order()
+        )
+        self.preds: Tuple[Tuple[int, ...], ...] = tuple(
+            tuple(position[pred] for pred in graph.predecessors(name))
+            for name in self.task_names
+        )
+        self.succs: Tuple[Tuple[int, ...], ...] = tuple(
+            tuple(position[succ] for succ in graph.successors(name))
+            for name in self.task_names
+        )
+        #: Per position, ``(producer position, data bits)`` per message.
+        self.in_edges: Tuple[Tuple[Tuple[int, float], ...], ...] = tuple(
+            tuple(
+                (position[edge.src], edge.data_bits)
+                for edge in graph.in_edges(name)
+            )
+            for name in self.task_names
+        )
+        # Per position, ``{candidate PE: execution time}`` and power.
+        exec_times: List[Dict[str, float]] = []
+        powers: List[Dict[str, float]] = []
+        for task_type, (_, candidates) in zip(
+            self.task_types, problem.gene_space(mode.name)
+        ):
+            entries = [
+                (pe_name, technology.implementation(task_type, pe_name))
+                for pe_name in candidates
+            ]
+            exec_times.append({pe: entry.exec_time for pe, entry in entries})
+            powers.append({pe: entry.power for pe, entry in entries})
+        self.exec_times: Tuple[Dict[str, float], ...] = tuple(exec_times)
+        self.powers: Tuple[Dict[str, float], ...] = tuple(powers)
+        self.deadline_row: Tuple[float, ...] = tuple(
+            mode.effective_deadline(name) for name in self.task_names
+        )
+        #: Name-keyed effective deadlines, for the timing checks and
+        #: PV-DVS, which read schedules (scheduling order), not genes.
+        self.deadlines: Dict[str, float] = dict(
+            zip(self.task_names, self.deadline_row)
+        )
         # Same-type independence: the core allocator asks, for tasks of
         # one type mapped to one hardware component, which group members
         # can run in parallel.  The relation only depends on the graph.
-        self.independent_same_type: Dict[str, FrozenSet[str]] = {}
-        by_type: Dict[str, List[str]] = {}
-        for name in self.task_names:
-            by_type.setdefault(self.task_types[name], []).append(name)
-        for members in by_type.values():
-            if len(members) < 2:
-                continue
-            for name in members:
-                self.independent_same_type[name] = frozenset(
-                    other
-                    for other in members
-                    if other != name and graph.independent(name, other)
-                )
+        self.independent: Tuple[FrozenSet[int], ...] = tuple(
+            frozenset(
+                j
+                for j, other in enumerate(self.task_names)
+                if self.task_types[j] == self.task_types[i]
+                and graph.independent(name, other)
+            )
+            for i, name in enumerate(self.task_names)
+        )
 
 
 class DecodeContext:
@@ -116,26 +125,36 @@ class DecodeContext:
         "modes",
         "pes",
         "links_between",
+        "software_pes",
         "hw_dvs_pes",
         "dvs_pes",
         "_dvs_tables",
     )
 
-    def __init__(
-        self,
-        modes: Dict[str, ModeDecodeData],
-        pes: Dict[str, ProcessingElement],
-        links_between: Dict[Tuple[str, str], tuple],
-        hw_dvs_pes: FrozenSet[str],
-        dvs_pes: FrozenSet[str] = frozenset(),
-    ) -> None:
-        self.modes = modes
-        self.pes = pes
-        self.links_between = links_between
-        self.hw_dvs_pes = hw_dvs_pes
+    def __init__(self, problem: Problem) -> None:
+        architecture = problem.architecture
+        self.modes: Dict[str, ModeDecodeData] = {
+            mode.name: ModeDecodeData(problem, mode)
+            for mode in problem.omsm.modes
+        }
+        self.pes: Dict[str, ProcessingElement] = {
+            pe.name: pe for pe in architecture.pes
+        }
+        self.links_between: Dict[Tuple[str, str], tuple] = {
+            (first, second): architecture.links_between(first, second)
+            for first in self.pes
+            for second in self.pes
+            if first != second
+        }
+        self.software_pes = frozenset(
+            pe.name for pe in architecture.software_pes()
+        )
+        self.hw_dvs_pes = frozenset(
+            pe.name for pe in architecture.hardware_pes() if pe.dvs_enabled
+        )
         #: All DVS-enabled PEs — software and hardware alike (the
         #: hardware subset is `hw_dvs_pes`).
-        self.dvs_pes = dvs_pes
+        self.dvs_pes = frozenset(pe.name for pe in architecture.dvs_pes())
         self._dvs_tables: Dict[
             Tuple[str, float, float],
             Tuple[Tuple[float, ...], Tuple[float, ...]],
@@ -143,33 +162,7 @@ class DecodeContext:
 
     @classmethod
     def build(cls, problem: Problem) -> "DecodeContext":
-        architecture = problem.architecture
-        modes = {
-            mode.name: ModeDecodeData(problem, mode)
-            for mode in problem.omsm.modes
-        }
-        pes = {pe.name: pe for pe in architecture.pes}
-        links: Dict[Tuple[str, str], tuple] = {}
-        names = [pe.name for pe in architecture.pes]
-        for first in names:
-            for second in names:
-                if first == second:
-                    continue
-                links[(first, second)] = architecture.links_between(
-                    first, second
-                )
-        hw_dvs = frozenset(
-            pe.name
-            for pe in architecture.hardware_pes()
-            if pe.dvs_enabled
-        )
-        dvs = frozenset(
-            pe.name for pe in architecture.pes if pe.dvs_enabled
-        )
-        return cls(modes, pes, links, hw_dvs, dvs)
-
-    def mode(self, mode_name: str) -> ModeDecodeData:
-        return self.modes[mode_name]
+        return cls(problem)
 
     def duration_energy_tables(
         self, pe_name: str, duration: float, energy: float
@@ -194,27 +187,6 @@ class DecodeContext:
                 self._dvs_tables.clear()
             self._dvs_tables[key] = tables
         return tables
-
-    # ------------------------------------------------------------------
-    # Fast evaluator phases
-    # ------------------------------------------------------------------
-
-    def compute_mobilities(
-        self, mode_name: str, pe_by_task: Mapping[str, str]
-    ) -> Dict[str, MobilityInfo]:
-        """ASAP/ALAP analysis of one mode mapping, on the cached tables."""
-        data = self.modes[mode_name]
-        exec_times = data.exec_times
-        durations = {
-            name: exec_times[name][pe_by_task[name]] for name in data.topo_order
-        }
-        return asap_alap(
-            data.topo_order,
-            data.predecessors,
-            data.successors,
-            data.deadlines,
-            durations,
-        )
 
 
 def context_for(problem: Problem) -> DecodeContext:

@@ -21,14 +21,13 @@ from repro.eval.cache import (
     mode_cache_for,
 )
 from repro.eval.pipeline import evaluate_mapping_incremental
-from repro.eval.stages import core_signature, prepare_mode, run_mode
+from repro.eval.stages import prepare_mode, run_mode
 
 __all__ = [
     "ModeOutcome",
     "ModePrep",
     "ModeResultCache",
     "config_fingerprint",
-    "core_signature",
     "evaluate_mapping_incremental",
     "mode_cache_for",
     "prepare_mode",

@@ -13,17 +13,16 @@ Two segments, two keys:
 
 ``prep``
     keyed by ``(mode, mode-gene slice, config fingerprint)`` — the
-    mode mapping, mobilities and per-PE core demand.  Pure function of
+    ALAP starts, mobilities and per-PE core demand.  Pure function of
     the mode's genes.
 ``sched``
     keyed by ``(mode, mode-gene slice, core-set signature, config
     fingerprint)`` — the post-DVS schedule, timing violations and
     per-mode dynamic/static power.  The core-set signature captures the
     *only* cross-mode coupling: the allocated core counts of exactly
-    the (PE, task type) pairs this mode's scheduler reads (see
-    :func:`repro.eval.stages.core_signature`), so ASIC union changes
-    caused by *other* modes only miss when they actually change a count
-    this mode observes.
+    the (PE, task type) pairs this mode's scheduler reads (the prep's
+    ``read_set``), so ASIC union changes caused by *other* modes only
+    miss when they actually change a count this mode observes.
 
 Both segments are bounded LRUs (:data:`MODE_CACHE_SIZE` entries each
 for the per-problem cache); hits, misses and evictions are metered per
@@ -43,7 +42,6 @@ from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.mapping.cores import ModeDemand
 from repro.obs.metrics import REGISTRY, MetricKey, metric_key
-from repro.scheduling.mobility import MobilityInfo
 from repro.scheduling.schedule import ModeSchedule
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -53,6 +51,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Entry capacity of each segment of the per-problem cache built by
 #: :func:`mode_cache_for`.
 MODE_CACHE_SIZE = 4096
+
+#: The gauge series, resolved once: hit rate (set on every lookup),
+#: resident bytes and entries (on every insertion).
+_HIT_RATE: MetricKey = metric_key("eval_mode_cache_hit_rate", {})
+_BYTES: MetricKey = metric_key("eval_mode_cache_bytes_resident", {})
+_ENTRIES: MetricKey = metric_key("eval_mode_cache_entries", {})
 
 #: The configuration facets that change per-mode stage results.  Two
 #: configs with equal fingerprints produce bit-identical mode results,
@@ -76,32 +80,41 @@ def config_fingerprint(config: "SynthesisConfig") -> ConfigFingerprint:
 
 
 class ModePrep:
-    """Mapping-slice-derived per-mode data (prep segment value)."""
+    """Gene-slice-derived per-mode data (prep segment value).
 
-    __slots__ = ("mode_mapping", "mobilities", "demand", "approx_bytes")
+    ``genes`` is the mode's gene slice, which is its mapping; ``alap``
+    and ``mobility`` are indexed by gene position; ``demand`` is the
+    per-PE core demand.  ``read_set`` lists, per hardware PE with a
+    task of the mode, its sorted task types: the core counts the
+    mode's scheduler reads, which key the sched segment.
+    """
+
+    __slots__ = ("genes", "alap", "mobility", "demand", "read_set", "approx_bytes")
 
     def __init__(
         self,
-        mode_mapping: Dict[str, str],
-        mobilities: Dict[str, MobilityInfo],
+        genes: Tuple[str, ...],
+        alap: Tuple[float, ...],
+        mobility: Tuple[float, ...],
         demand: ModeDemand,
     ) -> None:
-        self.mode_mapping = mode_mapping
-        self.mobilities = mobilities
+        self.genes = genes
+        self.alap = alap
+        self.mobility = mobility
         self.demand = demand
-        # Rough per-entry footprint: dict slots + per-task strings and
-        # mobility floats.  Good enough for a resident-bytes gauge; no
+        self.read_set = tuple(
+            (pe_name, tuple(sorted(base)))
+            for pe_name, (base, _) in demand.items()
+            if base
+        )
+        # Rough per-entry footprint: the three per-task tuples and the
+        # demand dicts.  Good enough for a resident-bytes gauge; no
         # claim of allocator-level accuracy.
         demand_entries = sum(
             len(base) + len(desired)
             for base, desired in demand.values()
         )
-        self.approx_bytes = (
-            160 * len(mode_mapping)
-            + 96 * len(mobilities)
-            + 96 * demand_entries
-            + 256
-        )
+        self.approx_bytes = 64 * len(genes) + 96 * demand_entries + 256
 
 
 class ModeOutcome:
@@ -246,13 +259,11 @@ class ModeResultCache:
                 {"mode": mode, "stage": stage},
             )
         REGISTRY.add(series)
-        REGISTRY.set_gauge("eval_mode_cache_hit_rate", self.hit_rate)
+        REGISTRY.set_gauge_key(_HIT_RATE, self.hit_rate)
 
     def _publish_gauges(self) -> None:
-        REGISTRY.set_gauge(
-            "eval_mode_cache_bytes_resident", self.bytes_resident
-        )
-        REGISTRY.set_gauge("eval_mode_cache_entries", len(self))
+        REGISTRY.set_gauge_key(_BYTES, self.bytes_resident)
+        REGISTRY.set_gauge_key(_ENTRIES, len(self))
 
     @property
     def hit_rate(self) -> float:
@@ -279,7 +290,7 @@ class ModeResultCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        REGISTRY.set_gauge("eval_mode_cache_hit_rate", 0.0)
+        REGISTRY.set_gauge_key(_HIT_RATE, 0.0)
         self._publish_gauges()
 
     def stats(self) -> Dict[str, float]:

@@ -26,7 +26,7 @@ Results are pinned bit-for-bit to the frozen seed evaluator under
 from __future__ import annotations
 
 import time
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.engine.decode_cache import DecodeContext, context_for
 from repro.engine.profile import PROFILER
@@ -36,9 +36,9 @@ from repro.eval.cache import (
     config_fingerprint,
     mode_cache_for,
 )
-from repro.eval.stages import core_signature, prepare_mode, run_mode
+from repro.eval.stages import prepare_mode, run_mode
 from repro.mapping.cores import combine_cores
-from repro.mapping.encoding import MappingString
+from repro.mapping.encoding import MappingString, mode_bounds
 from repro.mapping.implementation import Implementation, ImplementationMetrics
 from repro.power.energy_model import weighted_power
 from repro.problem import Problem
@@ -72,11 +72,11 @@ def evaluate_mapping_incremental(
     # Stage 1+2 (decode, mobility) and the per-mode share of stage 3
     # (core demand), served from the prep segment when the mode's gene
     # slice was seen before.
+    genome = mapping.genes
+    modes = problem.omsm.modes
     preps: Dict[str, ModePrep] = {}
-    slices: Dict[str, Tuple[str, ...]] = {}
-    for mode in problem.omsm.modes:
-        genes = mapping.mode_genes(mode.name)
-        slices[mode.name] = genes
+    for mode, (_, start, end) in zip(modes, mode_bounds(problem)):
+        genes = genome[start:end]
         prep_key = (mode.name, genes, fingerprint)
         started = time.perf_counter()
         prep = cache.get_prep(prep_key)
@@ -88,7 +88,7 @@ def evaluate_mapping_incremental(
             )
         else:
             with PROFILER.phase("mobility", mode=mode.name):
-                prep = prepare_mode(problem, context, mapping, mode)
+                prep = prepare_mode(problem, context, genes, mode)
             cache.put_prep(prep_key, prep)
         preps[mode.name] = prep
 
@@ -104,15 +104,22 @@ def evaluate_mapping_incremental(
 
     # Stage 4 (per-mode schedule + DVS + timing + per-mode power),
     # served from the sched segment when neither the mode's genes nor
-    # the core counts it reads have changed.
+    # the core counts its scheduler reads (the prep's read set) have
+    # changed.
     schedules: Dict[str, ModeSchedule] = {}
     timing_violations: Dict[str, Dict[str, float]] = {}
     dynamic: Dict[str, float] = {}
     static: Dict[str, float] = {}
-    for mode in problem.omsm.modes:
+    counts = cores.counts
+    for mode in modes:
         prep = preps[mode.name]
-        signature = core_signature(problem, mode.name, prep.demand, cores)
-        sched_key = (mode.name, slices[mode.name], signature, fingerprint)
+        signature = tuple(
+            [
+                (pe, tuple([(t, counts[pe][mode.name].get(t, 0)) for t in types]))
+                for pe, types in prep.read_set
+            ]
+        )
+        sched_key = (mode.name, prep.genes, signature, fingerprint)
         started = time.perf_counter()
         outcome = cache.get_sched(sched_key)
         if outcome is not None:

@@ -16,19 +16,19 @@ Core demand and fitting are the kernels
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.dvs.pv_dvs import scale_schedule, uniform_scale_schedule
 from repro.engine.decode_cache import DecodeContext
 from repro.engine.profile import PROFILER
 from repro.errors import SchedulingError
-from repro.eval.cache import CoreSignature, ModeOutcome, ModePrep
-from repro.mapping.cores import CoreAllocation, ModeDemand, mode_demand
-from repro.mapping.encoding import MappingString
+from repro.eval.cache import ModeOutcome, ModePrep
+from repro.mapping.cores import CoreAllocation, mode_demand
 from repro.power.energy_model import mode_dynamic_power
 from repro.power.shutdown import mode_static_power
 from repro.problem import Problem
 from repro.scheduling.list_scheduler import schedule_mode
+from repro.scheduling.mobility import gene_mobility
 from repro.scheduling.schedule import ModeSchedule
 from repro.specification.mode import Mode
 from repro.synthesis.config import DvsMethod, SynthesisConfig
@@ -37,57 +37,21 @@ from repro.synthesis.config import DvsMethod, SynthesisConfig
 def prepare_mode(
     problem: Problem,
     context: DecodeContext,
-    mapping: MappingString,
+    genes: Tuple[str, ...],
     mode: Mode,
 ) -> ModePrep:
-    """Mobility stage: mode mapping, ASAP/ALAP mobilities, core demand.
+    """Mobility stage: ALAP starts, mobilities and core demand.
 
-    Pure function of the mode's gene slice (prep cache segment).  The
-    demand part hoists this mode's share of core allocation out of the
-    (cross-mode) combine stage — it too depends only on this mode's
-    genes.
+    Pure function of the mode's gene slice (prep cache segment), which
+    is also the mode's mapping.  The demand part hoists this mode's
+    share of core allocation out of the (cross-mode) combine stage — it
+    too depends only on this mode's genes.
     """
-    mode_mapping = mapping.mode_mapping(mode.name)
-    mobilities = context.compute_mobilities(mode.name, mode_mapping)
-    demand = mode_demand(
-        problem, context.modes[mode.name], mode_mapping, mobilities
+    data = context.modes[mode.name]
+    alap, mobility = gene_mobility(data, genes)
+    return ModePrep(
+        genes, alap, mobility, mode_demand(problem, data, genes, mobility)
     )
-    return ModePrep(mode_mapping, mobilities, demand)
-
-
-def core_signature(
-    problem: Problem,
-    mode_name: str,
-    demand: ModeDemand,
-    cores: CoreAllocation,
-) -> CoreSignature:
-    """The allocated core counts this mode's scheduler actually reads.
-
-    The list scheduler queries ``available_cores(pe, mode, type)`` for
-    exactly the (hardware PE, task type) pairs that have at least one
-    task of the mode mapped there — the key set of the mode's base
-    demand.  Restricting the signature to that read set keeps schedule
-    cache entries valid across allocation changes the mode cannot
-    observe (e.g. an ASIC union core added for another mode's type).
-    """
-    signature: List[Tuple[str, Tuple[Tuple[str, int], ...]]] = []
-    for pe in problem.architecture.hardware_pes():
-        base_counts = demand[pe.name][0]
-        if not base_counts:
-            continue
-        counts = cores.counts[pe.name][mode_name]
-        signature.append(
-            (
-                pe.name,
-                tuple(
-                    sorted(
-                        (task_type, counts.get(task_type, 0))
-                        for task_type in base_counts
-                    )
-                ),
-            )
-        )
-    return tuple(signature)
 
 
 def run_mode(
@@ -110,12 +74,7 @@ def run_mode(
     with PROFILER.phase("schedule", mode=mode.name):
         try:
             schedule = schedule_mode(
-                problem,
-                mode,
-                prep.mode_mapping,
-                cores,
-                prep.mobilities,
-                context=context,
+                problem, mode, prep.genes, cores, prep.alap, context=context
             )
         except SchedulingError:
             schedule = None

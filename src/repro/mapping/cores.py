@@ -22,12 +22,12 @@ Area accounting distinguishes the two hardware kinds:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Mapping, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Sequence, Tuple
 
 from repro.architecture.processing_element import PEKind, ProcessingElement
-from repro.mapping.encoding import MappingString
+from repro.mapping.encoding import MappingString, mode_bounds
 from repro.problem import Problem
-from repro.scheduling.mobility import MobilityInfo
+from repro.scheduling.mobility import gene_mobility
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.decode_cache import ModeDecodeData
@@ -141,20 +141,18 @@ def allocate_cores(problem: Problem, mapping: MappingString) -> CoreAllocation:
     """Derive the hardware core sets implied by a mapping string.
 
     Runs the evaluation pipeline's own stages: per mode the mobilities
-    on the decode tables and :func:`mode_demand`, then
+    of its gene slice and :func:`mode_demand`, then
     :func:`combine_cores`.
     """
     from repro.engine.decode_cache import context_for
 
     context = context_for(problem)
     demands: Dict[str, ModeDemand] = {}
-    for mode in problem.omsm.modes:
-        mode_mapping = mapping.mode_mapping(mode.name)
-        demands[mode.name] = mode_demand(
-            problem,
-            context.modes[mode.name],
-            mode_mapping,
-            context.compute_mobilities(mode.name, mode_mapping),
+    for mode_name, start, end in mode_bounds(problem):
+        data = context.modes[mode_name]
+        genes = mapping.genes[start:end]
+        demands[mode_name] = mode_demand(
+            problem, data, genes, gene_mobility(data, genes)[1]
         )
     return combine_cores(problem, demands)
 
@@ -162,8 +160,8 @@ def allocate_cores(problem: Problem, mapping: MappingString) -> CoreAllocation:
 def mode_demand(
     problem: Problem,
     mode_data: "ModeDecodeData",
-    pe_by_task: Mapping[str, str],
-    mobilities: Mapping[str, MobilityInfo],
+    genes: Sequence[str],
+    mobility: Sequence[float],
 ) -> ModeDemand:
     """Minimum and desired core counts of one mode on every hardware PE.
 
@@ -174,18 +172,19 @@ def mode_demand(
     it is independent of some other group member and its mobility is
     below ``k`` times the type's execution time — i.e. when queueing
     behind the k earlier executions on a single core would push it past
-    its ALAP start.  The result depends only on the mode's gene slice,
-    so the pipeline caches it per mode.
+    its ALAP start.  ``genes`` is the mode's gene slice and ``mobility``
+    is indexed by gene position, so the result depends only on the
+    slice and the pipeline caches it per mode.
     """
-    groups: Dict[str, Dict[str, List[str]]] = {
+    groups: Dict[str, Dict[str, List[int]]] = {
         pe.name: {} for pe in problem.architecture.hardware_pes()
     }
     task_types = mode_data.task_types
-    for name in mode_data.task_names:
-        pe_groups = groups.get(pe_by_task[name])
+    for task, pe_name in enumerate(genes):
+        pe_groups = groups.get(pe_name)
         if pe_groups is not None:
-            pe_groups.setdefault(task_types[name], []).append(name)
-    independent = mode_data.independent_same_type
+            pe_groups.setdefault(task_types[task], []).append(task)
+    independent = mode_data.independent
     demand: ModeDemand = {}
     for pe_name, pe_groups in groups.items():
         base_counts: Dict[str, int] = {}
@@ -194,15 +193,11 @@ def mode_demand(
             base_counts[task_type] = 1
             extra = 0
             if len(members) > 1:
-                exec_time = problem.technology.implementation(
-                    task_type, pe_name
-                ).exec_time
-                ordered = sorted(
-                    members, key=lambda n: mobilities[n].mobility
-                )
-                for position, name in enumerate(ordered[1:], start=1):
-                    parallel = not independent[name].isdisjoint(members)
-                    urgent = mobilities[name].mobility < position * exec_time
+                exec_time = mode_data.exec_times[members[0]][pe_name]
+                ordered = sorted(members, key=mobility.__getitem__)
+                for rank, task in enumerate(ordered[1:], start=1):
+                    parallel = not independent[task].isdisjoint(members)
+                    urgent = mobility[task] < rank * exec_time
                     if parallel and urgent:
                         extra += 1
             desired_counts[task_type] = 1 + min(extra, len(members) - 1)

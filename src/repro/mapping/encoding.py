@@ -134,18 +134,6 @@ class MappingString:
             for offset, (task, _) in enumerate(genes)
         }
 
-    def mode_genes(self, mode_name: str) -> Tuple[str, ...]:
-        """The contiguous gene slice of one mode, as a hashable tuple.
-
-        This is the mode's identity for the per-mode result cache: two
-        genomes with equal ``mode_genes`` decode to the same mode
-        mapping, mobilities and core demand.
-        """
-        for name, start, end in mode_bounds(self._problem):
-            if name == mode_name:
-                return self._genes[start:end]
-        raise MappingError(f"unknown mode {mode_name!r}")
-
     def full_mapping(self) -> Dict[str, Dict[str, str]]:
         """``{mode: {task: pe}}`` for all modes."""
         return {

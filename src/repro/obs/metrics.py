@@ -153,9 +153,13 @@ class MetricsRegistry:
         return value
 
     def set_gauge(self, name: str, value: float, **labels: Any) -> None:
+        self.set_gauge_key(metric_key(name, labels), value)
+
+    def set_gauge_key(self, key: MetricKey, value: float) -> None:
+        """:meth:`set_gauge` for a series key resolved once by the caller."""
         if self._paused:
             return
-        self._gauges[metric_key(name, labels)] = float(value)
+        self._gauges[key] = float(value)
 
     def observe(self, name: str, value: float, **labels: Any) -> None:
         """Record one histogram observation."""

@@ -16,12 +16,13 @@ with a single-mode technique — exactly the argument the paper makes.
 
 from __future__ import annotations
 
-import heapq
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
+from collections.abc import Mapping
+from heapq import heapify, heappop, heappush
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import SchedulingError
 from repro.problem import Problem
-from repro.scheduling.mobility import MobilityInfo
+from repro.scheduling.mobility import gene_mobility
 from repro.scheduling.schedule import ModeSchedule, ResourceTimeline
 from repro.specification.mode import Mode
 
@@ -33,9 +34,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 def schedule_mode(
     problem: Problem,
     mode: Mode,
-    task_mapping: Mapping[str, str],
+    task_mapping: Union[Sequence[str], Mapping],
     cores: "CoreAllocation",
-    mobilities: Optional[Mapping[str, MobilityInfo]] = None,
+    alap: Optional[Sequence[float]] = None,
     context: Optional["DecodeContext"] = None,
 ) -> ModeSchedule:
     """Construct the static schedule of one mode under a task mapping.
@@ -47,19 +48,23 @@ def schedule_mode(
     mode:
         The operational mode to schedule.
     task_mapping:
-        ``{task name: PE name}`` for every task of the mode.
+        The mode's gene slice (one PE per task, in ``task_names``
+        order), or a ``{task name: PE name}`` dict covering every task
+        of the mode.
     cores:
         Core allocation; bounds how many same-type hardware tasks can
         run in parallel on each component.
-    mobilities:
-        Optional precomputed mobility table for priority computation.
+    alap:
+        Optional precomputed ALAP start per gene position (the list
+        priority); computed from the mapping when omitted.
     context:
-        Decode context with precomputed implementation tables,
-        adjacency and feasible-link tables; resolved per problem when
-        omitted.
+        Decode context with the mode's position-indexed tables and the
+        feasible-link table; resolved per problem when omitted.
 
-    The schedule's arrays are filled in scheduling order, and every
-    booked resource's timeline supplies its activity order.
+    Tasks leave a ready heap by ``(ALAP start, gene position)``, so
+    ties go to the earlier task of the graph.  The schedule's arrays
+    are filled in scheduling order, and every booked resource's
+    timeline supplies its activity order.
 
     Raises
     ------
@@ -73,62 +78,59 @@ def schedule_mode(
 
         context = context_for(problem)
     mode_data = context.modes[mode.name]
-    exec_times: Dict[str, float] = {}
-    powers: Dict[str, float] = {}
-    cached_times = mode_data.exec_times
-    cached_powers = mode_data.powers
-    for name in mode_data.task_names:
-        try:
-            pe_name = task_mapping[name]
-        except KeyError:
-            raise SchedulingError(
-                f"mode {mode.name!r}: no mapping for task {name!r}"
-            ) from None
-        exec_times[name] = cached_times[name][pe_name]
-        powers[name] = cached_powers[name][pe_name]
-    task_types = mode_data.task_types
-    pe_objects = context.pes
-    feasible_links = context.links_between
-    successors = mode_data.successors
-    in_edges = mode_data.in_edges
-    graph_rank = mode_data.graph_rank
     task_names = mode_data.task_names
-
-    if mobilities is None:
-        mobilities = context.compute_mobilities(mode.name, task_mapping)
-
-    pe_timelines: Dict[str, ResourceTimeline] = {}
-    core_timelines: Dict[Tuple[str, str, int], ResourceTimeline] = {}
-    link_timelines: Dict[str, ResourceTimeline] = {
-        link.name: ResourceTimeline(link.name)
-        for link in problem.architecture.links
+    if isinstance(task_mapping, Mapping):
+        try:
+            genes = tuple([task_mapping[name] for name in task_names])
+        except KeyError as missing:
+            raise SchedulingError(
+                f"mode {mode.name!r}: no mapping for task {missing.args[0]!r}"
+            ) from None
+    else:
+        genes = tuple(task_mapping)
+    if alap is None:
+        alap = gene_mobility(mode_data, genes)[0]
+    exec_times = mode_data.exec_times
+    powers = mode_data.powers
+    task_types = mode_data.task_types
+    in_edges = mode_data.in_edges
+    successors = mode_data.succs
+    software = context.software_pes
+    feasible_links = context.links_between
+    # Core counts of this mode, resolved once: {pe: {type: cores}}.
+    mode_cores = {
+        pe_name: per_mode.get(mode.name, {})
+        for pe_name, per_mode in cores.counts.items()
     }
+
+    # Timelines are created when their first activity is booked; a
+    # task's resource is its software PE or (PE, type, core index).
+    task_timelines: Dict[object, ResourceTimeline] = {}
+    link_timelines: Dict[str, ResourceTimeline] = {}
 
     # The schedule's arrays, in scheduling order (see ModeSchedule).
     names: List[str] = []
-    index_of: Dict[str, int] = {}
+    index_of = [-1] * len(genes)
     types, pes, core_of, power_of, starts, ends, energies = (
         [] for _ in range(7)
     )
     srcs, dsts, src_tasks, dst_tasks, links = ([] for _ in range(5))
     comm_starts, comm_ends, comm_energies = ([] for _ in range(3))
 
-    pending_preds = {
-        name: len(mode_data.predecessors[name]) for name in task_names
-    }
-    # Priority queue: most urgent (lowest ALAP) ready task first; ties
-    # broken by graph order for determinism.
-    ready: List[Tuple[float, int, str]] = []
-    for name in task_names:
-        if pending_preds[name] == 0:
-            heapq.heappush(
-                ready, (mobilities[name].alap, graph_rank[name], name)
-            )
+    pending_preds = [len(preds) for preds in mode_data.preds]
+    # Most urgent (lowest ALAP) ready task first; ties broken by gene
+    # position, which is graph order.
+    ready = [
+        (alap[task], task)
+        for task, count in enumerate(pending_preds)
+        if count == 0
+    ]
+    heapify(ready)
 
     while ready:
-        _, _, current = heapq.heappop(ready)
-        pe_name = task_mapping[current]
-        pe = pe_objects[pe_name]
+        current = heappop(ready)[1]
+        pe_name = genes[current]
+        name = task_names[current]
         index = len(names)
 
         # ------------------------------------------------------------
@@ -136,8 +138,8 @@ def schedule_mode(
         # arrival wins (greedy link choice with contention awareness).
         # ------------------------------------------------------------
         data_ready = 0.0
-        for edge in in_edges[current]:
-            producer = index_of[edge.src]
+        for src, data_bits in in_edges[current]:
+            producer = index_of[src]
             produced = ends[producer]
             src_pe = pes[producer]
             link_name: Optional[str] = None
@@ -149,25 +151,30 @@ def schedule_mode(
                     raise SchedulingError(
                         f"mode {mode.name!r}: no communication link between "
                         f"{src_pe!r} and {pe_name!r} for message "
-                        f"{edge.src!r}->{current!r}"
+                        f"{task_names[src]!r}->{name!r}"
                     )
                 best: Optional[Tuple[float, float, str, float]] = None
                 for candidate in candidates:
-                    transfer = candidate.transfer_time(edge.data_bits)
-                    slot = link_timelines[candidate.name].earliest_slot(
-                        produced, transfer
-                    )
+                    transfer = candidate.transfer_time(data_bits)
+                    timeline = link_timelines.get(candidate.name)
+                    if timeline is not None:
+                        slot = timeline.earliest_slot(produced, transfer)
+                    else:
+                        slot = produced
                     key = (slot + transfer, slot, candidate.name, transfer)
                     if best is None or key < best:
                         best = key
                         link = candidate
                 arrival, slot, link_name, transfer = best
                 energy = link.comm_power * transfer
-                link_timelines[link_name].book(
-                    slot, arrival - slot, len(srcs)
-                )
-            srcs.append(edge.src)
-            dsts.append(current)
+                timeline = link_timelines.get(link_name)
+                if timeline is None:
+                    timeline = link_timelines[link_name] = ResourceTimeline(
+                        link_name
+                    )
+                timeline.book(slot, arrival - slot, len(srcs))
+            srcs.append(task_names[src])
+            dsts.append(name)
             src_tasks.append(producer)
             dst_tasks.append(index)
             links.append(link_name)
@@ -180,37 +187,41 @@ def schedule_mode(
         # ------------------------------------------------------------
         # Task placement on the execution resource.
         # ------------------------------------------------------------
-        duration = exec_times[current]
+        duration = exec_times[current][pe_name]
         task_type = task_types[current]
         core_index: Optional[int] = None
-        if pe.is_software:
-            timeline = pe_timelines.get(pe_name)
+        if pe_name in software:
+            timeline = task_timelines.get(pe_name)
             if timeline is None:
-                timeline = pe_timelines[pe_name] = ResourceTimeline(pe_name)
+                timeline = task_timelines[pe_name] = ResourceTimeline(pe_name)
             start = timeline.earliest_slot(data_ready, duration)
         else:
             available = max(
-                1, cores.available_cores(pe_name, mode.name, task_type)
+                1, mode_cores.get(pe_name, {}).get(task_type, 0)
             )
-            start = data_ready
-            best_start = None
             for core in range(available):
-                key = (pe_name, task_type, core)
-                core_timeline = core_timelines.get(key)
+                core_timeline = task_timelines.get((pe_name, task_type, core))
                 if core_timeline is None:
-                    core_timeline = core_timelines[key] = ResourceTimeline(
-                        f"{pe_name}/{task_type}#{core}"
-                    )
-                slot = core_timeline.earliest_slot(data_ready, duration)
-                if best_start is None or slot < best_start:
-                    best_start = start = slot
+                    slot = data_ready
+                else:
+                    slot = core_timeline.earliest_slot(data_ready, duration)
+                if core_index is None or slot < start:
+                    start = slot
                     core_index = core
                     timeline = core_timeline
+                if core_timeline is None:
+                    # Cores are booked in index order, so this is the
+                    # first idle one: no later core starts earlier.
+                    break
+            if timeline is None:
+                timeline = task_timelines[
+                    (pe_name, task_type, core_index)
+                ] = ResourceTimeline(f"{pe_name}/{task_type}#{core_index}")
         timeline.book(start, duration, index)
 
-        power = powers[current]
+        power = powers[current][pe_name]
         index_of[current] = index
-        names.append(current)
+        names.append(name)
         types.append(task_type)
         pes.append(pe_name)
         core_of.append(core_index)
@@ -222,10 +233,7 @@ def schedule_mode(
         for succ in successors[current]:
             pending_preds[succ] -= 1
             if pending_preds[succ] == 0:
-                heapq.heappush(
-                    ready,
-                    (mobilities[succ].alap, graph_rank[succ], succ),
-                )
+                heappush(ready, (alap[succ], succ))
 
     if len(names) != len(task_names):
         # Cannot happen for a validated (acyclic) task graph, but guards
@@ -235,39 +243,34 @@ def schedule_mode(
             f"{len(task_names)} tasks"
         )
 
-    # Timelines created while comparing cores but never booked hold no
-    # activity and stay out of the resource order.
-    task_order = [
-        timeline.order(names.__getitem__)
-        for timelines in (pe_timelines, core_timelines)
-        for timeline in timelines.values()
-        if len(timeline)
-    ]
-    comm_order = [
-        timeline.order(lambda i: (srcs[i], dsts[i]))
+    task_order = tuple(
+        tuple(timeline.order(names.__getitem__))
+        for timeline in task_timelines.values()
+    )
+    comm_order = tuple(
+        tuple(timeline.order(lambda i: (srcs[i], dsts[i])))
         for timeline in link_timelines.values()
-        if len(timeline)
-    ]
+    )
     return ModeSchedule.from_arrays(
         mode.name,
-        task_names=names,
-        task_types=types,
-        task_pes=pes,
-        task_cores=core_of,
-        task_powers=power_of,
-        task_starts=starts,
-        task_ends=ends,
-        task_energies=energies,
-        task_pieces=[()] * len(names),
-        task_index=index_of,
-        comm_srcs=srcs,
-        comm_dsts=dsts,
-        comm_src_tasks=src_tasks,
-        comm_dst_tasks=dst_tasks,
-        comm_links=links,
-        comm_starts=comm_starts,
-        comm_ends=comm_ends,
-        comm_energies=comm_energies,
+        task_names=tuple(names),
+        task_types=tuple(types),
+        task_pes=tuple(pes),
+        task_cores=tuple(core_of),
+        task_powers=tuple(power_of),
+        task_starts=tuple(starts),
+        task_ends=tuple(ends),
+        task_energies=tuple(energies),
+        task_pieces=((),) * len(names),
+        task_index=dict(zip(names, range(len(names)))),
+        comm_srcs=tuple(srcs),
+        comm_dsts=tuple(dsts),
+        comm_src_tasks=tuple(src_tasks),
+        comm_dst_tasks=tuple(dst_tasks),
+        comm_links=tuple(links),
+        comm_starts=tuple(comm_starts),
+        comm_ends=tuple(comm_ends),
+        comm_energies=tuple(comm_energies),
         task_order=task_order,
         comm_order=comm_order,
     )

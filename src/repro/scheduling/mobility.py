@@ -17,10 +17,13 @@ mapping-level heuristic needs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Sequence, Tuple
 
 from repro.errors import SchedulingError
 from repro.specification.mode import Mode
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.engine.decode_cache import ModeDecodeData
 
 
 @dataclass(frozen=True)
@@ -37,37 +40,51 @@ class MobilityInfo:
 
 
 def asap_alap(
-    order: Sequence[str],
-    predecessors: Mapping[str, Sequence[str]],
-    successors: Mapping[str, Sequence[str]],
-    deadlines: Mapping[str, float],
-    durations: Mapping[str, float],
-) -> Dict[str, MobilityInfo]:
-    """The one ASAP/ALAP pass, over plain adjacency and timing tables.
+    topo: Sequence[int],
+    preds: Sequence[Sequence[int]],
+    succs: Sequence[Sequence[int]],
+    deadlines: Sequence[float],
+    durations: Sequence[float],
+) -> Tuple[List[float], List[float]]:
+    """The one ASAP/ALAP pass, over tables indexed by task position.
 
-    ``order`` is a topological order of the graph; ``deadlines`` holds
-    each task's effective deadline (the earlier of the mode period and
-    its own deadline).  Both :func:`compute_mobilities` and
-    :meth:`repro.engine.decode_cache.DecodeContext.compute_mobilities`
-    run on it.
+    ``topo`` is a topological order of the positions; ``deadlines``
+    holds each task's effective deadline (the earlier of the mode period
+    and its own deadline).  Returns the ASAP and ALAP start times.
     """
-    asap: Dict[str, float] = {}
-    for name in order:
+    asap = [0.0] * len(durations)
+    finish = [0.0] * len(durations)
+    for task in topo:
         arrival = 0.0
-        for pred in predecessors[name]:
-            arrival = max(arrival, asap[pred] + durations[pred])
-        asap[name] = arrival
+        for pred in preds[task]:
+            if finish[pred] > arrival:
+                arrival = finish[pred]
+        asap[task] = arrival
+        finish[task] = arrival + durations[task]
 
-    alap: Dict[str, float] = {}
-    for name in reversed(order):
-        latest_finish = deadlines[name]
-        for succ in successors[name]:
-            latest_finish = min(latest_finish, alap[succ])
-        alap[name] = latest_finish - durations[name]
+    alap = [0.0] * len(durations)
+    for task in reversed(topo):
+        latest_finish = deadlines[task]
+        for succ in succs[task]:
+            if alap[succ] < latest_finish:
+                latest_finish = alap[succ]
+        alap[task] = latest_finish - durations[task]
+    return asap, alap
 
-    return {
-        name: MobilityInfo(asap=asap[name], alap=alap[name]) for name in order
-    }
+
+def gene_mobility(
+    mode_data: "ModeDecodeData", genes: Sequence[str]
+) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
+    """ALAP starts and mobilities of a mode's gene slice, by position."""
+    exec_times = mode_data.exec_times
+    asap, alap = asap_alap(
+        mode_data.topo,
+        mode_data.preds,
+        mode_data.succs,
+        mode_data.deadline_row,
+        [exec_times[task][pe] for task, pe in enumerate(genes)],
+    )
+    return tuple(alap), tuple([late - early for late, early in zip(alap, asap)])
 
 
 def compute_mobilities(
@@ -87,15 +104,17 @@ def compute_mobilities(
     Returns
     -------
     dict
-        Task name → :class:`MobilityInfo`.  ALAP times honour both the
-        mode period and individual task deadlines.  When the graph's
-        critical path exceeds a deadline, mobilities become negative —
-        callers treat that as a timing-infeasibility signal rather than
-        an error.
+        Task name → :class:`MobilityInfo`, in topological order.  ALAP
+        times honour both the mode period and individual task
+        deadlines.  When the graph's critical path exceeds a deadline,
+        mobilities become negative — callers treat that as a
+        timing-infeasibility signal rather than an error.
     """
     graph = mode.task_graph
+    names = graph.task_names
+    position = {name: i for i, name in enumerate(names)}
     order = graph.topological_order()
-    durations = {}
+    durations = [0.0] * len(names)
     for name in order:
         duration = exec_time(name)
         if duration < 0:
@@ -103,25 +122,28 @@ def compute_mobilities(
                 f"mode {mode.name!r}: negative execution time for "
                 f"task {name!r}"
             )
-        durations[name] = duration
-    return asap_alap(
-        order,
-        {name: graph.predecessors(name) for name in order},
-        {name: graph.successors(name) for name in order},
-        {name: mode.effective_deadline(name) for name in order},
+        durations[position[name]] = duration
+    asap, alap = asap_alap(
+        [position[name] for name in order],
+        [[position[p] for p in graph.predecessors(name)] for name in names],
+        [[position[s] for s in graph.successors(name)] for name in names],
+        [mode.effective_deadline(name) for name in names],
         durations,
     )
+    return {
+        name: MobilityInfo(asap=asap[position[name]], alap=alap[position[name]])
+        for name in order
+    }
 
 
 def critical_path_length(
     mode: Mode, exec_time: Callable[[str], float]
 ) -> float:
     """Length of the longest dataflow path (ignoring communication)."""
-    graph = mode.task_graph
-    finish: Dict[str, float] = {}
-    for name in graph.topological_order():
-        arrival = 0.0
-        for pred in graph.predecessors(name):
-            arrival = max(arrival, finish[pred])
-        finish[name] = arrival + exec_time(name)
-    return max(finish.values(), default=0.0)
+    return max(
+        (
+            info.asap + exec_time(name)
+            for name, info in compute_mobilities(mode, exec_time).items()
+        ),
+        default=0.0,
+    )

@@ -16,7 +16,7 @@ earliest-gap insertion.
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -140,34 +140,32 @@ class ResourceTimeline:
             raise SchedulingError(
                 f"resource {self.name!r}: negative duration {duration}"
             )
+        starts = self._starts
+        ends = self._ends
         candidate = ready
-        # Find the first booking that could interfere with `candidate`.
-        index = bisect.bisect_left(self._ends, candidate + TIME_EPS)
-        while index < len(self._starts):
-            gap_end = self._starts[index]
-            if candidate + duration <= gap_end + TIME_EPS:
+        # Scan from the first booking that could interfere with `ready`.
+        for index in range(bisect_left(ends, ready + TIME_EPS), len(starts)):
+            if candidate + duration <= starts[index] + TIME_EPS:
                 return candidate
-            candidate = max(candidate, self._ends[index])
-            index += 1
+            if ends[index] > candidate:
+                candidate = ends[index]
         return candidate
 
     def book(self, start: float, duration: float, ident: int = -1) -> None:
         """Reserve ``[start, start+duration)`` for ``ident``; no overlap."""
+        starts = self._starts
         end = start + duration
-        index = bisect.bisect_left(self._starts, start)
-        if index > 0 and self._ends[index - 1] > start + TIME_EPS:
+        index = bisect_left(starts, start)
+        if (index and self._ends[index - 1] > start + TIME_EPS) or (
+            index < len(starts) and starts[index] < end - TIME_EPS
+        ):
             raise SchedulingError(
                 f"resource {self.name!r}: booking [{start}, {end}) overlaps "
                 f"existing interval"
             )
-        if index < len(self._starts) and self._starts[index] < end - TIME_EPS:
-            raise SchedulingError(
-                f"resource {self.name!r}: booking [{start}, {end}) overlaps "
-                f"existing interval"
-            )
-        if index < len(self._starts) and self._starts[index] == start:
+        if index < len(starts) and starts[index] == start:
             self._tied = True
-        self._starts.insert(index, start)
+        starts.insert(index, start)
         self._ends.insert(index, end)
         self._ids.insert(index, ident)
 
@@ -200,35 +198,38 @@ class ModeSchedule:
       at least one booking: ``task_order``/``comm_order`` list the
       positions by start, equal starts by name or ``(src, dst)``.
 
-    Arrays are never mutated after construction, so a voltage-scaled
-    schedule shares the mapping-fixed arrays of its input
-    (:meth:`retimed`).  The :class:`ScheduledTask`/:class:`ScheduledComm`
+    Every array is a tuple (``task_index`` is a dict of names to
+    positions) and is never mutated after construction, so a
+    voltage-scaled schedule shares the mapping-fixed arrays of its
+    input (:meth:`retimed`), and a cached schedule holds no container
+    the garbage collector keeps scanning.  The
+    :class:`ScheduledTask`/:class:`ScheduledComm`
     objects behind :attr:`tasks`, :attr:`comms`, :meth:`task`,
     :meth:`comm`, :meth:`tasks_on`, :meth:`comms_on` and
     :meth:`validate` are built on first access and cached.
     """
 
     mode_name: str
-    task_names: List[str]
-    task_types: List[str]
-    task_pes: List[str]
-    task_cores: List[Optional[int]]
-    task_powers: List[float]
-    task_starts: List[float]
-    task_ends: List[float]
-    task_energies: List[float]
-    task_pieces: List[Tuple[Tuple[float, float], ...]]
+    task_names: Tuple[str, ...]
+    task_types: Tuple[str, ...]
+    task_pes: Tuple[str, ...]
+    task_cores: Tuple[Optional[int], ...]
+    task_powers: Tuple[float, ...]
+    task_starts: Tuple[float, ...]
+    task_ends: Tuple[float, ...]
+    task_energies: Tuple[float, ...]
+    task_pieces: Tuple[Tuple[Tuple[float, float], ...], ...]
     task_index: Dict[str, int]
-    comm_srcs: List[str]
-    comm_dsts: List[str]
-    comm_src_tasks: List[int]
-    comm_dst_tasks: List[int]
-    comm_links: List[Optional[str]]
-    comm_starts: List[float]
-    comm_ends: List[float]
-    comm_energies: List[float]
-    task_order: List[List[int]]
-    comm_order: List[List[int]]
+    comm_srcs: Tuple[str, ...]
+    comm_dsts: Tuple[str, ...]
+    comm_src_tasks: Tuple[int, ...]
+    comm_dst_tasks: Tuple[int, ...]
+    comm_links: Tuple[Optional[str], ...]
+    comm_starts: Tuple[float, ...]
+    comm_ends: Tuple[float, ...]
+    comm_energies: Tuple[float, ...]
+    task_order: Tuple[Tuple[int, ...], ...]
+    comm_order: Tuple[Tuple[int, ...], ...]
     _task_objects: Optional[Dict[str, ScheduledTask]]
     _comm_objects: Optional[Dict[Tuple[str, str], ScheduledComm]]
     # One slot per attribute annotated above.
@@ -273,32 +274,32 @@ class ModeSchedule:
         self._set(
             mode_name,
             dict(
-                task_names=[t.name for t in placed],
-                task_types=[t.task_type for t in placed],
-                task_pes=[t.pe for t in placed],
-                task_cores=[t.core_index for t in placed],
-                task_powers=[t.power for t in placed],
-                task_starts=[t.start for t in placed],
-                task_ends=[t.end for t in placed],
-                task_energies=[t.energy for t in placed],
-                task_pieces=[t.pieces for t in placed],
+                task_names=tuple(t.name for t in placed),
+                task_types=tuple(t.task_type for t in placed),
+                task_pes=tuple(t.pe for t in placed),
+                task_cores=tuple(t.core_index for t in placed),
+                task_powers=tuple(t.power for t in placed),
+                task_starts=tuple(t.start for t in placed),
+                task_ends=tuple(t.end for t in placed),
+                task_energies=tuple(t.energy for t in placed),
+                task_pieces=tuple(t.pieces for t in placed),
                 task_index=index,
-                comm_srcs=[c.src for c in carried],
-                comm_dsts=[c.dst for c in carried],
-                comm_src_tasks=[index.get(c.src, -1) for c in carried],
-                comm_dst_tasks=[index.get(c.dst, -1) for c in carried],
-                comm_links=[c.link for c in carried],
-                comm_starts=[c.start for c in carried],
-                comm_ends=[c.end for c in carried],
-                comm_energies=[c.energy for c in carried],
-                task_order=[
-                    sorted(ids, key=lambda i: (placed[i].start, placed[i].name))
+                comm_srcs=tuple(c.src for c in carried),
+                comm_dsts=tuple(c.dst for c in carried),
+                comm_src_tasks=tuple(index.get(c.src, -1) for c in carried),
+                comm_dst_tasks=tuple(index.get(c.dst, -1) for c in carried),
+                comm_links=tuple(c.link for c in carried),
+                comm_starts=tuple(c.start for c in carried),
+                comm_ends=tuple(c.end for c in carried),
+                comm_energies=tuple(c.energy for c in carried),
+                task_order=tuple(
+                    tuple(sorted(ids, key=lambda i: (placed[i].start, placed[i].name)))
                     for ids in on_resource.values()
-                ],
-                comm_order=[
-                    sorted(ids, key=lambda i: (carried[i].start, carried[i].key))
+                ),
+                comm_order=tuple(
+                    tuple(sorted(ids, key=lambda i: (carried[i].start, carried[i].key)))
                     for ids in on_link.values()
-                ],
+                ),
             ),
         )
         self._task_objects = task_objects

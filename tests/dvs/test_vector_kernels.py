@@ -7,8 +7,9 @@ be *bit-identical* to the frozen seed implementation
 comm, not approximately.  The corpus covers:
 
 * random-mapping schedules over mul1 / mul3 / smartphone (software
-  DVS, shared-rail hardware segment chains, and — for the gradient
-  descent — both rail modes);
+  DVS) and mul8, whose DVS-enabled FPGA puts shared-rail hardware
+  segment chains (Fig. 5) and their replay through both methods and,
+  for the gradient descent, both rail modes;
 * replayed GA-style mutation chains — successive single/few-gene
   perturbations of one genome, the schedule distribution the engine
   actually feeds the kernels;
@@ -32,7 +33,7 @@ from tests.oracles.pv_dvs_reference import (
     reference_uniform_scale_schedule,
 )
 
-INSTANCES = ("mul1", "mul3", "smartphone")
+INSTANCES = ("mul1", "mul3", "mul8", "smartphone")
 
 
 def _schedules_for(problem, genome):

@@ -15,7 +15,8 @@ import pytest
 
 from repro.benchgen.suite import suite_problem
 from repro.engine.decode_cache import DecodeContext, context_for
-from repro.mapping.encoding import MappingString
+from repro.mapping.encoding import MappingString, mode_bounds
+from repro.scheduling.mobility import gene_mobility
 from repro.synthesis.config import DvsMethod, SynthesisConfig
 from repro.synthesis.evaluator import evaluate_mapping
 
@@ -156,14 +157,26 @@ class TestDecodeContext:
         for mode in problem.omsm.modes:
             data = context.modes[mode.name]
             graph = mode.task_graph
-            assert data.task_names == graph.task_names
-            assert set(data.topo_order) == set(graph.task_names)
-            for name in data.task_names:
+            names = data.task_names
+            assert names == graph.task_names
+            assert tuple(names[i] for i in data.topo) == (
+                graph.topological_order()
+            )
+            for i, name in enumerate(names):
                 assert data.deadlines[name] == mode.effective_deadline(
                     name
                 )
-                assert data.predecessors[name] == graph.predecessors(name)
-                assert data.successors[name] == graph.successors(name)
+                assert data.deadline_row[i] == data.deadlines[name]
+                assert data.task_types[i] == graph.task(name).task_type
+                assert tuple(names[p] for p in data.preds[i]) == (
+                    graph.predecessors(name)
+                )
+                assert tuple(names[s] for s in data.succs[i]) == (
+                    graph.successors(name)
+                )
+                assert tuple(
+                    (names[src], bits) for src, bits in data.in_edges[i]
+                ) == tuple((e.src, e.data_bits) for e in graph.in_edges(name))
 
     def test_exec_times_match_technology(self):
         problem = make_two_mode_problem()
@@ -171,18 +184,16 @@ class TestDecodeContext:
         technology = problem.technology
         for mode in problem.omsm.modes:
             data = context.modes[mode.name]
-            for task_name, candidates in problem.gene_space(mode.name):
+            for i, (task_name, candidates) in enumerate(
+                problem.gene_space(mode.name)
+            ):
+                assert data.task_names[i] == task_name
                 for pe_name in candidates:
                     entry = technology.implementation(
-                        data.task_types[task_name], pe_name
+                        data.task_types[i], pe_name
                     )
-                    assert (
-                        data.exec_times[task_name][pe_name]
-                        == entry.exec_time
-                    )
-                    assert (
-                        data.powers[task_name][pe_name] == entry.power
-                    )
+                    assert data.exec_times[i][pe_name] == entry.exec_time
+                    assert data.powers[i][pe_name] == entry.power
 
     def test_links_between_matches_architecture(self):
         problem = make_two_mode_problem()
@@ -211,9 +222,11 @@ class TestDecodeContext:
         rng = random.Random(3)
         genome = MappingString.random(tgff_problem, rng)
         technology = tgff_problem.technology
-        for mode in tgff_problem.omsm.modes:
-            mapping = genome.mode_mapping(mode.name)
-            fast = context.compute_mobilities(mode.name, mapping)
+        for mode, (_, start, end) in zip(
+            tgff_problem.omsm.modes, mode_bounds(tgff_problem)
+        ):
+            data = context.modes[mode.name]
+            alap, mobility = gene_mobility(data, genome.genes[start:end])
             slow = frozen_compute_mobilities(
                 mode,
                 lambda task, _mode=mode: technology.implementation(
@@ -221,7 +234,8 @@ class TestDecodeContext:
                     genome.pe_of(_mode.name, task),
                 ).exec_time,
             )
-            assert set(fast) == set(slow)
-            for name in fast:
-                assert fast[name].asap == slow[name].asap
-                assert fast[name].alap == slow[name].alap
+            assert set(data.task_names) == set(slow)
+            assert alap == tuple(slow[name].alap for name in data.task_names)
+            assert mobility == tuple(
+                slow[name].mobility for name in data.task_names
+            )

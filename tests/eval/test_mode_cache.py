@@ -5,13 +5,15 @@ evicts oldest, byte accounting follows), the metrics emitted on the
 process-global registry, per-problem memoisation incl. sharing across
 ``with_probabilities`` re-targets, the config fingerprint, and the
 dirty-mode contract: after a single-mode edit, the clean modes' prep
-lookups are cache hits.
+lookups are cache hits, and the collector footprint of cached results.
 """
 
+import gc
 import random
 
 import pytest
 
+from repro.benchgen.smartphone import smartphone_problem
 from repro.benchgen.suite import suite_problem
 from repro.eval.cache import (
     MODE_CACHE_SIZE,
@@ -23,7 +25,10 @@ from repro.eval.cache import (
 )
 from repro.mapping.encoding import MappingString, mode_bounds
 from repro.obs.metrics import REGISTRY
+from repro.scheduling.mobility import MobilityInfo
+from repro.scheduling.schedule import _ARRAY_SLOTS
 from repro.synthesis.config import DvsMethod, SynthesisConfig
+from repro.synthesis.cosynthesis import MultiModeSynthesizer
 from repro.synthesis.evaluator import evaluate_mapping
 
 from tests.conftest import make_two_mode_problem
@@ -33,8 +38,9 @@ FP = ("none", True, True, 0)
 
 def _prep(n: int = 1) -> ModePrep:
     return ModePrep(
-        mode_mapping={f"t{i}": "PE0" for i in range(n)},
-        mobilities={},
+        genes=("PE0",) * n,
+        alap=(0.0,) * n,
+        mobility=(0.0,) * n,
         demand={},
     )
 
@@ -236,3 +242,41 @@ class TestDirtyModeConsistency:
         if first is not None:
             assert second is not None
             assert second.metrics.fitness == first.metrics.fitness
+
+
+class TestCollectorFootprint:
+    """Cached mode results hold nothing the garbage collector scans.
+
+    Every array of a cached schedule and the gene, ALAP and mobility
+    rows of a cached prep are tuples of atoms (voltage pieces nest
+    three tuples deep), which the collector stops tracking once it has
+    passed over them, so a full cache adds nothing to later collections.
+    The hot path builds no per-task ``MobilityInfo`` either.
+    """
+
+    def test_cached_results_are_untracked(self):
+        problem = smartphone_problem()
+        config = SynthesisConfig(
+            dvs=DvsMethod.GRADIENT,
+            population_size=8,
+            max_generations=3,
+            seed=5,
+        )
+        MultiModeSynthesizer(problem, config).run()
+        cache = mode_cache_for(problem, config)
+        # Each pass untracks one more level of nested tuples.
+        for _ in range(3):
+            gc.collect()
+        preps = list(cache._prep.values())
+        outcomes = [o for o in cache._sched.values() if o.feasible]
+        assert preps and outcomes
+        for prep in preps:
+            for row in (prep.genes, prep.alap, prep.mobility):
+                assert type(row) is tuple
+                assert not gc.is_tracked(row)
+        for outcome in outcomes:
+            for name in _ARRAY_SLOTS:
+                assert not gc.is_tracked(getattr(outcome.schedule, name)), name
+        assert not any(
+            type(obj) is MobilityInfo for obj in gc.get_objects()
+        )

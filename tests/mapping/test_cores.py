@@ -8,9 +8,9 @@ from repro.architecture import PEKind
 from repro.benchgen import registry
 from repro.engine.decode_cache import context_for
 from repro.mapping.cores import allocate_cores
-from repro.mapping.encoding import MappingString
+from repro.mapping.encoding import MappingString, mode_bounds
 from repro.problem import Problem
-from repro.scheduling.mobility import compute_mobilities
+from repro.scheduling.mobility import compute_mobilities, gene_mobility
 from repro.specification import OMSM, Mode
 
 from tests.conftest import make_parallel_hw_problem, make_two_mode_problem
@@ -272,7 +272,8 @@ class TestMatchesFrozenAllocator:
     tables, ``mode_demand``, ``combine_cores``); the frozen copy in
     :mod:`tests.oracles.cores_reference` walks the task graph and the
     genome directly.  Counts, areas and reconfiguration times must be
-    equal bit for bit, and so must every mode's mobilities.  The
+    equal bit for bit, and so must every mode's ALAP starts and
+    mobilities (the decode tables' tuples, in graph order).  The
     shipped periods leave so much slack that no extra core is ever
     provisioned, so every instance also runs with its periods cut to a
     tenth, where about half the genomes get extra cores.
@@ -293,7 +294,9 @@ class TestMatchesFrozenAllocator:
             assert runtime.counts == frozen.counts, where
             assert runtime.area_used == frozen.area_used, where
             assert runtime.transition_times() == frozen.transition_times()
-            for mode in problem.omsm.modes:
+            for mode, (_, start, end) in zip(
+                problem.omsm.modes, mode_bounds(problem)
+            ):
                 mapping = genome.mode_mapping(mode.name)
 
                 def exec_time(task, _mode=mode, _mapping=mapping):
@@ -302,12 +305,15 @@ class TestMatchesFrozenAllocator:
                         _mapping[task],
                     ).exec_time
 
-                expected = list(
-                    cores_reference.compute_mobilities(mode, exec_time).items()
-                )
-                assert list(
-                    context.compute_mobilities(mode.name, mapping).items()
-                ) == expected, where
+                frozen = cores_reference.compute_mobilities(mode, exec_time)
+                data = context.modes[mode.name]
+                alap, mobility = gene_mobility(data, genome.genes[start:end])
+                assert alap == tuple(
+                    frozen[name].alap for name in data.task_names
+                ), where
+                assert mobility == tuple(
+                    frozen[name].mobility for name in data.task_names
+                ), where
                 assert list(
                     compute_mobilities(mode, exec_time).items()
-                ) == expected, where
+                ) == list(frozen.items()), where

@@ -63,29 +63,33 @@ def _resource_order(tasks, comms):
 def _assert_matches(problem, mode, schedule, reference, label):
     tasks = reference.tasks
     comms = reference.comms
-    names = [t.name for t in tasks]
-    keys = [c.key for c in comms]
-    # Arrays first, before anything builds the object view.
+    names = tuple(t.name for t in tasks)
+    keys = tuple(c.key for c in comms)
+    # Arrays first, before anything builds the object view.  Every
+    # array is a tuple.
     assert schedule.task_names == names, label
-    assert schedule.task_types == [t.task_type for t in tasks], label
-    assert schedule.task_pes == [t.pe for t in tasks], label
-    assert schedule.task_cores == [t.core_index for t in tasks], label
-    assert schedule.task_powers == [t.power for t in tasks], label
-    assert schedule.task_starts == [t.start for t in tasks], label
-    assert schedule.task_ends == [t.end for t in tasks], label
-    assert schedule.task_energies == [t.energy for t in tasks], label
-    assert schedule.task_pieces == [t.pieces for t in tasks], label
+    assert schedule.task_types == tuple(t.task_type for t in tasks), label
+    assert schedule.task_pes == tuple(t.pe for t in tasks), label
+    assert schedule.task_cores == tuple(t.core_index for t in tasks), label
+    assert schedule.task_powers == tuple(t.power for t in tasks), label
+    assert schedule.task_starts == tuple(t.start for t in tasks), label
+    assert schedule.task_ends == tuple(t.end for t in tasks), label
+    assert schedule.task_energies == tuple(t.energy for t in tasks), label
+    assert schedule.task_pieces == tuple(t.pieces for t in tasks), label
     assert schedule.task_index == {n: i for i, n in enumerate(names)}
-    assert schedule.comm_srcs == [c.src for c in comms], label
-    assert schedule.comm_dsts == [c.dst for c in comms], label
-    assert schedule.comm_src_tasks == [names.index(c.src) for c in comms]
-    assert schedule.comm_dst_tasks == [names.index(c.dst) for c in comms]
-    assert schedule.comm_links == [c.link for c in comms], label
-    assert schedule.comm_starts == [c.start for c in comms], label
-    assert schedule.comm_ends == [c.end for c in comms], label
-    assert schedule.comm_energies == [c.energy for c in comms], label
+    assert schedule.comm_srcs == tuple(c.src for c in comms), label
+    assert schedule.comm_dsts == tuple(c.dst for c in comms), label
+    assert schedule.comm_src_tasks == tuple(names.index(c.src) for c in comms)
+    assert schedule.comm_dst_tasks == tuple(names.index(c.dst) for c in comms)
+    assert schedule.comm_links == tuple(c.link for c in comms), label
+    assert schedule.comm_starts == tuple(c.start for c in comms), label
+    assert schedule.comm_ends == tuple(c.end for c in comms), label
+    assert schedule.comm_energies == tuple(c.energy for c in comms), label
     task_order, comm_order = _resource_order(tasks, comms)
     assert all(schedule.task_order) and all(schedule.comm_order), label
+    assert all(
+        type(ids) is tuple for ids in schedule.task_order + schedule.comm_order
+    ), label
     assert sorted(
         tuple(names[i] for i in ids) for ids in schedule.task_order
     ) == task_order, label
