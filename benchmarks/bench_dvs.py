@@ -21,7 +21,8 @@ Cases span the paper-scale gradient suite (where fixed per-call
 overhead dominates) and the ``stress1``/``stress2`` tier (200+ tasks
 per mode — where the kernels' asymptotic advantage shows).  Results
 are written to ``benchmarks/results/bench_dvs.json``; ``--quick`` runs
-a two-case smoke subset (used by ``make bench-smoke``) and fails on
+a two-case smoke subset (used by ``make bench-smoke``), writes it to
+the git-ignored ``benchmarks/out/bench_dvs_quick.json`` and fails on
 any identity violation.
 
 Usage::
@@ -173,7 +174,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=None,
         help=(
             "output JSON path (default: benchmarks/results/"
-            "bench_dvs.json, or bench_dvs_quick.json with --quick)"
+            "bench_dvs.json, or the git-ignored benchmarks/out/"
+            "bench_dvs_quick.json with --quick)"
         ),
     )
     args = parser.parse_args(argv)
@@ -215,8 +217,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         },
     }
     if args.out is None:
-        stem = "bench_dvs_quick.json" if args.quick else "bench_dvs.json"
-        out_path = REPO_ROOT / "benchmarks" / "results" / stem
+        if args.quick:
+            out_path = REPO_ROOT / "benchmarks" / "out" / "bench_dvs_quick.json"
+        else:
+            out_path = REPO_ROOT / "benchmarks" / "results" / "bench_dvs.json"
     else:
         out_path = pathlib.Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)

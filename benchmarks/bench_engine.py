@@ -34,7 +34,8 @@ machine-relative, so the check is portable).
 Usage::
 
     python benchmarks/bench_engine.py                  # full suite
-    python benchmarks/bench_engine.py --quick          # smoke subset
+    python benchmarks/bench_engine.py --quick          # smoke subset,
+                                                       # to benchmarks/out/
     python benchmarks/bench_engine.py --jobs 8
     python benchmarks/bench_engine.py --quick \
         --check benchmarks/results/bench_engine_quick_baseline.json
@@ -372,8 +373,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=None,
         help=(
             "output JSON path (default: BENCH_engine.json at the repo "
-            "root, or bench_engine_quick.json under benchmarks/results "
-            "with --quick)"
+            "root, or the git-ignored benchmarks/out/"
+            "bench_engine_quick.json with --quick)"
         ),
     )
     parser.add_argument(
@@ -388,9 +389,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.out is None:
         if args.quick:
-            out_path = (
-                REPO_ROOT / "benchmarks" / "results" / "bench_engine_quick.json"
-            )
+            out_path = REPO_ROOT / "benchmarks" / "out" / "bench_engine_quick.json"
         else:
             out_path = REPO_ROOT / "BENCH_engine.json"
     else:

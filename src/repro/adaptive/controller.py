@@ -160,8 +160,8 @@ def warm_population(
     Deterministic given ``rng``; genes transfer verbatim because
     re-targeting Ψ leaves the gene layout unchanged
     (:meth:`repro.problem.Problem.with_probabilities`).  The re-target
-    also carries over the per-mode result cache (cached schedules and
-    powers are Ψ-independent), so re-evaluating seeds and their mutants
+    also carries over the per-mode result cache (cached timing
+    violations and powers are Ψ-independent), so re-evaluating seeds and their mutants
     under the new probabilities is mostly cache hits — the warm start
     is warm at the evaluation level too, not just in the population.
     """

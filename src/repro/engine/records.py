@@ -2,8 +2,9 @@
 
 The GA only needs a candidate's fitness and its constraint-violation
 summary to drive selection and the repair mutations; the fully decoded
-:class:`~repro.mapping.implementation.Implementation` (schedules, core
-tables) is reconstructed once at the end for the best genome.  Keeping
+:class:`~repro.mapping.implementation.Implementation` (core tables, and
+schedules once read) is reconstructed once at the end for the best
+genome.  Keeping
 pool results this small makes parallel dispatch cheap: a worker returns
 a few floats and tuples of names, never a schedule or a problem
 reference.
@@ -13,15 +14,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
-from repro.obs.metrics import REGISTRY
+from repro.obs.metrics import REGISTRY, MetricKey, metric_key
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.decode_cache import DecodeContext
     from repro.mapping.implementation import Implementation
     from repro.problem import Problem
     from repro.synthesis.config import SynthesisConfig
+
+
+#: ``engine_evaluations_total`` per outcome, resolved once.
+_EVALUATIONS: Dict[str, MetricKey] = {
+    outcome: metric_key("engine_evaluations_total", {"outcome": outcome})
+    for outcome in ("infeasible", "feasible", "violating")
+}
 
 
 @dataclass(frozen=True)
@@ -45,12 +53,11 @@ def record_from_implementation(
     one place to meter evaluation throughput and feasibility.
     """
     if implementation is None:
-        REGISTRY.inc("engine_evaluations_total", outcome="infeasible")
+        REGISTRY.add(_EVALUATIONS["infeasible"])
         return EvalRecord(fitness=math.inf)
     metrics = implementation.metrics
-    REGISTRY.inc(
-        "engine_evaluations_total",
-        outcome="feasible" if metrics.is_feasible else "violating",
+    REGISTRY.add(
+        _EVALUATIONS["feasible" if metrics.is_feasible else "violating"]
     )
     return EvalRecord(
         fitness=metrics.fitness,

@@ -9,20 +9,26 @@ actually reads).  A :class:`ModeResultCache` memoises those per-mode
 stage results across candidates, so a genome that perturbs one mode
 pays for one mode's pipeline instead of all of them.
 
-Two segments, two keys:
+An entry holds only what a later lookup reads.  Two segments, two keys:
 
 ``prep``
-    keyed by ``(mode, mode-gene slice, config fingerprint)`` — the
-    ALAP starts, mobilities and per-PE core demand.  Pure function of
-    the mode's genes.
+    keyed by ``(mode, mode-gene slice, config fingerprint)`` — the gene
+    slice, the per-PE core demand and its read set.  Pure function of
+    the mode's genes.  The mobilities only feed the demand and the ALAP
+    starts only feed a schedule built in the same evaluation, so
+    neither is kept.
 ``sched``
     keyed by ``(mode, mode-gene slice, core-set signature, config
-    fingerprint)`` — the post-DVS schedule, timing violations and
-    per-mode dynamic/static power.  The core-set signature captures the
-    *only* cross-mode coupling: the allocated core counts of exactly
-    the (PE, task type) pairs this mode's scheduler reads (the prep's
-    ``read_set``), so ASIC union changes caused by *other* modes only
-    miss when they actually change a count this mode observes.
+    fingerprint)`` — feasibility, timing violations and per-mode
+    dynamic/static power: the three things fitness reads.  The post-DVS
+    schedule is not kept; an
+    :class:`~repro.mapping.implementation.Implementation` rebuilds a
+    mode's schedule when someone reads it.  The core-set signature
+    captures the *only* cross-mode coupling: the allocated core counts
+    of exactly the (PE, task type) pairs this mode's scheduler reads
+    (the prep's ``read_set``), so ASIC union changes caused by *other*
+    modes only miss when they actually change a count this mode
+    observes.
 
 Both segments are bounded LRUs (:data:`MODE_CACHE_SIZE` entries each
 for the per-problem cache); hits, misses and evictions are metered per
@@ -38,11 +44,10 @@ warm-started re-synthesis inherits it; see :func:`mode_cache_for`).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 from repro.mapping.cores import ModeDemand
 from repro.obs.metrics import REGISTRY, MetricKey, metric_key
-from repro.scheduling.schedule import ModeSchedule
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.problem import Problem
@@ -82,73 +87,77 @@ def config_fingerprint(config: "SynthesisConfig") -> ConfigFingerprint:
 class ModePrep:
     """Gene-slice-derived per-mode data (prep segment value).
 
-    ``genes`` is the mode's gene slice, which is its mapping; ``alap``
-    and ``mobility`` are indexed by gene position; ``demand`` is the
-    per-PE core demand.  ``read_set`` lists, per hardware PE with a
-    task of the mode, its sorted task types: the core counts the
-    mode's scheduler reads, which key the sched segment.
+    ``genes`` is the mode's gene slice, which is its mapping;
+    ``demand`` is the per-PE core demand.  ``read_set`` lists, per
+    hardware PE with a task of the mode, its sorted task types: the
+    core counts the mode's scheduler reads, which key the sched
+    segment.
     """
 
-    __slots__ = ("genes", "alap", "mobility", "demand", "read_set", "approx_bytes")
+    __slots__ = ("genes", "demand", "read_set", "approx_bytes")
 
-    def __init__(
-        self,
-        genes: Tuple[str, ...],
-        alap: Tuple[float, ...],
-        mobility: Tuple[float, ...],
-        demand: ModeDemand,
-    ) -> None:
+    def __init__(self, genes: Tuple[str, ...], demand: ModeDemand) -> None:
         self.genes = genes
-        self.alap = alap
-        self.mobility = mobility
         self.demand = demand
         self.read_set = tuple(
             (pe_name, tuple(sorted(base)))
             for pe_name, (base, _) in demand.items()
             if base
         )
-        # Rough per-entry footprint: the three per-task tuples and the
-        # demand dicts.  Good enough for a resident-bytes gauge; no
-        # claim of allocator-level accuracy.
+        # Rough per-entry footprint (key and LRU slot included),
+        # fitted to tracemalloc on full smartphone and mul8 caches.
+        # Good enough for a resident-bytes gauge; no claim of
+        # allocator-level accuracy.
         demand_entries = sum(
             len(base) + len(desired)
             for base, desired in demand.values()
         )
-        self.approx_bytes = 64 * len(genes) + 96 * demand_entries + 256
+        self.approx_bytes = (
+            440 + 8 * len(genes) + 500 * len(demand) + 20 * demand_entries
+        )
 
 
 class ModeOutcome:
     """Schedule-stage result of one mode (sched segment value).
 
-    ``schedule is None`` marks a *scheduling-infeasible* mode slice
-    (the list scheduler raised): the pipeline returns ``None`` for the
-    whole candidate — and the infeasibility itself is cacheable.
+    Holds what fitness reads: feasibility, the timing violations and
+    the mode's dynamic and static power.  ``feasible`` is false for a
+    *scheduling-infeasible* mode slice (the list scheduler raised): the
+    pipeline returns ``None`` for the whole candidate — and the
+    infeasibility itself is cacheable.
     """
 
-    __slots__ = ("schedule", "timing", "dynamic", "static", "approx_bytes")
+    __slots__ = ("feasible", "timing", "dynamic", "static", "approx_bytes")
 
     def __init__(
         self,
-        schedule: Optional[ModeSchedule],
+        feasible: bool,
         timing: Dict[str, float],
         dynamic: float,
         static: float,
     ) -> None:
-        self.schedule = schedule
+        self.feasible = feasible
         self.timing = timing
         self.dynamic = dynamic
         self.static = static
-        if schedule is None:
-            footprint = 128
-        else:
-            footprint = 512 + 320 * (
-                len(schedule.task_names) + len(schedule.comm_srcs)
-            )
-        self.approx_bytes = footprint + 64 * len(timing)
+        # Rough footprint of the value, its key and LRU slot, fitted
+        # like the prep's; the key's core signature comes on top (see
+        # :func:`_footprint`).
+        self.approx_bytes = 440 + 96 * len(timing)
 
-    @property
-    def feasible(self) -> bool:
-        return self.schedule is not None
+
+def _footprint(key: Tuple[Any, ...], value: Any) -> int:
+    """Approximate bytes of one cache entry.
+
+    The value's own estimate, plus a sched key's core signature: about
+    120 bytes per PE and 64 per core count (the key's gene tuple is the
+    prep's).
+    """
+    if type(value) is ModeOutcome:
+        return value.approx_bytes + sum(
+            120 + 64 * len(counts) for _, counts in key[2]
+        )
+    return value.approx_bytes
 
 
 class ModeResultCache:
@@ -183,83 +192,65 @@ class ModeResultCache:
         self.misses = 0
         self.evictions = 0
         self.bytes_resident = 0
-        # (hit, mode, stage) -> its hits/misses counter series, resolved
-        # once per series instead of once per lookup.
-        self._series: Dict[Tuple[bool, str, str], MetricKey] = {}
-
-    # ------------------------------------------------------------------
-    # Prep segment
-    # ------------------------------------------------------------------
+        # (counter, mode, stage) -> its hits/misses/evictions series,
+        # resolved once per series instead of once per call.
+        self._series: Dict[Tuple[str, str, str], MetricKey] = {}
 
     def get_prep(self, key: PrepKey) -> Optional[ModePrep]:
-        entry = self._prep.get(key)
-        self._count(entry is not None, key[0], "prep")
-        if entry is not None:
-            self._prep.move_to_end(key)
-        return entry
+        return self._get(self._prep, key, "prep")
 
     def put_prep(self, key: PrepKey, value: ModePrep) -> None:
-        if key in self._prep:  # pragma: no cover - defensive (get-first)
-            self.bytes_resident -= self._prep[key].approx_bytes
-        self._prep[key] = value
-        self.bytes_resident += value.approx_bytes
-        if len(self._prep) > self.capacity:
-            evicted_key, evicted = self._prep.popitem(last=False)
-            self.bytes_resident -= evicted.approx_bytes
-            self.evictions += 1
-            REGISTRY.inc(
-                "eval_mode_cache_evictions_total",
-                mode=evicted_key[0],
-                stage="prep",
-            )
-        self._publish_gauges()
-
-    # ------------------------------------------------------------------
-    # Sched segment
-    # ------------------------------------------------------------------
+        self._put(self._prep, key, value, "prep")
 
     def get_sched(self, key: SchedKey) -> Optional[ModeOutcome]:
-        entry = self._sched.get(key)
-        self._count(entry is not None, key[0], "sched")
-        if entry is not None:
-            self._sched.move_to_end(key)
-        return entry
+        return self._get(self._sched, key, "sched")
 
     def put_sched(self, key: SchedKey, value: ModeOutcome) -> None:
-        if key in self._sched:  # pragma: no cover - defensive (get-first)
-            self.bytes_resident -= self._sched[key].approx_bytes
-        self._sched[key] = value
-        self.bytes_resident += value.approx_bytes
-        if len(self._sched) > self.capacity:
-            evicted_key, evicted = self._sched.popitem(last=False)
-            self.bytes_resident -= evicted.approx_bytes
-            self.evictions += 1
-            REGISTRY.inc(
-                "eval_mode_cache_evictions_total",
-                mode=evicted_key[0],
-                stage="sched",
-            )
-        self._publish_gauges()
+        self._put(self._sched, key, value, "sched")
 
     # ------------------------------------------------------------------
     # Bookkeeping
     # ------------------------------------------------------------------
 
-    def _count(self, hit: bool, mode: str, stage: str) -> None:
-        if hit:
+    def _get(
+        self, segment: "OrderedDict[Any, Any]", key: Tuple[Any, ...], stage: str
+    ) -> Any:
+        entry = segment.get(key)
+        if entry is not None:
+            segment.move_to_end(key)
             self.hits += 1
+            self._add("eval_mode_cache_hits_total", key[0], stage)
         else:
             self.misses += 1
-        series = self._series.get((hit, mode, stage))
+            self._add("eval_mode_cache_misses_total", key[0], stage)
+        REGISTRY.set_gauge_key(_HIT_RATE, self.hit_rate)
+        return entry
+
+    def _put(
+        self,
+        segment: "OrderedDict[Any, Any]",
+        key: Tuple[Any, ...],
+        value: Any,
+        stage: str,
+    ) -> None:
+        if key in segment:  # pragma: no cover - defensive (get-first)
+            self.bytes_resident -= _footprint(key, segment[key])
+        segment[key] = value
+        self.bytes_resident += _footprint(key, value)
+        if len(segment) > self.capacity:
+            evicted_key, evicted = segment.popitem(last=False)
+            self.bytes_resident -= _footprint(evicted_key, evicted)
+            self.evictions += 1
+            self._add("eval_mode_cache_evictions_total", evicted_key[0], stage)
+        self._publish_gauges()
+
+    def _add(self, counter: str, mode: str, stage: str) -> None:
+        series = self._series.get((counter, mode, stage))
         if series is None:
-            series = self._series[(hit, mode, stage)] = metric_key(
-                "eval_mode_cache_hits_total"
-                if hit
-                else "eval_mode_cache_misses_total",
-                {"mode": mode, "stage": stage},
+            series = self._series[(counter, mode, stage)] = metric_key(
+                counter, {"mode": mode, "stage": stage}
             )
         REGISTRY.add(series)
-        REGISTRY.set_gauge_key(_HIT_RATE, self.hit_rate)
 
     def _publish_gauges(self) -> None:
         REGISTRY.set_gauge_key(_BYTES, self.bytes_resident)

@@ -17,7 +17,10 @@ aggregates because skipped stages simply record nothing).
 The cache is consulted by *key*: a mode's prep is keyed on its gene
 slice and a config fingerprint, its schedule additionally on the core
 counts its scheduler reads (see :mod:`repro.eval.cache`), so the
-pipeline needs no record of which modes an operator changed.
+pipeline needs no record of which modes an operator changed.  The
+cache keeps each mode's scores, not its schedule; the returned
+:class:`~repro.mapping.implementation.Implementation` rebuilds a
+mode's schedule when it is first read.
 
 Results are pinned bit-for-bit to the frozen seed evaluator under
 ``tests/oracles`` (a single monolithic recompute-per-candidate pass).
@@ -26,7 +29,8 @@ Results are pinned bit-for-bit to the frozen seed evaluator under
 from __future__ import annotations
 
 import time
-from typing import Dict, Optional
+from functools import partial
+from typing import Dict, Optional, Tuple
 
 from repro.engine.decode_cache import DecodeContext, context_for
 from repro.engine.profile import PROFILER
@@ -36,10 +40,14 @@ from repro.eval.cache import (
     config_fingerprint,
     mode_cache_for,
 )
-from repro.eval.stages import prepare_mode, run_mode
-from repro.mapping.cores import combine_cores
+from repro.eval.stages import final_schedule, prepare_mode, run_mode
+from repro.mapping.cores import CoreAllocation, combine_cores
 from repro.mapping.encoding import MappingString, mode_bounds
-from repro.mapping.implementation import Implementation, ImplementationMetrics
+from repro.mapping.implementation import (
+    Implementation,
+    ImplementationMetrics,
+    LazySchedules,
+)
 from repro.power.energy_model import weighted_power
 from repro.problem import Problem
 from repro.scheduling.schedule import ModeSchedule
@@ -75,6 +83,8 @@ def evaluate_mapping_incremental(
     genome = mapping.genes
     modes = problem.omsm.modes
     preps: Dict[str, ModePrep] = {}
+    # ALAP rows of the preps that missed here, for their sched misses.
+    alaps: Dict[str, Tuple[float, ...]] = {}
     for mode, (_, start, end) in zip(modes, mode_bounds(problem)):
         genes = genome[start:end]
         prep_key = (mode.name, genes, fingerprint)
@@ -88,7 +98,9 @@ def evaluate_mapping_incremental(
             )
         else:
             with PROFILER.phase("mobility", mode=mode.name):
-                prep = prepare_mode(problem, context, genes, mode)
+                prep, alaps[mode.name] = prepare_mode(
+                    problem, context, genes, mode
+                )
             cache.put_prep(prep_key, prep)
         preps[mode.name] = prep
 
@@ -105,8 +117,8 @@ def evaluate_mapping_incremental(
     # Stage 4 (per-mode schedule + DVS + timing + per-mode power),
     # served from the sched segment when neither the mode's genes nor
     # the core counts its scheduler reads (the prep's read set) have
-    # changed.
-    schedules: Dict[str, ModeSchedule] = {}
+    # changed.  Only the scores are kept; a miss after a prep hit
+    # recomputes the ALAP row.
     timing_violations: Dict[str, Dict[str, float]] = {}
     dynamic: Dict[str, float] = {}
     static: Dict[str, float] = {}
@@ -129,13 +141,14 @@ def evaluate_mapping_incremental(
                 mode=mode.name,
             )
         else:
-            outcome = run_mode(problem, config, context, mode, prep, cores)
+            outcome = run_mode(
+                problem, config, context, mode, prep, cores, alaps.get(mode.name)
+            )
             cache.put_sched(sched_key, outcome)
-        if outcome.schedule is None:
+        if not outcome.feasible:
             # Scheduling-infeasible — the infeasibility itself came
             # from / went to the cache like any other outcome.
             return None
-        schedules[mode.name] = outcome.schedule
         if outcome.timing:
             timing_violations[mode.name] = outcome.timing
         dynamic[mode.name] = outcome.dynamic
@@ -182,6 +195,31 @@ def evaluate_mapping_incremental(
         problem=problem,
         mapping=mapping,
         cores=cores,
-        schedules=schedules,
+        schedules=LazySchedules(
+            problem.omsm.mode_names,
+            partial(_rebuild_schedule, problem, config, context, mapping, cores),
+        ),
         metrics=metrics,
     )
+
+
+def _rebuild_schedule(
+    problem: Problem,
+    config: SynthesisConfig,
+    context: DecodeContext,
+    mapping: MappingString,
+    cores: CoreAllocation,
+    mode_name: str,
+) -> ModeSchedule:
+    """A scored mode's post-DVS schedule, built when first read.
+
+    Runs the kernels :func:`run_mode` scored the mode with, on the same
+    gene slice and core counts, so the schedule's powers and timing
+    violations are the cached scores.
+    """
+    for mode, (_, start, end) in zip(problem.omsm.modes, mode_bounds(problem)):
+        if mode.name == mode_name:
+            return final_schedule(
+                problem, config, context, mode, mapping.genes[start:end], cores
+            )
+    raise KeyError(mode_name)

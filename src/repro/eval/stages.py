@@ -16,7 +16,7 @@ Core demand and fitting are the kernels
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.dvs.pv_dvs import scale_schedule, uniform_scale_schedule
 from repro.engine.decode_cache import DecodeContext
@@ -39,19 +39,54 @@ def prepare_mode(
     context: DecodeContext,
     genes: Tuple[str, ...],
     mode: Mode,
-) -> ModePrep:
-    """Mobility stage: ALAP starts, mobilities and core demand.
+) -> Tuple[ModePrep, Tuple[float, ...]]:
+    """Mobility stage: core demand, plus the ALAP starts.
 
     Pure function of the mode's gene slice (prep cache segment), which
     is also the mode's mapping.  The demand part hoists this mode's
     share of core allocation out of the (cross-mode) combine stage — it
-    too depends only on this mode's genes.
+    too depends only on this mode's genes.  The ALAP starts (the list
+    priority) are returned beside the prep, not in it: only a schedule
+    built in the same evaluation reads them.
     """
     data = context.modes[mode.name]
     alap, mobility = gene_mobility(data, genes)
-    return ModePrep(
-        genes, alap, mobility, mode_demand(problem, data, genes, mobility)
-    )
+    return ModePrep(genes, mode_demand(problem, data, genes, mobility)), alap
+
+
+def final_schedule(
+    problem: Problem,
+    config: SynthesisConfig,
+    context: DecodeContext,
+    mode: Mode,
+    genes: Sequence[str],
+    cores: CoreAllocation,
+    alap: Optional[Sequence[float]] = None,
+) -> ModeSchedule:
+    """One mode's list schedule, voltage-scaled by the configured DVS.
+
+    The kernels :func:`run_mode` scores with, and the ones an
+    :class:`~repro.mapping.implementation.Implementation` rebuilds a
+    read schedule with.  ``alap`` is recomputed from ``genes`` when
+    omitted.  Raises :class:`~repro.errors.SchedulingError` when list
+    scheduling fails.
+    """
+    with PROFILER.phase("schedule", mode=mode.name):
+        schedule = schedule_mode(
+            problem, mode, genes, cores, alap, context=context
+        )
+    if config.dvs is DvsMethod.NONE:
+        return schedule
+    with PROFILER.phase("dvs", mode=mode.name):
+        if config.dvs is DvsMethod.GRADIENT:
+            return scale_schedule(
+                problem,
+                mode,
+                schedule,
+                shared_rail=config.dvs_shared_rail,
+                context=context,
+            )
+        return uniform_scale_schedule(problem, mode, schedule, context=context)
 
 
 def run_mode(
@@ -61,42 +96,27 @@ def run_mode(
     mode: Mode,
     prep: ModePrep,
     cores: CoreAllocation,
+    alap: Optional[Tuple[float, ...]] = None,
 ) -> ModeOutcome:
     """Per-mode schedule stage: list scheduling, DVS, timing, power.
 
     Covers the schedule and DVS phases and the timing violations of one
     mode, plus the mode's share of the power breakdown (dynamic and
-    static power are per-mode quantities).
+    static power are per-mode quantities).  Only those scores are
+    kept; the schedule is dropped.  ``alap`` is the prep stage's ALAP
+    row when the prep missed in the same evaluation.
     A :class:`~repro.errors.SchedulingError` yields an infeasible
     outcome — cacheable like any other result.
     """
-    schedule: Optional[ModeSchedule]
-    with PROFILER.phase("schedule", mode=mode.name):
-        try:
-            schedule = schedule_mode(
-                problem, mode, prep.genes, cores, prep.alap, context=context
-            )
-        except SchedulingError:
-            schedule = None
-    if schedule is None:
-        return ModeOutcome(None, {}, 0.0, 0.0)
-    if config.dvs is not DvsMethod.NONE:
-        with PROFILER.phase("dvs", mode=mode.name):
-            if config.dvs is DvsMethod.GRADIENT:
-                schedule = scale_schedule(
-                    problem,
-                    mode,
-                    schedule,
-                    shared_rail=config.dvs_shared_rail,
-                    context=context,
-                )
-            else:
-                schedule = uniform_scale_schedule(
-                    problem, mode, schedule, context=context
-                )
+    try:
+        schedule = final_schedule(
+            problem, config, context, mode, prep.genes, cores, alap
+        )
+    except SchedulingError:
+        return ModeOutcome(False, {}, 0.0, 0.0)
     violations = schedule.timing_violations(
         mode, deadlines=context.modes[mode.name].deadlines
     )
     dynamic = mode_dynamic_power(problem, mode.name, schedule)
     static = mode_static_power(problem, schedule)
-    return ModeOutcome(schedule, violations, dynamic, static)
+    return ModeOutcome(True, violations, dynamic, static)

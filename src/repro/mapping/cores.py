@@ -124,8 +124,15 @@ class CoreAllocation:
         """Transitions whose reconfiguration exceeds ``t_T^max``.
 
         Maps the transition key to the ratio ``t_T / t_T^max`` (> 1).
+        Only FPGAs reconfigure, so without one every transition takes
+        no time and none can exceed its (positive) limit.
         """
         violations: Dict[Tuple[str, str], float] = {}
+        if not any(
+            pe.kind is PEKind.FPGA
+            for pe in self._problem.architecture.hardware_pes()
+        ):
+            return violations
         for transition in self._problem.omsm.transitions:
             needed = self.transition_time(transition.src, transition.dst)
             if needed > transition.max_time:
@@ -235,8 +242,16 @@ def combine_cores(
     return CoreAllocation(counts=counts, area_used=area_used, _problem=problem)
 
 
-def _core_area(problem: Problem, pe_name: str, task_type: str) -> float:
-    return problem.technology.implementation(task_type, pe_name).area
+def _core_areas(problem: Problem) -> Dict[str, Dict[str, float]]:
+    """``{hardware PE: {task type: core area}}`` (cached per problem)."""
+    cached = getattr(problem, "_core_areas", None)
+    if cached is None:
+        cached = {pe.name: {} for pe in problem.architecture.hardware_pes()}
+        for entry in problem.technology:
+            if entry.pe in cached:
+                cached[entry.pe][entry.task_type] = entry.area
+        problem._core_areas = cached  # type: ignore[attr-defined]
+    return cached
 
 
 def _fit_asic(
@@ -246,6 +261,7 @@ def _fit_asic(
     desired: Dict[str, Dict[str, int]],
 ) -> Tuple[Dict[str, Dict[str, int]], float]:
     """Static configuration: per-type max over modes, shared by all modes."""
+    areas = _core_areas(problem)[pe.name]
     base_union: Dict[str, int] = {}
     desired_union: Dict[str, int] = {}
     for mode_counts in base.values():
@@ -260,14 +276,13 @@ def _fit_asic(
             )
     final = dict(base_union)
     used = sum(
-        count * _core_area(problem, pe.name, task_type)
-        for task_type, count in final.items()
+        count * areas[task_type] for task_type, count in final.items()
     )
     # Add desired extra cores greedily (smallest area first) while the
     # component still has room.
     extras: List[Tuple[float, str]] = []
     for task_type, want in sorted(desired_union.items()):
-        area = _core_area(problem, pe.name, task_type)
+        area = areas[task_type]
         for _ in range(want - final.get(task_type, 0)):
             extras.append((area, task_type))
     extras.sort()
@@ -286,17 +301,17 @@ def _fit_fpga(
     desired: Dict[str, Dict[str, int]],
 ) -> Tuple[Dict[str, Dict[str, int]], float]:
     """Per-mode configurations; the largest mode's area is charged."""
+    areas = _core_areas(problem)[pe.name]
     per_mode: Dict[str, Dict[str, int]] = {}
     worst_area = 0.0
     for mode_name, base_counts in base.items():
         final = dict(base_counts)
         used = sum(
-            count * _core_area(problem, pe.name, task_type)
-            for task_type, count in final.items()
+            count * areas[task_type] for task_type, count in final.items()
         )
         extras: List[Tuple[float, str]] = []
         for task_type, want in sorted(desired[mode_name].items()):
-            area = _core_area(problem, pe.name, task_type)
+            area = areas[task_type]
             for _ in range(want - final.get(task_type, 0)):
                 extras.append((area, task_type))
         extras.sort()

@@ -22,7 +22,10 @@ class MappingString:
     """An immutable genome: one PE name per (mode, task) gene.
 
     Instances compare and hash by gene content, so populations can be
-    deduplicated with sets/dicts.
+    deduplicated with sets/dicts.  The constructor validates every
+    gene; ``with_gene``/``with_genes`` check the genes they set, and
+    ``mutate``/``crossover_two_point`` build children from parent genes
+    and candidate picks without a re-check.
     """
 
     __slots__ = ("_problem", "_genes", "_hash")
@@ -34,15 +37,20 @@ class MappingString:
                 f"genome length {len(genes)} does not match problem "
                 f"({len(layout)} genes)"
             )
-        for gene, (mode, task, candidates) in zip(genes, layout):
-            if gene not in candidates:
-                raise MappingError(
-                    f"gene for task {task!r} in mode {mode!r} assigns "
-                    f"{gene!r}, not among candidates {list(candidates)}"
-                )
+        for gene, entry in zip(genes, layout):
+            _check_gene(entry, gene)
         self._problem = problem
         self._genes: Tuple[str, ...] = tuple(genes)
         self._hash = hash(self._genes)
+
+    @classmethod
+    def _valid(cls, problem: Problem, genes: Tuple[str, ...]) -> "MappingString":
+        """A genome of genes already known to be valid (not re-checked)."""
+        genome = object.__new__(cls)
+        genome._problem = problem
+        genome._genes = genes
+        genome._hash = hash(genes)
+        return genome
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -128,11 +136,14 @@ class MappingString:
 
     def mode_mapping(self, mode_name: str) -> Dict[str, str]:
         """Task → PE assignment for one mode (``M_τ^O``)."""
-        start, genes = self._mode_slice(mode_name)
-        return {
-            task: self._genes[start + offset]
-            for offset, (task, _) in enumerate(genes)
-        }
+        for mode, start, end in mode_bounds(self._problem):
+            if mode == mode_name:
+                layout = _layout(self._problem)
+                return {
+                    layout[index][1]: self._genes[index]
+                    for index in range(start, end)
+                }
+        raise MappingError(f"unknown mode {mode_name!r}")
 
     def full_mapping(self) -> Dict[str, Dict[str, str]]:
         """``{mode: {task: pe}}`` for all modes."""
@@ -143,24 +154,7 @@ class MappingString:
 
     def pe_of(self, mode_name: str, task_name: str) -> str:
         """The PE executing ``task_name`` in ``mode_name``."""
-        start, genes = self._mode_slice(mode_name)
-        for offset, (task, _) in enumerate(genes):
-            if task == task_name:
-                return self._genes[start + offset]
-        raise MappingError(
-            f"no task {task_name!r} in mode {mode_name!r}"
-        )
-
-    def _mode_slice(
-        self, mode_name: str
-    ) -> Tuple[int, Tuple[Tuple[str, Tuple[str, ...]], ...]]:
-        start = 0
-        for mode in self._problem.omsm.modes:
-            genes = self._problem.gene_space(mode.name)
-            if mode.name == mode_name:
-                return start, genes
-            start += len(genes)
-        raise MappingError(f"unknown mode {mode_name!r}")
+        return self._genes[self.gene_index(mode_name, task_name)]
 
     # ------------------------------------------------------------------
     # Genetic operators
@@ -168,22 +162,20 @@ class MappingString:
 
     def with_gene(self, index: int, pe: str) -> "MappingString":
         """A copy with gene ``index`` replaced (validated)."""
-        if not 0 <= index < len(self._genes):
-            raise MappingError(f"gene index {index} out of range")
-        genes = list(self._genes)
-        genes[index] = pe
-        return MappingString(self._problem, genes)
+        return self.with_genes({index: pe})
 
     def with_genes(
         self, replacements: Mapping[int, str]
     ) -> "MappingString":
-        """A copy with several genes replaced at once."""
+        """A copy with several genes replaced at once (each validated)."""
+        layout = _layout(self._problem)
         genes = list(self._genes)
         for index, pe in replacements.items():
             if not 0 <= index < len(genes):
                 raise MappingError(f"gene index {index} out of range")
+            _check_gene(layout[index], pe)
             genes[index] = pe
-        return MappingString(self._problem, genes)
+        return MappingString._valid(self._problem, tuple(genes))
 
     def mutate(
         self, rng: random.Random, per_gene_rate: float
@@ -199,7 +191,7 @@ class MappingString:
                 changed = True
         if not changed:
             return self
-        return MappingString(self._problem, genes)
+        return MappingString._valid(self._problem, tuple(genes))
 
     def crossover_two_point(
         self, other: "MappingString", rng: random.Random
@@ -228,8 +220,8 @@ class MappingString:
             child_a[low:high],
         )
         return (
-            MappingString(self._problem, child_a),
-            MappingString(self._problem, child_b),
+            MappingString._valid(self._problem, tuple(child_a)),
+            MappingString._valid(self._problem, tuple(child_b)),
         )
 
     # ------------------------------------------------------------------
@@ -238,13 +230,14 @@ class MappingString:
 
     def gene_index(self, mode_name: str, task_name: str) -> int:
         """Flat index of the gene for (mode, task)."""
-        start, genes = self._mode_slice(mode_name)
-        for offset, (task, _) in enumerate(genes):
-            if task == task_name:
-                return start + offset
-        raise MappingError(
-            f"no task {task_name!r} in mode {mode_name!r}"
-        )
+        index = _gene_positions(self._problem).get((mode_name, task_name))
+        if index is None:
+            if all(mode != mode_name for mode, _, _ in mode_bounds(self._problem)):
+                raise MappingError(f"unknown mode {mode_name!r}")
+            raise MappingError(
+                f"no task {task_name!r} in mode {mode_name!r}"
+            )
+        return index
 
     def candidates_at(self, index: int) -> Tuple[str, ...]:
         """Candidate PEs of the gene at a flat index."""
@@ -252,6 +245,16 @@ class MappingString:
         if not 0 <= index < len(layout):
             raise MappingError(f"gene index {index} out of range")
         return layout[index][2]
+
+
+def _check_gene(entry: Tuple[str, str, Tuple[str, ...]], gene: str) -> None:
+    """Raise unless ``gene`` is a candidate of its layout ``entry``."""
+    mode, task, candidates = entry
+    if gene not in candidates:
+        raise MappingError(
+            f"gene for task {task!r} in mode {mode!r} assigns "
+            f"{gene!r}, not among candidates {list(candidates)}"
+        )
 
 
 def _layout(problem: Problem) -> Tuple[Tuple[str, str, Tuple[str, ...]], ...]:
@@ -281,3 +284,14 @@ def mode_bounds(problem: Problem) -> Tuple[Tuple[str, int, int], ...]:
         problem._mode_bounds = cached  # type: ignore[attr-defined]
     return cached
 
+
+def _gene_positions(problem: Problem) -> Dict[Tuple[str, str], int]:
+    """``{(mode, task): flat gene index}`` (cached)."""
+    cached = getattr(problem, "_gene_positions", None)
+    if cached is None:
+        cached = {
+            (mode, task): index
+            for index, (mode, task, _) in enumerate(_layout(problem))
+        }
+        problem._gene_positions = cached  # type: ignore[attr-defined]
+    return cached

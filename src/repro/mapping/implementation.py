@@ -5,12 +5,17 @@ An implementation (paper Section 2.2) is the tuple of functions
 derived quality metrics: probability-weighted average power (Equation 1),
 per-mode power breakdown, and the three feasibility dimensions (timing,
 area, mode-transition time).
+
+The evaluator scores every mode without keeping its schedule, so an
+implementation it returns holds :class:`LazySchedules`: a mode's
+schedule is rebuilt, with the kernels that scored it, when it is first
+read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Callable, Dict, Iterator, Mapping, Sequence, Tuple
 
 from repro.mapping.cores import CoreAllocation
 from repro.mapping.encoding import MappingString
@@ -61,14 +66,54 @@ class ImplementationMetrics:
         return self.dynamic_power[mode_name] + self.static_power[mode_name]
 
 
+class LazySchedules(Mapping[str, ModeSchedule]):
+    """Read-only per-mode schedules, each built on its first read.
+
+    ``build(mode_name)`` returns the mode's schedule; every mode is
+    built at most once, and the schedule is kept for the life of this
+    mapping.
+    """
+
+    __slots__ = ("_modes", "_build", "_built")
+
+    def __init__(
+        self, modes: Sequence[str], build: Callable[[str], ModeSchedule]
+    ) -> None:
+        self._modes = modes
+        self._build = build
+        self._built: Dict[str, ModeSchedule] = {}
+
+    def __getitem__(self, mode_name: str) -> ModeSchedule:
+        schedule = self._built.get(mode_name)
+        if schedule is None:
+            if mode_name not in self._modes:
+                raise KeyError(mode_name)
+            schedule = self._built[mode_name] = self._build(mode_name)
+        return schedule
+
+    def __contains__(self, mode_name: object) -> bool:
+        return mode_name in self._modes
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._modes)
+
+    def __len__(self) -> int:
+        return len(self._modes)
+
+
 @dataclass(frozen=True)
 class Implementation:
-    """A decoded, scheduled and voltage-scaled mapping candidate."""
+    """A decoded, scheduled and voltage-scaled mapping candidate.
+
+    ``schedules`` maps every mode to its post-DVS schedule; the
+    evaluator passes :class:`LazySchedules`, so the first read of a
+    mode costs one schedule and DVS pass.
+    """
 
     problem: Problem
     mapping: MappingString
     cores: CoreAllocation
-    schedules: Dict[str, ModeSchedule]
+    schedules: Mapping[str, ModeSchedule]
     metrics: ImplementationMetrics
 
     def schedule(self, mode_name: str) -> ModeSchedule:

@@ -85,11 +85,12 @@ class Problem:
         genes) transfer between the two instances verbatim.
 
         Lazily-memoised decode state transfers too: the decode context,
-        genome layout, mode gene bounds and the per-mode result cache
-        are all Ψ-independent (probabilities only enter the final
-        Equation (1) weighting), so a re-targeted problem inherits them
-        instead of rebuilding — which is what makes the adaptive
-        controller's warm-started re-synthesis warm in practice.
+        genome layout, mode gene bounds, gene positions, core areas and
+        the per-mode result cache are all Ψ-independent (probabilities
+        only enter the final Equation (1) weighting), so a re-targeted
+        problem inherits them instead of rebuilding — which is what
+        makes the adaptive controller's warm-started re-synthesis warm
+        in practice.
         """
         retargeted = Problem(
             self.omsm.with_probabilities(probabilities),
@@ -100,6 +101,8 @@ class Problem:
             "_decode_context",
             "_genome_layout",
             "_mode_bounds",
+            "_gene_positions",
+            "_core_areas",
             "_mode_result_cache",
         ):
             memoised = getattr(self, attr, None)

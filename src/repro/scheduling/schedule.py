@@ -201,7 +201,7 @@ class ModeSchedule:
     Every array is a tuple (``task_index`` is a dict of names to
     positions) and is never mutated after construction, so a
     voltage-scaled schedule shares the mapping-fixed arrays of its
-    input (:meth:`retimed`), and a cached schedule holds no container
+    input (:meth:`retimed`), and a kept schedule holds no container
     the garbage collector keeps scanning.  The
     :class:`ScheduledTask`/:class:`ScheduledComm`
     objects behind :attr:`tasks`, :attr:`comms`, :meth:`task`,

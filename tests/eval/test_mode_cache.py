@@ -26,7 +26,7 @@ from repro.eval.cache import (
 from repro.mapping.encoding import MappingString, mode_bounds
 from repro.obs.metrics import REGISTRY
 from repro.scheduling.mobility import MobilityInfo
-from repro.scheduling.schedule import _ARRAY_SLOTS
+from repro.scheduling.schedule import ModeSchedule
 from repro.synthesis.config import DvsMethod, SynthesisConfig
 from repro.synthesis.cosynthesis import MultiModeSynthesizer
 from repro.synthesis.evaluator import evaluate_mapping
@@ -37,16 +37,11 @@ FP = ("none", True, True, 0)
 
 
 def _prep(n: int = 1) -> ModePrep:
-    return ModePrep(
-        genes=("PE0",) * n,
-        alap=(0.0,) * n,
-        mobility=(0.0,) * n,
-        demand={},
-    )
+    return ModePrep(genes=("PE0",) * n, demand={"HW": ({"A": n}, {"A": n})})
 
 
 def _outcome() -> ModeOutcome:
-    return ModeOutcome(schedule=None, timing={}, dynamic=0.0, static=0.0)
+    return ModeOutcome(feasible=False, timing={}, dynamic=0.0, static=0.0)
 
 
 class TestLruMechanics:
@@ -244,14 +239,31 @@ class TestDirtyModeConsistency:
             assert second.metrics.fitness == first.metrics.fitness
 
 
-class TestCollectorFootprint:
-    """Cached mode results hold nothing the garbage collector scans.
+def _reachable(value):
+    """Every object reachable from ``value``, not descending into types."""
+    seen = {}
+    stack = [value]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen[id(obj)] = obj
+        if not isinstance(obj, type):
+            stack.extend(gc.get_referents(obj))
+    return list(seen.values())
 
-    Every array of a cached schedule and the gene, ALAP and mobility
-    rows of a cached prep are tuples of atoms (voltage pieces nest
-    three tuples deep), which the collector stops tracking once it has
-    passed over them, so a full cache adds nothing to later collections.
-    The hot path builds no per-task ``MobilityInfo`` either.
+
+class TestCollectorFootprint:
+    """Cached mode results hold only what fitness reads, untracked.
+
+    A sched entry keeps feasibility, timing violations and the two
+    powers, and no schedule; a prep entry keeps the gene slice, the core
+    demand and its read set, and no per-task ALAP or mobility row.  The
+    gene and read-set tuples hold names, the timing dicts names and
+    floats and the demand's count dicts types and ints, so the collector
+    stops tracking them once it has passed over them (nested tuples
+    need one pass per level).  The hot path builds no per-task
+    ``MobilityInfo`` either.
     """
 
     def test_cached_results_are_untracked(self):
@@ -270,13 +282,22 @@ class TestCollectorFootprint:
         preps = list(cache._prep.values())
         outcomes = [o for o in cache._sched.values() if o.feasible]
         assert preps and outcomes
+        assert any(outcome.timing for outcome in outcomes)
+        for value in preps + outcomes:
+            assert not any(
+                isinstance(obj, ModeSchedule) for obj in _reachable(value)
+            )
         for prep in preps:
-            for row in (prep.genes, prep.alap, prep.mobility):
-                assert type(row) is tuple
-                assert not gc.is_tracked(row)
+            # The per-task ALAP and mobility rows were the prep's floats.
+            assert not any(type(obj) is float for obj in _reachable(prep))
+            assert type(prep.genes) is tuple
+            assert not gc.is_tracked(prep.genes)
+            assert not gc.is_tracked(prep.read_set)
+            for base, desired in prep.demand.values():
+                assert not gc.is_tracked(base)
+                assert not gc.is_tracked(desired)
         for outcome in outcomes:
-            for name in _ARRAY_SLOTS:
-                assert not gc.is_tracked(getattr(outcome.schedule, name)), name
+            assert not gc.is_tracked(outcome.timing)
         assert not any(
             type(obj) is MobilityInfo for obj in gc.get_objects()
         )

@@ -72,6 +72,16 @@ class TestViews:
         assert genome.gene_index("O1", "t4") == 3
         assert genome.gene_index("O2", "u1") == 4
 
+    def test_unknown_mode_and_task_name_the_culprit(self, two_mode_problem):
+        genome = MappingString(two_mode_problem, ["PE0"] * 7)
+        for lookup in (genome.gene_index, genome.pe_of):
+            with pytest.raises(MappingError, match="unknown mode 'ghost'"):
+                lookup("ghost", "t1")
+            with pytest.raises(MappingError, match="no task 'u1' in mode 'O1'"):
+                lookup("O1", "u1")
+        with pytest.raises(MappingError, match="unknown mode 'ghost'"):
+            genome.mode_mapping("ghost")
+
     def test_candidates_at(self, two_mode_problem):
         genome = MappingString(two_mode_problem, ["PE0"] * 7)
         assert set(genome.candidates_at(0)) == {"PE0", "PE1"}
@@ -107,6 +117,13 @@ class TestOperators:
         changed = genome.with_genes({0: "PE1", 6: "PE1"})
         assert changed.genes[0] == "PE1"
         assert changed.genes[6] == "PE1"
+
+    def test_with_genes_validates_each_replacement(self, two_mode_problem):
+        genome = MappingString(two_mode_problem, ["PE0"] * 7)
+        with pytest.raises(MappingError, match="task 'u3' in mode 'O2'"):
+            genome.with_genes({0: "PE1", 6: "GHOST"})
+        with pytest.raises(MappingError, match="out of range"):
+            genome.with_genes({0: "PE1", -1: "PE1"})
 
     def test_mutate_rate_zero_returns_self(self, two_mode_problem, rng):
         genome = MappingString.random(two_mode_problem, rng)
