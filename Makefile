@@ -26,8 +26,8 @@ lint:
 # Static type check.  mypy is pinned in the `dev` optional-dependency
 # group; environments without it skip the check instead of failing.
 # Scope: the strictly annotated subsystems ([tool.mypy] in
-# pyproject.toml) — currently the adaptive, dvs, engine, eval and
-# synthesis packages.
+# pyproject.toml) — currently the dvs, engine, eval and synthesis
+# packages.
 typecheck:
 	@if command -v mypy >/dev/null 2>&1; then \
 	    mypy --config-file pyproject.toml; \
@@ -81,7 +81,6 @@ examples:
 	$(PYTHON) examples/persist_simulate_battery.py
 	$(PYTHON) examples/explore_area_tradeoff.py
 	$(PYTHON) examples/campaign_resume.py
-	$(PYTHON) examples/online_adaptation.py
 	$(PYTHON) examples/smartphone_case_study.py
 
 clean:

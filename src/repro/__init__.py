@@ -98,18 +98,7 @@ from repro.runtime import (
     CampaignSpec,
     JobSpec,
 )
-from repro.adaptive import (
-    AdaptationConfig,
-    AdaptationController,
-    AdaptationReport,
-    DesignLibrary,
-    DesignRecord,
-    DriftConfig,
-    DriftDetector,
-    PsiEstimator,
-)
 from repro.api import (
-    adapt_online,
     load_problem,
     problem_names,
     resume_campaign,
@@ -119,9 +108,6 @@ from repro.api import (
 __version__ = "1.1.0"
 
 __all__ = [
-    "AdaptationConfig",
-    "AdaptationController",
-    "AdaptationReport",
     "Architecture",
     "ArchitectureError",
     "CampaignError",
@@ -133,10 +119,6 @@ __all__ = [
     "CommEdge",
     "CommunicationLink",
     "CoreAllocation",
-    "DesignLibrary",
-    "DesignRecord",
-    "DriftConfig",
-    "DriftDetector",
     "DvsMethod",
     "Implementation",
     "ImplementationMetrics",
@@ -151,7 +133,6 @@ __all__ = [
     "PEKind",
     "Problem",
     "ProcessingElement",
-    "PsiEstimator",
     "ReproError",
     "SchedulingError",
     "SpecificationError",
@@ -165,7 +146,6 @@ __all__ = [
     "TechnologyLibrary",
     "ValidationError",
     "VoltageScalingError",
-    "adapt_online",
     "allocate_cores",
     "average_power",
     "compute_mobilities",

@@ -8,7 +8,6 @@ Examples::
     repro-mm synthesize mul5 --dvs gradient --probabilities
     repro-mm inspect smartphone          # print a problem's structure
     repro-mm problems                    # list registered instances
-    repro-mm adapt smartphone --steps 300 --seed 1   # closed-loop Ψ demo
     repro-mm campaign spec.json --out runs/t1   # resumable campaign
     repro-mm campaign --resume runs/t1          # continue after a kill
     repro-mm campaign --report runs/t1          # tables from events only
@@ -21,6 +20,7 @@ The module is also runnable as ``python -m repro.cli``.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Dict, Optional, Sequence
 
@@ -371,100 +371,15 @@ def _cmd_problems(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_trace(path: str, problem: Problem) -> list:
-    """Read a trace file: a JSON list of ``[mode, dwell]`` pairs.
-
-    Every entry must name a mode of ``problem`` and carry a finite
-    dwell of at least 0 s; the first bad entry ends the command with
-    one error line, before any synthesis runs.
-    """
-    import json
-
-    try:
-        data = json.loads(open(path).read())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SystemExit(
-            f"repro-mm: error: cannot read trace {path!r}: {exc}"
-        ) from None
-    if not isinstance(data, list):
-        raise SystemExit(
-            f"repro-mm: error: trace {path!r} must be a JSON list of "
-            f"[mode, dwell] pairs"
-        )
-    modes = problem.omsm.mode_names
-    trace = []
-    for number, entry in enumerate(data, start=1):
-        if not isinstance(entry, list) or len(entry) != 2:
-            reason = f"expected a [mode, dwell] pair, got {entry!r}"
-        elif entry[0] not in modes:
-            reason = (
-                f"unknown mode {entry[0]!r} (modes: {', '.join(modes)})"
-            )
-        elif type(entry[1]) not in (int, float):
-            reason = f"dwell {entry[1]!r} is not a number"
-        elif not 0 <= entry[1] <= sys.float_info.max:
-            # NaN fails both comparisons.
-            reason = f"dwell {entry[1]!r} is not a finite time >= 0"
-        else:
-            trace.append((entry[0], float(entry[1])))
-            continue
-        raise SystemExit(
-            f"repro-mm: error: trace {path!r}: entry {number}: {reason}"
-        )
-    return trace
-
-
-def _cmd_adapt(args: argparse.Namespace) -> int:
-    from repro.adaptive import AdaptationConfig
-    from repro.api import adapt_online
-
-    problem = _load_problem(args.problem)
-    config = AdaptationConfig(
-        synthesis=_config_from_args(args),
-        seed=args.seed,
-    )
-    trace = _load_trace(args.trace, problem) if args.trace else None
-    report = adapt_online(
-        problem,
-        trace=trace,
-        steps=args.steps,
-        config=config,
-        library=args.library,
-        run_dir=args.out,
-    )
-    print(
-        f"adaptation over {report.simulated_time:.1f} s of simulated "
-        f"operation ({problem.name}):"
-    )
-    print(
-        f"  energy: {report.energy:.4f} J "
-        f"(average power {report.average_power * 1e3:.3f} mW)"
-    )
-    print(
-        f"  drift events: {report.drift_events}, swaps: {report.swaps}, "
-        f"re-syntheses: {report.resyntheses}"
-    )
-    print(f"  final design: {report.deployed!r}")
-    estimate = ", ".join(
-        f"{mode}={value:.3f}"
-        for mode, value in sorted(
-            report.psi_estimate.items(), key=lambda kv: -kv[1]
-        )
-    )
-    print(f"  final Ψ estimate: {estimate}")
-    for decision in report.decisions:
-        print(
-            f"    t={decision.time:>8.2f}s {decision.kind}: "
-            f"{decision.design!r} ({decision.reason})"
-        )
-    if args.out:
-        print(f"  events + library written to {args.out}")
-    return 0
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.simulation.executor import simulate as run_simulation
 
+    if not 0 < args.horizon < math.inf:
+        # NaN fails both comparisons.
+        raise SystemExit(
+            f"repro-mm: error: --horizon must be a finite time > 0 s, "
+            f"got {args.horizon!r}"
+        )
     problem = _load_problem(args.problem)
     config = _config_from_args(args)
     result = MultiModeSynthesizer(problem, config).run()
@@ -549,46 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
         "problems",
         help="list all registered benchmark instances with mode counts",
     )
-
-    adapt = sub.add_parser(
-        "adapt",
-        help=(
-            "run the closed-loop Ψ-adaptation demo: estimate mode "
-            "probabilities from a trace, swap/re-synthesise on drift"
-        ),
-    )
-    adapt.add_argument("problem", help=instance_help)
-    adapt.add_argument(
-        "--trace",
-        metavar="FILE",
-        default=None,
-        help=(
-            "JSON trace file: a list of [mode, dwell_seconds] pairs; "
-            "omitted → sample a trace from the OMSM's mode process"
-        ),
-    )
-    adapt.add_argument(
-        "--steps",
-        type=int,
-        default=200,
-        help="visits to sample when no --trace is given",
-    )
-    adapt.add_argument(
-        "--library",
-        metavar="FILE",
-        default=None,
-        help=(
-            "saved design library JSON to start from; omitted → "
-            "synthesise a design-time design first"
-        ),
-    )
-    adapt.add_argument(
-        "--out",
-        metavar="DIR",
-        default=None,
-        help="write events.jsonl and the grown library.json to DIR",
-    )
-    _add_ga_options(adapt)
 
     campaign = sub.add_parser(
         "campaign",
@@ -710,8 +585,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _cmd_inspect(args)
     if args.command == "problems":
         return _cmd_problems(args)
-    if args.command == "adapt":
-        return _cmd_adapt(args)
     if args.command == "simulate":
         return _cmd_simulate(args)
     if args.command == "campaign":

@@ -36,9 +36,9 @@ mode on the process-global :data:`~repro.obs.metrics.REGISTRY` together
 with a hit-rate gauge and an (approximate) bytes-resident gauge.
 
 Cached values are Ψ-independent — probabilities only enter the final
-weighted sum — so one cache instance remains valid across
-``Problem.with_probabilities`` re-targets (the adaptive subsystem's
-warm-started re-synthesis inherits it; see :func:`mode_cache_for`).
+weighted sum — so one cache instance serves both probability policies
+of an instance: a campaign's uniform and Ψ-aware jobs on the same
+:class:`Problem` share its entries (see :func:`mode_cache_for`).
 """
 
 from __future__ import annotations
@@ -163,10 +163,9 @@ def _footprint(key: Tuple[Any, ...], value: Any) -> int:
 class ModeResultCache:
     """Two bounded LRU segments of per-mode stage results.
 
-    One instance serves one :class:`Problem` (and its
-    ``with_probabilities`` descendants) within one process; pool
-    workers each hold their own (fork workers inherit the parent's
-    warm entries copy-on-write).  All bookkeeping is metered on the
+    One instance serves one :class:`Problem`, under either probability
+    policy, within one process; pool workers each hold their own (fork
+    workers inherit the parent's warm entries copy-on-write).  All bookkeeping is metered on the
     process-global metrics registry, so worker-side hits travel back to
     the parent through the existing snapshot/delta/merge plumbing.
     """
@@ -304,11 +303,10 @@ def mode_cache_for(
 
     Follows the ``context_for`` pattern: the cache rides on the
     :class:`Problem` object, so the GA loop, the serial fallback and
-    the local-search polish all share one instance — and
-    ``Problem.with_probabilities`` descendants inherit it (cached
-    values are Ψ-independent; configuration differences are isolated
-    by the fingerprint inside every key, so ``config`` does not select
-    the instance).
+    the local-search polish all share one instance, and so do runs
+    under either probability policy (cached values are Ψ-independent;
+    configuration differences are isolated by the fingerprint inside
+    every key, so ``config`` does not select the instance).
     """
     cached = getattr(problem, "_mode_result_cache", None)
     if cached is None:

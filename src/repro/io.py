@@ -221,9 +221,9 @@ def result_to_dict(result: "SynthesisResult") -> Dict[str, Any]:
     """Serialise a synthesis result (mapping + stable quality figures).
 
     Besides the aggregate Equation (1) power, the **per-mode** power
-    breakdown is a stable part of the schema: it is the vector the
-    adaptive design library needs to re-score the design exactly under
-    any probability vector (p̄ is linear in Ψ), and it survives the
+    breakdown is a stable part of the schema: Equation (1) is linear in
+    Ψ, so it re-scores the design exactly under any probability vector
+    (``p̄(Ψ) = Σ_O (dyn_O + stat_O)·Ψ_O``), and it survives the
     round-trip bit-exactly because evaluation is a pure function of the
     genes.
     """

@@ -322,39 +322,6 @@ def format_event(event: Dict[str, Any]) -> str:
             f"{event.get('completed_jobs')} completed, "
             f"{event.get('failed_jobs')} failed"
         )
-    if kind == "adapt_drift":
-        return (
-            f"{prefix}drift detected at t={event.get('time'):.1f}s "
-            f"({event.get('reason')}): regret "
-            f"{float(event.get('regret', 0.0)):.1%}, distance "
-            f"{float(event.get('distance', 0.0)):.3f}, deployed "
-            f"{event.get('deployed')!r}"
-        )
-    if kind == "adapt_swap":
-        return (
-            f"{prefix}swapped design at t={event.get('time'):.1f}s: "
-            f"{event.get('previous')!r} -> {event.get('design')!r} "
-            f"({event.get('reason')}, switch time "
-            f"{float(event.get('switch_time', 0.0)) * 1e3:.1f} ms)"
-        )
-    if kind == "adapt_resynthesis":
-        return (
-            f"{prefix}re-synthesis launched at "
-            f"t={event.get('time'):.1f}s: library-span regret "
-            f"{float(event.get('span_regret', 0.0)):.1%}, Ψ novelty "
-            f"{float(event.get('novelty', 0.0)):.3f}"
-        )
-    if kind == "adapt_admitted":
-        power = event.get("power")
-        power_text = (
-            f"{power * 1e3:.3f} mW" if isinstance(power, float) else "n/a"
-        )
-        return (
-            f"{prefix}design {event.get('design')!r} admitted to the "
-            f"library: {power_text} under the estimated Ψ, "
-            f"{event.get('generations')} generations"
-            + ("" if event.get("feasible") else " (INFEASIBLE)")
-        )
     payload = {
         k: v for k, v in event.items() if k not in ("ts", "seq")
     }

@@ -74,42 +74,6 @@ class Problem:
     def name(self) -> str:
         return self.omsm.name
 
-    def with_probabilities(
-        self, probabilities: Dict[str, float]
-    ) -> "Problem":
-        """The same instance re-targeted at a different Ψ vector.
-
-        Architecture and technology are shared; the OMSM is rebuilt via
-        :meth:`~repro.specification.omsm.OMSM.with_probabilities`.  The
-        gene layout is unchanged, so mapping strings (and stored design
-        genes) transfer between the two instances verbatim.
-
-        Lazily-memoised decode state transfers too: the decode context,
-        genome layout, mode gene bounds, gene positions, core areas and
-        the per-mode result cache are all Ψ-independent (probabilities
-        only enter the final Equation (1) weighting), so a re-targeted
-        problem inherits them instead of rebuilding — which is what
-        makes the adaptive controller's warm-started re-synthesis warm
-        in practice.
-        """
-        retargeted = Problem(
-            self.omsm.with_probabilities(probabilities),
-            self.architecture,
-            self.technology,
-        )
-        for attr in (
-            "_decode_context",
-            "_genome_layout",
-            "_mode_bounds",
-            "_gene_positions",
-            "_core_areas",
-            "_mode_result_cache",
-        ):
-            memoised = getattr(self, attr, None)
-            if memoised is not None:
-                setattr(retargeted, attr, memoised)
-        return retargeted
-
     def gene_space(
         self, mode_name: str
     ) -> Tuple[Tuple[str, Tuple[str, ...]], ...]:

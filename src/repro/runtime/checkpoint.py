@@ -11,9 +11,10 @@ Layout of a run directory::
 Checkpoints are written atomically
 (:func:`repro.durable.atomic_write_json`) so a kill at any instant
 leaves either the previous or the new snapshot — never a torn file.
-Each checkpoint embeds the job id and the full synthesis config; on
-resume both are verified, because silently resuming a snapshot under a
-different configuration would break the bit-identical guarantee.
+Each checkpoint embeds its format version, the job id and the full
+synthesis config; on resume all three are verified, because silently
+resuming a snapshot under a different configuration would break the
+bit-identical guarantee.
 """
 
 from __future__ import annotations
@@ -32,6 +33,11 @@ PathLike = Union[str, pathlib.Path]
 CHECKPOINT_DIRNAME = "checkpoints"
 RESULTS_DIRNAME = "results"
 SPEC_FILENAME = "spec.json"
+
+#: Checkpoint file format version; bump on incompatible change.
+#: Checkpoints written before the field existed carry none and load as
+#: version 1.
+CHECKPOINT_VERSION = 1
 
 
 def _read_json(path: pathlib.Path, what: str) -> Dict[str, Any]:
@@ -78,6 +84,7 @@ def write_checkpoint(
     atomic_write_json(
         path,
         {
+            "version": CHECKPOINT_VERSION,
             "job_id": job_id,
             "config": config.to_dict(),
             "state": state.to_dict(),
@@ -104,6 +111,12 @@ def load_checkpoint(
     if not path.exists():
         return None
     data = _read_json(path, "checkpoint")
+    version = data.get("version", CHECKPOINT_VERSION)
+    if version != CHECKPOINT_VERSION:
+        raise CampaignError(
+            f"checkpoint {path} has unsupported version {version!r} "
+            f"(expected {CHECKPOINT_VERSION})"
+        )
     if data.get("job_id") != job_id:
         raise CampaignError(
             f"checkpoint {path} belongs to job {data.get('job_id')!r}, "

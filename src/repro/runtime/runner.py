@@ -105,8 +105,8 @@ class JobResult:
     resumed_from: int = 0
     perf: Dict[str, Any] = field(default_factory=dict)
     #: Per-mode power breakdown ``{mode: {"dynamic": W, "static": W}}``
-    #: of the winning design — the vector the adaptive design library
-    #: re-scores under arbitrary Ψ (Equation 1 is linear in Ψ).
+    #: of the winning design — Equation (1) is linear in Ψ, so it
+    #: re-scores the design exactly under any Ψ.
     mode_powers: Dict[str, Dict[str, float]] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, Any]:

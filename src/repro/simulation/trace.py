@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
@@ -34,10 +35,14 @@ def generate_trace(
     Consecutive jump-chain self-loops are merged into a single visit,
     so the returned visits alternate between distinct modes (matching
     the OMSM semantics in which a transition is a mode *change*).  The
-    final visit is truncated at the horizon.
+    final visit is truncated at the horizon, which must be finite and
+    positive.
     """
-    if horizon <= 0:
-        raise SpecificationError("simulation horizon must be positive")
+    if not 0 < horizon < math.inf:
+        # NaN fails both comparisons.
+        raise SpecificationError(
+            f"simulation horizon must be finite and positive, got {horizon!r}"
+        )
     current = initial_mode or process.initial_mode(rng)
     if current not in process.omsm.mode_names:
         raise SpecificationError(f"unknown initial mode {current!r}")

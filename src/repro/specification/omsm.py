@@ -218,38 +218,3 @@ class OMSM:
         """
         uniform = 1.0 / len(self._modes)
         return {name: uniform for name in self._modes}
-
-    def with_probabilities(
-        self, probabilities: "Dict[str, float]"
-    ) -> "OMSM":
-        """A copy of this OMSM with a different Ψ vector.
-
-        The structure (modes, task graphs, transitions) is shared; only
-        the execution probabilities change.  This is the entry point of
-        online Ψ-adaptation: an observed usage profile becomes a new
-        synthesis target without touching the specification.  The
-        vector must cover every mode; it is normalised to sum to one.
-        """
-        missing = [
-            name for name in self._modes if name not in probabilities
-        ]
-        if missing:
-            raise SpecificationError(
-                f"OMSM {self.name!r}: probability vector misses modes "
-                f"{missing}"
-            )
-        modes = [
-            Mode(
-                name=mode.name,
-                task_graph=mode.task_graph,
-                probability=max(0.0, probabilities[mode.name]),
-                period=mode.period,
-            )
-            for mode in self._modes.values()
-        ]
-        return OMSM(
-            self.name,
-            modes,
-            list(self._transitions.values()),
-            normalize=True,
-        )

@@ -64,10 +64,9 @@ class SynthesisResult:
     #: ``{mode: {"dynamic": …, "static": …}}``.  This is the quantity
     #: Equation (1) is *linear* in — ``p̄(Ψ) = Σ_O (dyn_O + stat_O)·Ψ_O``
     #: for any probability vector — so persisting it lets any stored
-    #: design be re-scored exactly under a new Ψ without re-simulation
-    #: (the foundation of :mod:`repro.adaptive`).  Serialised by
-    #: :func:`repro.io.result_to_dict` and carried on campaign
-    #: ``job_finished`` events / result records.
+    #: design be re-scored exactly under a new Ψ without re-simulation.
+    #: Serialised by :func:`repro.io.result_to_dict` and carried on
+    #: campaign ``job_finished`` events / result records.
     mode_powers: Dict[str, Dict[str, float]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -99,9 +98,10 @@ class SynthesisResult:
 class GenerationDriver:
     """Runs the GA stage pipeline for one problem instance.
 
-    Owns the per-genome result cache and the evaluation counters; one
-    driver may execute several runs (the cache persists across them,
-    which warm-started re-synthesis relies on).
+    Owns the per-genome result cache and the evaluation counters of a
+    run.  Every caller builds a fresh
+    :class:`~repro.synthesis.cosynthesis.MultiModeSynthesizer`, and so
+    a fresh driver, per run.
     """
 
     def __init__(self, problem: Problem, config: SynthesisConfig) -> None:

@@ -116,41 +116,6 @@ class TestDecodeContext:
         other = make_two_mode_problem()
         assert context_for(problem) is not context_for(other)
 
-    def test_probability_retarget_reuses_context(self):
-        # Regression: a ``with_probabilities`` re-target must inherit
-        # the parent's memoised decode context (its tables are all
-        # Ψ-independent), not rebuild a duplicate per re-target — the
-        # adaptive controller re-targets on every drift event.
-        problem = make_two_mode_problem()
-        context = context_for(problem)
-        names = problem.omsm.mode_names
-        weights = {
-            name: (0.7 if i == 0 else 0.3 / max(1, len(names) - 1))
-            for i, name in enumerate(names)
-        }
-        retargeted = problem.with_probabilities(weights)
-        assert context_for(retargeted) is context
-        # ...and results under the retarget stay correct: the context
-        # is consulted for mobilities/deadlines, both Ψ-independent.
-        chained = retargeted.with_probabilities(
-            {name: 1.0 / len(names) for name in names}
-        )
-        assert context_for(chained) is context
-
-    def test_retarget_before_first_decode_builds_once(self):
-        # Re-targeting a problem whose context was never built must not
-        # leave the descendant with a stale ``None``: the first decode
-        # on either instance builds its own (single) context.
-        problem = make_two_mode_problem()
-        names = problem.omsm.mode_names
-        retargeted = problem.with_probabilities(
-            {name: 1.0 / len(names) for name in names}
-        )
-        context = context_for(retargeted)
-        assert context_for(retargeted) is context
-        # The parent was untouched; it builds its own on demand.
-        assert context_for(problem) is not context
-
     def test_mode_tables_cover_every_task(self):
         problem = make_two_mode_problem()
         context = DecodeContext.build(problem)

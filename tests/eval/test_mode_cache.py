@@ -3,7 +3,7 @@
 Covers the bounded-LRU mechanics (hits refresh recency, capacity
 evicts oldest, byte accounting follows), the metrics emitted on the
 process-global registry, per-problem memoisation incl. sharing across
-``with_probabilities`` re-targets, the config fingerprint, and the
+both probability policies, the config fingerprint, and the
 dirty-mode contract: after a single-mode edit, the clean modes' prep
 lookups are cache hits, and the collector footprint of cached results.
 """
@@ -142,7 +142,7 @@ class TestMetrics:
         # Regression: clear() used to leave the hit-rate gauge (and the
         # hit/miss/eviction meters) at their pre-clear values until the
         # next lookup, so --status reported stale cache stats after a
-        # with_probabilities retarget.
+        # clear.
         cache = ModeResultCache(4)
         key = ("m0", ("PE0",), FP)
         cache.get_prep(key)
@@ -180,17 +180,16 @@ class TestModeCacheFor:
         assert mode_cache_for(problem, config) is cache
         assert cache.capacity == MODE_CACHE_SIZE
 
-    def test_shared_across_probability_retargets(self):
+    def test_shared_across_probability_policies(self):
+        # Cached values are Ψ-independent, so a campaign's uniform and
+        # Ψ-aware jobs on one problem share its cache.
         problem = make_two_mode_problem()
-        config = SynthesisConfig()
-        cache = mode_cache_for(problem, config)
-        names = problem.omsm.mode_names
-        weights = {
-            name: (0.9 if i == 0 else 0.1 / max(1, len(names) - 1))
-            for i, name in enumerate(names)
-        }
-        retargeted = problem.with_probabilities(weights)
-        assert mode_cache_for(retargeted, config) is cache
+        uniform = SynthesisConfig(use_probabilities=False)
+        psi_aware = SynthesisConfig(use_probabilities=True)
+        assert config_fingerprint(uniform) == config_fingerprint(psi_aware)
+        assert mode_cache_for(problem, uniform) is mode_cache_for(
+            problem, psi_aware
+        )
 
 
 class TestDirtyModeConsistency:

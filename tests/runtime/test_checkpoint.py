@@ -9,6 +9,7 @@ import pytest
 
 from repro.errors import CampaignError
 from repro.runtime.checkpoint import (
+    CHECKPOINT_VERSION,
     checkpoint_path,
     clear_checkpoint,
     load_checkpoint,
@@ -79,6 +80,26 @@ class TestCheckpoints:
     def test_missing_returns_none(self, run_dir):
         assert load_checkpoint(run_dir, "absent") is None
 
+    def test_checkpoint_carries_version(self, run_dir):
+        path = write_checkpoint(
+            run_dir, "job-a", _state(), SynthesisConfig()
+        )
+        assert CHECKPOINT_VERSION == 1
+        assert json.loads(path.read_text())["version"] == CHECKPOINT_VERSION
+
+    def test_unknown_version_refused(self, run_dir):
+        path = write_checkpoint(
+            run_dir, "job-a", _state(), SynthesisConfig()
+        )
+        data = json.loads(path.read_text())
+        data["version"] = 2
+        path.write_text(json.dumps(data))
+        with pytest.raises(CampaignError) as excinfo:
+            load_checkpoint(run_dir, "job-a")
+        message = str(excinfo.value)
+        assert str(path) in message
+        assert "version 2" in message
+
     def test_no_tmp_file_left_behind(self, run_dir):
         write_checkpoint(run_dir, "job-a", _state(), SynthesisConfig())
         leftovers = list((run_dir / "checkpoints").glob("*.tmp"))
@@ -130,6 +151,8 @@ class TestRetiredKeys:
         checkpoint = json.loads(
             checkpoint_path(RETIRED_KEYS_RUN, JOB_ID).read_text()
         )
+        # The checkpoint predates format versions: it loads as version 1.
+        assert "version" not in checkpoint
         for config in (spec["config"], checkpoint["config"]):
             assert config["mode_cache"] is True
             assert config["vector_dvs"] is True

@@ -54,6 +54,13 @@ class TestGeneration:
         with pytest.raises(SpecificationError):
             generate_trace(process, 0.0, random.Random(0))
 
+    @pytest.mark.parametrize(
+        "horizon", [float("nan"), float("inf")], ids=["nan", "inf"]
+    )
+    def test_non_finite_horizon_rejected(self, process, horizon):
+        with pytest.raises(SpecificationError, match="finite and positive"):
+            generate_trace(process, horizon, random.Random(0))
+
     def test_deterministic_per_seed(self, process):
         a = generate_trace(process, 30.0, random.Random(7))
         b = generate_trace(process, 30.0, random.Random(7))

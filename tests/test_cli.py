@@ -154,6 +154,27 @@ class TestSimulate:
         assert "simulated power" in out
         assert "Equation (1)" in out
 
+    @pytest.mark.parametrize(
+        "horizon", ["nan", "inf", "-5"], ids=["nan", "inf", "negative"]
+    )
+    def test_bad_horizon_rejected_before_synthesis(
+        self, monkeypatch, horizon
+    ):
+        from repro.synthesis.cosynthesis import MultiModeSynthesizer
+
+        def no_synthesis(self, *args, **kwargs):
+            raise AssertionError("synthesis ran on a bad horizon")
+
+        monkeypatch.setattr(MultiModeSynthesizer, "run", no_synthesis)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "mul1", "--horizon", horizon])
+        message = excinfo.value.code
+        assert isinstance(message, str)  # printed, exit status 1
+        assert "\n" not in message
+        assert message.startswith(
+            "repro-mm: error: --horizon must be a finite time > 0 s, got "
+        )
+
 
 class TestGanttFlag:
     def test_synthesize_with_gantt(self, capsys):
@@ -496,145 +517,10 @@ class TestProblemsCommand:
 
 
 class TestAdaptCommand:
-    def test_parser_defaults(self):
-        args = build_parser().parse_args(["adapt", "mul1"])
-        assert args.command == "adapt"
-        assert args.problem == "mul1"
-        assert args.trace is None
-        assert args.steps == 200
-        assert args.library is None
-        assert args.out is None
-
-    def test_parser_options(self):
-        args = build_parser().parse_args(
-            [
-                "adapt",
-                "smartphone",
-                "--trace",
-                "trace.json",
-                "--steps",
-                "50",
-                "--seed",
-                "4",
-            ]
-        )
-        assert args.trace == "trace.json"
-        assert args.steps == 50
-        assert args.seed == 4
-
-    def test_adapt_samples_a_trace_and_reports(self, capsys, tmp_path):
-        out_dir = tmp_path / "run"
-        code = main(
-            [
-                "adapt",
-                "mul1",
-                "--steps",
-                "30",
-                "--population",
-                "8",
-                "--generations",
-                "6",
-                "--seed",
-                "1",
-                "--out",
-                str(out_dir),
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "adaptation over" in out
-        assert "final design:" in out
-        assert "Ψ estimate" in out
-        assert (out_dir / "events.jsonl").exists()
-        assert (out_dir / "library.json").exists()
-
-    def test_adapt_with_explicit_trace_file(self, capsys, tmp_path):
-        import json
-
-        from repro.benchgen import registry
-
-        modes = registry.get("mul1").omsm.mode_names
-        trace = [[mode, 5.0] for mode in modes] * 3
-        trace_path = tmp_path / "trace.json"
-        trace_path.write_text(json.dumps(trace))
-        code = main(
-            [
-                "adapt",
-                "mul1",
-                "--trace",
-                str(trace_path),
-                "--population",
-                "8",
-                "--generations",
-                "6",
-                "--seed",
-                "1",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert f"adaptation over {len(trace) * 5.0:.1f} s" in out
-
-    def test_malformed_trace_rejected(self, tmp_path):
-        trace_path = tmp_path / "trace.json"
-        trace_path.write_text('{"not": "a list"}')
-        with pytest.raises(SystemExit, match="must be a JSON list"):
-            main(
-                [
-                    "adapt",
-                    "mul1",
-                    "--trace",
-                    str(trace_path),
-                    "--population",
-                    "8",
-                    "--generations",
-                    "6",
-                ]
-            )
-
-    @pytest.mark.parametrize(
-        "text,reason",
-        [
-            ('[["rlc", "soon"]]', "entry 1: dwell 'soon' is not a number"),
-            ('[["rlc"]]', "entry 1: expected a [mode, dwell] pair"),
-            ('[["rlc", 1.0], ["nomode", 1.0]]', "entry 2: unknown mode"),
-            ('[["rlc", -1.0]]', "entry 1: dwell -1.0 is not a finite"),
-            ('[["rlc", NaN]]', "entry 1: dwell nan is not a finite"),
-            ('[["rlc", Infinity]]', "entry 1: dwell inf is not a finite"),
-        ],
-        ids=["word", "short", "unknown-mode", "negative", "nan", "infinity"],
-    )
-    def test_bad_trace_entry_rejected_before_synthesis(
-        self, tmp_path, monkeypatch, text, reason
-    ):
-        from repro.synthesis.cosynthesis import MultiModeSynthesizer
-
-        def no_synthesis(self, *args, **kwargs):
-            raise AssertionError("synthesis ran on a bad trace")
-
-        monkeypatch.setattr(MultiModeSynthesizer, "run", no_synthesis)
-        trace_path = tmp_path / "trace.json"
-        trace_path.write_text(text)
+    def test_adapt_command_removed(self, capsys):
+        # The online Ψ-adaptation demo is retired; `adapt` is a usage
+        # error like any other unknown command.
         with pytest.raises(SystemExit) as excinfo:
-            main(["adapt", "smartphone", "--trace", str(trace_path)])
-        message = excinfo.value.code
-        assert isinstance(message, str)  # printed, exit status 1
-        assert "\n" not in message
-        assert message.startswith(
-            f"repro-mm: error: trace {str(trace_path)!r}: {reason}"
-        )
-
-    def test_missing_trace_file_rejected(self, tmp_path):
-        with pytest.raises(SystemExit, match="cannot read trace"):
-            main(
-                [
-                    "adapt",
-                    "mul1",
-                    "--trace",
-                    str(tmp_path / "nope.json"),
-                    "--population",
-                    "8",
-                    "--generations",
-                    "6",
-                ]
-            )
+            main(["adapt", "mul1"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'adapt'" in capsys.readouterr().err

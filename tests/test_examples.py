@@ -89,40 +89,6 @@ class TestCampaignResume:
         assert "Recovered from events.jsonl" in out
 
 
-class TestOnlineAdaptation:
-    @pytest.mark.slow
-    def test_closed_loop_beats_static_deployment(self, capsys):
-        module = runpy.run_path(
-            f"{EXAMPLES}/online_adaptation.py", run_name="not_main"
-        )
-        outcome = module["main"]()
-        out = capsys.readouterr().out
-        assert "design-time synthesis" in out
-        assert "usage shifts to MP3-heavy" in out
-        assert "resynthesis" in out
-        # The acceptance property: the closed loop spends measurably
-        # less energy than leaving the design-time design deployed.
-        assert outcome["adaptive_energy"] < outcome["static_energy"]
-        report = outcome["report"]
-        assert report.swaps >= 1
-        assert report.resyntheses >= 1
-        assert report.deployed != "design-time"
-
-    @pytest.mark.slow
-    def test_decisions_are_bit_reproducible(self):
-        module = runpy.run_path(
-            f"{EXAMPLES}/online_adaptation.py", run_name="not_main"
-        )
-        first = module["main"]()["report"]
-        second = module["main"]()["report"]
-        assert first.energy == second.energy
-        assert first.deployed == second.deployed
-        assert [
-            (d.time, d.kind, d.design) for d in first.decisions
-        ] == [(d.time, d.kind, d.design) for d in second.decisions]
-        assert first.psi_estimate == second.psi_estimate
-
-
 class TestSmartphoneCaseStudy:
     @pytest.mark.slow
     def test_runs_with_tiny_budget(self, capsys):

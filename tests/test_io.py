@@ -198,3 +198,49 @@ class TestResultRoundtrip:
         data["schema"] = "v999"
         with pytest.raises(SpecificationError, match="schema"):
             result_from_dict(problem, data)
+
+    def test_loaded_mode_powers_rescore_under_any_psi(
+        self, problem, result, tmp_path
+    ):
+        """Equation (1) is linear in Ψ: the stored per-mode powers
+        re-score a design exactly under any probability vector.
+
+        For each random Ψ, the Ψ-weighted sum of a loaded result's
+        ``mode_powers`` must match Equation (1) over the loaded
+        design's schedules, which are rebuilt lazily on this read: a
+        full schedule and DVS pass.
+        """
+        from repro.benchgen.suite import suite_problem
+        from repro.io import load_result, save_result
+        from repro.power import average_power
+        from repro.synthesis.config import DvsMethod, SynthesisConfig
+        from repro.synthesis.cosynthesis import MultiModeSynthesizer
+
+        mul1 = suite_problem("mul1")
+        gradient = SynthesisConfig(
+            dvs=DvsMethod.GRADIENT,
+            population_size=8,
+            max_generations=4,
+            seed=3,
+        )
+        cases = [
+            (problem, result, SynthesisConfig()),
+            (mul1, MultiModeSynthesizer(mul1, gradient).run(), gradient),
+        ]
+        rng = random.Random(42)
+        for instance, original, config in cases:
+            path = tmp_path / f"{instance.name}.json"
+            save_result(original, path)
+            loaded = load_result(instance, path, config)
+            modes = instance.omsm.mode_names
+            for _ in range(25):
+                weights = [rng.random() + 1e-3 for _ in modes]
+                psi = {
+                    mode: w / sum(weights) for mode, w in zip(modes, weights)
+                }
+                rescored = sum(
+                    (entry["dynamic"] + entry["static"]) * psi[mode]
+                    for mode, entry in loaded.mode_powers.items()
+                )
+                direct = average_power(instance, loaded.best.schedules, psi)
+                assert abs(rescored - direct) <= 1e-9
