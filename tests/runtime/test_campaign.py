@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import CampaignError, SynthesisError, WorkerPoolError
+from repro.eval.cache import mode_cache_for
 from repro.obs.summary import load_run_summary, run_summary_path
 from repro.runtime import runner as runner_mod
 from repro.runtime.checkpoint import load_result, spec_path
@@ -242,6 +243,51 @@ class TestFailureIsolation:
     def test_resume_campaign_requires_spec(self, tmp_path):
         with pytest.raises(CampaignError, match="no campaign spec"):
             resume_campaign(tmp_path)
+
+
+class TestProblemMemo:
+    def test_policies_share_one_problem_and_its_mode_cache(
+        self, tmp_path, monkeypatch
+    ):
+        # Mode-cache entries are Ψ-independent: the runner loads each
+        # instance once, so its uniform and Ψ-aware jobs evaluate on
+        # one Problem and share that problem's cache.
+        loads = []
+        runs = []
+
+        def loader(name):
+            loads.append(name)
+            return make_two_mode_problem()
+
+        class Recording(MultiModeSynthesizer):
+            def run(self, resume=None, on_generation=None):
+                runs.append(
+                    (
+                        self.config.use_probabilities,
+                        self.problem,
+                        mode_cache_for(self.problem, self.config),
+                    )
+                )
+                return super().run(
+                    resume=resume, on_generation=on_generation
+                )
+
+        monkeypatch.setattr(runner_mod, "MultiModeSynthesizer", Recording)
+        outcome = run_campaign(
+            tiny_spec(runs=2), tmp_path / "run", problem_loader=loader
+        )
+        assert outcome.completed == 4
+        assert loads == ["two_mode"]
+        assert sorted(policy for policy, _, _ in runs) == [
+            False,
+            False,
+            True,
+            True,
+        ]
+        (_, problem, cache), *rest = runs
+        for _, other_problem, other_cache in rest:
+            assert other_problem is problem
+            assert other_cache is cache
 
 
 class TestFinalCheckpoint:

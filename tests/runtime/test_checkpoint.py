@@ -112,6 +112,30 @@ class TestCheckpoints:
         with pytest.raises(CampaignError, match="different synthesis"):
             load_checkpoint(run_dir, "job-a", SynthesisConfig(seed=6))
 
+    @pytest.mark.parametrize(
+        "stored",
+        [None, "seed=5", {"population_size": 0}, {"bogus_key": 1}],
+        ids=["missing", "not-a-dict", "invalid-value", "unknown-key"],
+    )
+    def test_unloadable_stored_config_is_a_mismatch(self, run_dir, stored):
+        # A stored config that no longer loads can never equal the
+        # resuming config: the snapshot is refused, not half-applied.
+        path = write_checkpoint(
+            run_dir, "job-a", _state(), SynthesisConfig(seed=5)
+        )
+        data = json.loads(path.read_text())
+        if stored is None:
+            del data["config"]
+        elif isinstance(stored, dict):
+            data["config"].update(stored)
+        else:
+            data["config"] = stored
+        path.write_text(json.dumps(data))
+        with pytest.raises(CampaignError, match="different synthesis"):
+            load_checkpoint(run_dir, "job-a", SynthesisConfig(seed=5))
+        # Without a config to check against, the state still loads.
+        assert load_checkpoint(run_dir, "job-a") is not None
+
     def test_job_id_mismatch_raises(self, run_dir):
         write_checkpoint(run_dir, "job-a", _state(), SynthesisConfig())
         # Simulate a file copied/renamed into the wrong slot.

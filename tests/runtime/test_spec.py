@@ -74,6 +74,37 @@ class TestValidation:
         with pytest.raises(CampaignError):
             CampaignSpec(name="t", instances=["mul1"], max_retries=-1)
 
+    @pytest.mark.parametrize(
+        "overrides,reason",
+        [
+            ({"name": ""}, "name must be non-empty"),
+            ({"dvs_methods": []}, "at least one DVS method"),
+            (
+                {"dvs_methods": ["gradient", DvsMethod.GRADIENT]},
+                "duplicate DVS methods",
+            ),
+            ({"probability_settings": []}, "at least one probability"),
+            (
+                {"probability_settings": [True, True]},
+                "duplicate probability settings",
+            ),
+            ({"retry_backoff": -0.5}, "retry_backoff"),
+        ],
+        ids=[
+            "empty-name",
+            "no-dvs",
+            "duplicate-dvs",
+            "no-policy",
+            "duplicate-policy",
+            "negative-backoff",
+        ],
+    )
+    def test_rejects_degenerate_axes(self, overrides, reason):
+        values = dict(name="t", instances=["mul1"])
+        values.update(overrides)
+        with pytest.raises(CampaignError, match=reason):
+            CampaignSpec(**values)
+
     def test_string_dvs_methods_are_coerced(self):
         spec = CampaignSpec(
             name="t", instances=["mul1"], dvs_methods=["gradient"]
@@ -115,6 +146,25 @@ class TestRoundTrip:
         data["config"]["poplation_size"] = 10
         with pytest.raises(Exception, match="poplation_size"):
             CampaignSpec.from_dict(data)
+
+    def test_unknown_version_rejected(self):
+        data = CampaignSpec(name="t", instances=["mul1"]).to_dict()
+        data["version"] = 99
+        with pytest.raises(CampaignError, match="version 99"):
+            CampaignSpec.from_dict(data)
+
+    def test_missing_required_field_rejected(self):
+        data = CampaignSpec(name="t", instances=["mul1"]).to_dict()
+        del data["name"]
+        with pytest.raises(CampaignError, match="invalid campaign spec"):
+            CampaignSpec.from_dict(data)
+
+    def test_torn_file_rejected(self, tmp_path):
+        path = tmp_path / "spec.json"
+        CampaignSpec(name="t", instances=["mul1"]).save(path)
+        path.write_text(path.read_text()[:20])
+        with pytest.raises(CampaignError, match="not valid JSON"):
+            CampaignSpec.load(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CampaignError, match="no campaign spec"):

@@ -60,6 +60,18 @@ class TestExplicitTraces:
         report = simulate(impl, trace=trace)
         assert report.transitions == 1
 
+    def test_repeated_mode_visits_are_not_mode_changes(self):
+        impl = implementation()
+        period = impl.problem.omsm.mode("O1").period
+        trace = [
+            ModeVisit("O1", 0.0, 2 * period),
+            ModeVisit("O1", 2 * period, 5 * period),
+        ]
+        report = simulate(impl, trace=trace)
+        assert report.transitions == 0
+        assert report.iterations["O1"] == 5
+        assert report.mode_time["O1"] == pytest.approx(5 * period)
+
     def test_unknown_mode_rejected(self):
         impl = implementation()
         with pytest.raises(SpecificationError, match="unknown mode"):
@@ -71,7 +83,39 @@ class TestExplicitTraces:
             simulate(impl, trace=[])
 
 
+class TestGeneratedTraces:
+    def test_same_seed_same_report(self):
+        impl = implementation()
+        first = simulate(impl, horizon=200.0, seed=4)
+        second = simulate(impl, horizon=200.0, seed=4)
+        assert first == second
+
+    def test_report_spans_the_horizon(self):
+        impl = implementation()
+        report = simulate(impl, horizon=123.0, seed=1)
+        assert report.horizon == pytest.approx(123.0)
+        assert sum(report.mode_time.values()) == pytest.approx(123.0)
+
+    @pytest.mark.parametrize(
+        "horizon",
+        [float("nan"), float("inf"), 0.0],
+        ids=["nan", "inf", "zero"],
+    )
+    def test_bad_horizon_rejected(self, horizon):
+        impl = implementation()
+        with pytest.raises(SpecificationError, match="horizon"):
+            simulate(impl, horizon=horizon)
+
+
 class TestEquationOneConvergence:
+    def test_reference_is_the_designs_equation_one(self):
+        # The simulator compares against the power the synthesis
+        # reported: Equation (1) under the true Ψ, whatever the trace.
+        impl = implementation()
+        period = impl.problem.omsm.mode("O1").period
+        report = simulate(impl, trace=[ModeVisit("O1", 0.0, period)])
+        assert report.analytical_power == impl.metrics.average_power
+
     def test_simulated_power_matches_analytical(self):
         impl = implementation()
         report = simulate(impl, horizon=2000.0, seed=5)
@@ -155,6 +199,61 @@ class TestReconfigurationAccounting:
         assert (
             with_energy.total_energy
             > without.total_energy
+        )
+
+    def test_reconfiguration_delays_the_first_iteration(self):
+        impl = self.make_fpga_impl()
+        period = impl.problem.omsm.mode("O1").period
+        overhead = impl.cores.transition_time("O1", "O2")
+        assert 0 < overhead < period
+        trace = [
+            ModeVisit("O1", 0.0, period),
+            ModeVisit("O2", period, 3 * period + overhead / 2),
+        ]
+        report = simulate(impl, trace=trace)
+        # 2 periods + overhead/2 of dwell, minus the overhead, starts
+        # only 2 iterations; static power still runs for the full stay.
+        assert report.iterations["O2"] == 2
+        assert report.reconfiguration_time == pytest.approx(overhead)
+        assert report.mode_time["O2"] == pytest.approx(
+            2 * period + overhead / 2
+        )
+
+    def test_overhead_longer_than_visit_starts_no_iteration(self):
+        impl = self.make_fpga_impl()
+        period = impl.problem.omsm.mode("O1").period
+        overhead = impl.cores.transition_time("O1", "O2")
+        stay = overhead / 3
+        trace = [
+            ModeVisit("O1", 0.0, period),
+            ModeVisit("O2", period, period + stay),
+        ]
+        report = simulate(impl, trace=trace)
+        assert report.iterations["O2"] == 0
+        # The charge is capped at the stay it interrupts.
+        assert report.reconfiguration_time == pytest.approx(stay)
+
+    def test_reconfiguration_energy_follows_the_cells_loaded(self):
+        # The transition time and the reconfiguration energy both
+        # count the cells a mode change loads, so their ratio is the
+        # per-cell cost ratio.
+        impl = self.make_fpga_impl()
+        fpga = impl.problem.architecture.pe("PE1")
+        period = impl.problem.omsm.mode("O1").period
+        trace = [
+            ModeVisit("O1", 0.0, 50 * period),
+            ModeVisit("O2", 50 * period, 100 * period),
+        ]
+        report = simulate(
+            impl, trace=trace, reconfig_energy_per_cell=2e-6
+        )
+        cells = report.reconfiguration_time / fpga.reconfig_time_per_cell
+        assert cells > 0
+        assert report.reconfiguration_energy == pytest.approx(cells * 2e-6)
+        assert report.total_energy == pytest.approx(
+            report.dynamic_energy
+            + report.static_energy
+            + report.reconfiguration_energy
         )
 
     def test_summary_text(self):

@@ -4,13 +4,15 @@ Long seeded traces must spend a fraction of time in each mode that
 converges to the OMSM's Ψ — exercised for *both* transition-matrix
 constructions: Metropolis–Hastings (symmetric transition graphs, the
 two-mode fixture) and the LP fallback (general digraphs: the smart
-phone OMSM has one-way transitions).
+phone OMSM has one-way transitions).  Every registered instance must
+also yield a chain whose exact stationary solve reproduces Ψ.
 """
 
 import random
 
 import pytest
 
+from repro.benchgen import registry
 from repro.benchgen.smartphone import smartphone_problem
 from repro.simulation.markov import ModeProcess
 from repro.simulation.trace import generate_trace, time_fractions
@@ -91,3 +93,29 @@ class TestLinearProgramConstruction:
             assert fractions.get(mode, 0.0) == pytest.approx(
                 value, abs=0.05
             )
+
+
+class TestEveryRegisteredInstance:
+    """``repro-mm simulate`` accepts every registered instance, so each
+    one must admit a mode process that realises its Ψ over its own
+    transition graph, whichever construction it needs."""
+
+    @pytest.fixture(scope="class", params=registry.names())
+    def process(self, request):
+        return ModeProcess(registry.get(request.param).omsm)
+
+    def test_stationary_time_fractions_match_psi(self, process):
+        psi = process.omsm.probability_vector()
+        stationary = process.stationary_time_fractions()
+        assert set(stationary) == set(psi)
+        for mode, value in psi.items():
+            assert stationary[mode] == pytest.approx(value, abs=1e-6)
+
+    def test_jump_chain_follows_omsm_transitions(self, process):
+        omsm = process.omsm
+        for src, row in process.transition_matrix.items():
+            assert sum(row.values()) == pytest.approx(1.0)
+            for dst, probability in row.items():
+                assert probability >= 0.0
+                if dst != src and probability > 0.0:
+                    assert omsm.has_transition(src, dst), (src, dst)

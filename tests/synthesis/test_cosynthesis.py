@@ -125,3 +125,26 @@ class TestConfigurationEffects:
         second = synthesizer.run()
         # The cache persists, so the second run adds few evaluations.
         assert second.evaluations >= evaluations_after_first
+
+
+class TestModePowers:
+    """Equation (1) is linear in Ψ: a result's per-mode totals
+    re-score its design under any probability vector."""
+
+    def test_mode_powers_rescore_the_best_design(self, two_mode_problem):
+        from repro.power import average_power
+
+        result = synthesize(
+            two_mode_problem, SynthesisConfig(seed=2, **FAST)
+        )
+        psi = two_mode_problem.omsm.probability_vector()
+        assert set(result.mode_powers) == set(psi)
+        total = sum(result.mode_power(mode) * psi[mode] for mode in psi)
+        assert total == pytest.approx(result.average_power, abs=1e-12)
+        # A Ψ that puts all weight on one mode selects that mode's
+        # total power.
+        for mode in psi:
+            vertex = {name: float(name == mode) for name in psi}
+            assert average_power(
+                two_mode_problem, result.best.schedules, vertex
+            ) == pytest.approx(result.mode_power(mode), abs=1e-12)

@@ -155,7 +155,9 @@ class TestSimulate:
         assert "Equation (1)" in out
 
     @pytest.mark.parametrize(
-        "horizon", ["nan", "inf", "-5"], ids=["nan", "inf", "negative"]
+        "horizon",
+        ["nan", "inf", "-5", "0"],
+        ids=["nan", "inf", "negative", "zero"],
     )
     def test_bad_horizon_rejected_before_synthesis(
         self, monkeypatch, horizon
@@ -497,6 +499,27 @@ class TestTables:
         assert "Table 1" in out
         assert "mul9" in out
         assert "vs paper" in out
+
+    def test_table3_smartphone(self, capsys):
+        code = main(
+            [
+                "table3",
+                "--runs",
+                "1",
+                "--population",
+                "6",
+                "--generations",
+                "2",
+                "--convergence",
+                "2",
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "Table 3" in out
+        assert "w/o DVS" in out
+        assert "with DVS" in out
+        assert "overall reduction" in out
 
 
 class TestProblemsCommand:

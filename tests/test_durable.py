@@ -8,6 +8,7 @@ must still load, with no temp file left behind.
 import dataclasses
 import json
 import os
+import random
 
 import pytest
 
@@ -27,6 +28,7 @@ from repro.runtime import checkpoint
 from repro.runtime.spec import CampaignSpec
 from repro.synthesis.config import SynthesisConfig
 from repro.synthesis.cosynthesis import MultiModeSynthesizer
+from repro.synthesis.state import GAState
 
 from tests.conftest import make_parallel_hw_problem, make_two_mode_problem
 
@@ -123,6 +125,36 @@ class TestWriters:
             ),
         )
         assert load_run_summary(tmp_path)["campaign"] == "old"
+
+    def test_ga_checkpoint(self, monkeypatch, tmp_path):
+        checkpoint.prepare_run_dir(tmp_path)
+        config = SynthesisConfig(seed=5)
+
+        def state(generation):
+            return GAState(
+                generation=generation,
+                rng_state=random.Random(generation).getstate(),
+                population=[("PE0", "PE1"), ("PE1", "PE0")],
+                best_genes=("PE0", "PE1"),
+                best_fitness=1.0 / generation,
+                stagnant=generation - 1,
+                area_stall=0,
+                timing_stall=0,
+                transition_stall=0,
+                history=[1.0 / generation],
+                evaluations=10 * generation,
+            )
+
+        checkpoint.write_checkpoint(tmp_path, "job", state(1), config)
+        assert_write_refused(
+            monkeypatch,
+            tmp_path,
+            lambda: checkpoint.write_checkpoint(
+                tmp_path, "job", state(2), config
+            ),
+        )
+        loaded = checkpoint.load_checkpoint(tmp_path, "job", config)
+        assert loaded.to_dict() == state(1).to_dict()
 
     def test_job_result(self, monkeypatch, tmp_path):
         checkpoint.prepare_run_dir(tmp_path)

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from repro.benchgen import registry
 from repro.errors import SpecificationError
 from repro.io import (
     load_problem,
@@ -102,6 +103,34 @@ class TestProblemRoundtrip:
             problem_from_dict(data)
 
 
+class TestRegisteredInstances:
+    """The spec format carries every registered instance losslessly:
+    a file written from a built-in problem rebuilds one that
+    serialises and evaluates exactly like the original."""
+
+    @pytest.fixture(scope="class", params=registry.names())
+    def problem(self, request):
+        return registry.get(request.param)
+
+    def test_double_roundtrip_is_identity(self, problem):
+        once = problem_to_dict(problem)
+        assert problem_to_dict(problem_from_dict(once)) == once
+
+    def test_rebuilt_instance_evaluates_identically(self, problem):
+        from repro.synthesis.config import SynthesisConfig
+        from repro.synthesis.evaluator import evaluate_mapping
+
+        rebuilt = problem_from_dict(problem_to_dict(problem))
+        genome = MappingString.random(problem, random.Random(7))
+        twin = MappingString(rebuilt, list(genome.genes))
+        config = SynthesisConfig()
+        original = evaluate_mapping(problem, genome, config)
+        copy = evaluate_mapping(rebuilt, twin, config)
+        assert original is not None and copy is not None
+        assert copy.metrics.average_power == original.metrics.average_power
+        assert copy.metrics.fitness == original.metrics.fitness
+
+
 class TestMappingRoundtrip:
     def test_roundtrip(self):
         problem = make_two_mode_problem()
@@ -189,6 +218,16 @@ class TestResultRoundtrip:
         data = result_to_dict(result)
         data["mode_powers"]["O1"]["dynamic"] += 1e-3
         with pytest.raises(SpecificationError, match="disagree"):
+            result_from_dict(problem, data)
+
+    def test_missing_mode_powers_rejected(self, problem, result):
+        # The per-mode powers are what re-scores a stored design under
+        # another Ψ, so a record without one mode's entry is refused.
+        from repro.io import result_from_dict, result_to_dict
+
+        data = result_to_dict(result)
+        del data["mode_powers"]["O2"]
+        with pytest.raises(SpecificationError, match="mode_powers"):
             result_from_dict(problem, data)
 
     def test_unknown_schema_rejected(self, problem, result):

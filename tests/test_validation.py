@@ -6,6 +6,7 @@ import random
 import pytest
 
 from repro.mapping.encoding import MappingString
+from repro.scheduling.schedule import ModeSchedule
 from repro.synthesis.config import DvsMethod, SynthesisConfig
 from repro.synthesis.cosynthesis import synthesize
 from repro.synthesis.evaluator import evaluate_mapping
@@ -16,6 +17,13 @@ from tests.conftest import make_two_mode_problem
 FAST = SynthesisConfig(
     population_size=12, max_generations=15, convergence_generations=5
 )
+
+
+def with_schedule(impl, schedule):
+    """``impl`` with one mode's schedule replaced."""
+    schedules = {mode: impl.schedules[mode] for mode in impl.schedules}
+    schedules[schedule.mode_name] = schedule
+    return dataclasses.replace(impl, schedules=schedules)
 
 
 class TestValidImplementations:
@@ -116,4 +124,116 @@ class TestTamperedImplementations:
         )
         broken = dataclasses.replace(impl, metrics=broken_metrics)
         with pytest.raises(ValidationError, match="area"):
+            validate_implementation(broken)
+
+    def test_fabricated_transition_violation_detected(
+        self, two_mode_problem
+    ):
+        impl = self.make_impl(two_mode_problem)
+        broken_metrics = dataclasses.replace(
+            impl.metrics, transition_violation={("O1", "O2"): 0.1}
+        )
+        broken = dataclasses.replace(impl, metrics=broken_metrics)
+        with pytest.raises(ValidationError, match="transition"):
+            validate_implementation(broken)
+
+    @pytest.mark.parametrize("label", ["dynamic", "static"])
+    def test_wrong_mode_power_detected(self, two_mode_problem, label):
+        impl = self.make_impl(two_mode_problem)
+        field = f"{label}_power"
+        powers = dict(getattr(impl.metrics, field))
+        powers["O2"] *= 1.5
+        broken_metrics = dataclasses.replace(
+            impl.metrics, **{field: powers}
+        )
+        broken = dataclasses.replace(impl, metrics=broken_metrics)
+        with pytest.raises(
+            ValidationError, match=f"recorded {label} power"
+        ):
+            validate_implementation(broken)
+
+    def test_invalid_schedule_detected(self, two_mode_problem):
+        impl = self.make_impl(two_mode_problem)
+        schedule = impl.schedules["O1"]
+        early = [
+            dataclasses.replace(task, start=0.0)
+            if task.name == "t4"
+            else task
+            for task in schedule.tasks
+        ]
+        broken = with_schedule(
+            impl, ModeSchedule("O1", early, schedule.comms)
+        )
+        with pytest.raises(
+            ValidationError, match="schedule of mode 'O1' invalid"
+        ):
+            validate_implementation(broken)
+
+
+class TestTamperedHardware:
+    """Core allocation and voltage-piece checks."""
+
+    def make_impl(self, problem, pe, dvs=DvsMethod.NONE):
+        return evaluate_mapping(
+            problem,
+            MappingString(problem, [pe] * 7),
+            SynthesisConfig(dvs=dvs),
+        )
+
+    def test_task_without_allocated_core_detected(self, two_mode_problem):
+        hardware = self.make_impl(two_mode_problem, "PE1")
+        software = self.make_impl(two_mode_problem, "PE0")
+        validate_implementation(hardware)
+        broken = dataclasses.replace(hardware, cores=software.cores)
+        with pytest.raises(ValidationError, match="without an allocated"):
+            validate_implementation(broken)
+
+    def test_core_index_beyond_allocation_detected(self, two_mode_problem):
+        impl = self.make_impl(two_mode_problem, "PE1")
+        schedule = impl.schedules["O1"]
+        moved = [
+            dataclasses.replace(task, core_index=7)
+            if task.name == "t4"
+            else task
+            for task in schedule.tasks
+        ]
+        broken = with_schedule(
+            impl, ModeSchedule("O1", moved, schedule.comms)
+        )
+        with pytest.raises(ValidationError, match="uses core index 7"):
+            validate_implementation(broken)
+
+    def test_torn_voltage_pieces_detected(self, two_mode_problem):
+        impl = self.make_impl(two_mode_problem, "PE0", DvsMethod.GRADIENT)
+        schedule = impl.schedules["O1"]
+        torn = [
+            dataclasses.replace(
+                task, pieces=((task.duration / 2, task.pieces[0][1]),)
+            )
+            if task.name == "t1"
+            else task
+            for task in schedule.tasks
+        ]
+        broken = with_schedule(
+            impl, ModeSchedule("O1", torn, schedule.comms)
+        )
+        with pytest.raises(ValidationError, match="voltage pieces sum"):
+            validate_implementation(broken)
+
+    def test_piece_voltage_above_nominal_detected(self, two_mode_problem):
+        impl = self.make_impl(two_mode_problem, "PE0", DvsMethod.GRADIENT)
+        vmax = two_mode_problem.architecture.pe("PE0").nominal_voltage
+        schedule = impl.schedules["O1"]
+        boosted = [
+            dataclasses.replace(
+                task, pieces=((task.duration, 2 * vmax),)
+            )
+            if task.name == "t1"
+            else task
+            for task in schedule.tasks
+        ]
+        broken = with_schedule(
+            impl, ModeSchedule("O1", boosted, schedule.comms)
+        )
+        with pytest.raises(ValidationError, match="piece voltage"):
             validate_implementation(broken)
