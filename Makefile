@@ -2,6 +2,10 @@
 
 PYTHON ?= python
 
+# Every target runs from a bare checkout: the sources come first on the
+# import path, ahead of any PYTHONPATH the caller set.
+export PYTHONPATH := $(CURDIR)/src$(if $(PYTHONPATH),:$(PYTHONPATH))
+
 .PHONY: install test test-fast lint typecheck bench bench-fast bench-smoke tables examples verify clean
 
 install:
@@ -59,11 +63,10 @@ bench-smoke:
 # The full pre-merge gate: lint + typecheck (when available), tier-1
 # test suite, the end-to-end benchmark's contract tests (every name
 # its layer tracer wraps must still exist) and the engine smoke
-# benchmark (bit-identity + performance regression check).  Runs from
-# a bare checkout — no `make install` needed.
+# benchmark (bit-identity + performance regression check).
 verify: lint typecheck
-	PYTHONPATH=src $(PYTHON) -m pytest tests/
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/e2e -q
+	$(PYTHON) -m pytest tests/
+	$(PYTHON) -m pytest benchmarks/e2e -q
 	$(PYTHON) benchmarks/bench_engine.py --quick \
 	    --check benchmarks/results/bench_engine_quick_baseline.json \
 	    --out benchmarks/out/bench_engine_quick.json

@@ -47,7 +47,6 @@ from repro.errors import (
     SynthesisError,
     TechnologyError,
     VoltageScalingError,
-    WorkerPoolError,
 )
 from repro.specification import (
     CommEdge,
@@ -115,7 +114,6 @@ __all__ = [
     "CampaignRunner",
     "CampaignSpec",
     "JobSpec",
-    "WorkerPoolError",
     "CommEdge",
     "CommunicationLink",
     "CoreAllocation",

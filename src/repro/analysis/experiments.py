@@ -11,7 +11,7 @@ Since PR 2 the drivers are thin wrappers over the campaign runtime
 (:mod:`repro.runtime`): every comparison expands to a
 :class:`~repro.runtime.spec.CampaignSpec`, executes on the
 :class:`~repro.runtime.runner.CampaignRunner` (durable checkpoints,
-bounded retry, JSONL events) and aggregates the per-job results.  Pass
+JSONL events) and aggregates the per-job results.  Pass
 ``run_dir`` to keep the run directory — re-invoking with the same
 directory resumes instead of recomputing — or leave it ``None`` for a
 throw-away temporary directory.
@@ -40,10 +40,6 @@ class PolicyOutcome:
     powers: List[float] = field(default_factory=list)
     cpu_times: List[float] = field(default_factory=list)
     feasible: List[bool] = field(default_factory=list)
-
-    @property
-    def feasible_runs(self) -> int:
-        return sum(self.feasible)
 
     @property
     def mean_power(self) -> float:

@@ -244,11 +244,6 @@ def _print_campaign_event(event: Dict[str, object]) -> None:
             f"{event['generations']} generations, "
             f"{float(event['cpu_time']):.1f} s"
         )
-    elif kind == "job_retried":
-        print(
-            f"  [{event['job_id']}] worker pool died; retrying in "
-            f"{event['backoff_seconds']} s"
-        )
     elif kind == "job_failed":
         print(f"  [{event['job_id']}] FAILED: {event['error']}")
     elif kind == "job_skipped":
@@ -469,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
         "campaign",
         help=(
             "run a declarative experiment campaign with durable "
-            "checkpoints, bounded retries and a JSONL event stream"
+            "checkpoints and a JSONL event stream"
         ),
     )
     campaign.add_argument(
@@ -515,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "print a progress report for the campaign in DIR "
-            "(completed/failed/running jobs, retries, ETA) and exit"
+            "(completed/failed/running jobs, ETA) and exit"
         ),
     )
     campaign.add_argument(

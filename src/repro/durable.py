@@ -1,9 +1,10 @@
 """The one writer of every JSON file the package saves.
 
-Campaign specs, checkpoints, job results, run summaries, the design
-library and the ``repro.io`` files all go through
-:func:`atomic_write_json`.  The module imports nothing from the
-package, so any layer can use it without an import cycle.
+Campaign specs, checkpoints, job results, run summaries and the
+``repro.io`` files all go through :func:`atomic_write_json`, and their
+loaders check the stored format version with :func:`is_version`.  The
+module imports nothing from the package, so any layer can use it
+without an import cycle.
 """
 
 from __future__ import annotations
@@ -39,3 +40,12 @@ def atomic_write_json(
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def is_version(value: Any, expected: int) -> bool:
+    """Whether a stored format version is exactly ``expected``.
+
+    JSON ``true`` and ``1.0`` compare equal to ``1`` in Python, so a
+    version must be an ``int`` that is not a ``bool``.
+    """
+    return type(value) is int and value == expected

@@ -26,13 +26,11 @@ starts on it, and the next :meth:`~EvaluationBackend.submit` of the
 identical gene-tuple list adopts that dispatch instead of starting a
 new one.  Any other batch collects it first and counts it as discarded.
 
-What a *failed* pool (worker crash, pickling surprise, platform without
-multiprocessing) does is governed by ``pool_failure_mode``:
-``"fallback"`` degrades to in-process evaluation — counted in
-``PerfStats.pool_fallbacks`` and announced with a
-:class:`RuntimeWarning`, never silently — while ``"raise"`` surfaces a
-:class:`~repro.errors.WorkerPoolError` so a supervising runtime (the
-campaign runner) can retry the job on a fresh pool.
+A *failed* pool (worker crash, pickling surprise, platform without
+multiprocessing) is retired and the run continues with in-process
+evaluation, counted in ``PerfStats.pool_fallbacks`` and announced with
+a :class:`RuntimeWarning`, never silently.  The batch in flight is
+re-evaluated in-process, so the results do not change.
 
 Every backend keeps its accounting in one
 :class:`~repro.engine.profile.PerfStats`, :attr:`EvaluationBackend.perf`,
@@ -59,7 +57,6 @@ from repro.engine.records import (
     evaluate_genes,
     record_from_implementation,
 )
-from repro.errors import WorkerPoolError
 from repro.eval.cache import mode_cache_for
 from repro.obs.metrics import REGISTRY, MetricsSnapshot
 from repro.problem import Problem
@@ -244,13 +241,12 @@ class PooledBackend(EvaluationBackend):
     instead of blocking idle.  Batches smaller than the worker count
     are evaluated in-process — dispatch and result pickling would cost
     more than the evaluations — and so is everything after the pool
-    has failed in ``fallback`` mode.
+    has failed.
     """
 
     def __init__(self, problem: Problem, config: "SynthesisConfig") -> None:
         self.jobs = max(1, config.jobs)
         super().__init__(problem, config)
-        self.failure_mode = config.pool_failure_mode
         self.last_pool_error: Optional[str] = None
         #: Start of the pool's open service window (``None`` = no pool).
         self._pool_started: Optional[float] = None
@@ -333,16 +329,10 @@ class PooledBackend(EvaluationBackend):
             pool.terminate()
 
     def _fail(self, stage: str, exc: BaseException) -> None:
-        """Retire the pool after a failure, then raise or warn per mode."""
+        """Retire the pool after a failure and warn."""
         self._retire_pool(graceful=False)
         self.last_pool_error = f"{stage}: {exc!r}"
         REGISTRY.inc("engine_pool_failures_total", stage=stage)
-        if self.failure_mode == "raise":
-            raise WorkerPoolError(
-                f"worker pool {stage} failed after "
-                f"{self.perf.parallel_evaluations} parallel evaluations: "
-                f"{exc!r}"
-            ) from exc
         # The fallback transition is surfaced three ways: the counter
         # below, the pool_workers gauge dropping to zero, and the
         # RuntimeWarning for interactive runs.
@@ -404,7 +394,7 @@ class PooledBackend(EvaluationBackend):
         # hang.
         while not pending.ready():
             if getattr(self._pool, "_state", None) != multiprocessing.pool.RUN:
-                raise WorkerPoolError("pool stopped with chunks outstanding")
+                raise RuntimeError("pool stopped with chunks outstanding")
             pending.wait(0.05)
         records: List[EvalRecord] = []
         for chunk_records, phase_delta, metrics_delta, busy in pending.get():
@@ -450,8 +440,7 @@ class PooledBackend(EvaluationBackend):
             try:
                 records = self._collect(dispatch)
             except Exception as exc:
-                # Raises WorkerPoolError in "raise" mode; otherwise the
-                # batch is re-evaluated in-process below.
+                # The batch is re-evaluated in-process below.
                 self._fail("dispatch", exc)
             else:
                 self.perf.parallel_evaluations += len(records)

@@ -55,16 +55,6 @@ class SynthesisError(ReproError):
     """The co-synthesis driver was configured or invoked incorrectly."""
 
 
-class WorkerPoolError(ReproError):
-    """A parallel evaluation worker pool died or could not be created.
-
-    Only raised when the evaluator runs with
-    ``pool_failure_mode="raise"``; the default mode degrades to
-    in-process evaluation instead.  A supervising runtime catches this
-    to retry the affected job on a fresh pool.
-    """
-
-
 class CampaignError(ReproError):
     """A campaign spec or run directory is invalid or inconsistent.
 

@@ -29,7 +29,7 @@ from repro.architecture.communication_link import CommunicationLink
 from repro.architecture.platform import Architecture
 from repro.architecture.processing_element import PEKind, ProcessingElement
 from repro.architecture.technology import TaskImplementation, TechnologyLibrary
-from repro.durable import atomic_write_json
+from repro.durable import atomic_write_json, is_version
 from repro.errors import SpecificationError
 from repro.mapping.encoding import MappingString
 from repro.problem import Problem
@@ -121,7 +121,7 @@ def problem_to_dict(problem: Problem) -> Dict[str, Any]:
 
 def problem_from_dict(data: Dict[str, Any]) -> Problem:
     """Rebuild a problem instance from :func:`problem_to_dict` data."""
-    if data.get("schema") != SCHEMA_VERSION:
+    if not is_version(data.get("schema"), SCHEMA_VERSION):
         raise SpecificationError(
             f"unsupported schema version {data.get('schema')!r} "
             f"(expected {SCHEMA_VERSION})"
@@ -263,7 +263,7 @@ def result_from_dict(
     from repro.synthesis.cosynthesis import SynthesisResult
     from repro.synthesis.evaluator import evaluate_mapping
 
-    if data.get("schema") != SCHEMA_VERSION:
+    if not is_version(data.get("schema"), SCHEMA_VERSION):
         raise SpecificationError(
             f"unsupported schema version {data.get('schema')!r}"
         )
@@ -343,7 +343,7 @@ def mapping_from_dict(
     problem: Problem, data: Dict[str, Any]
 ) -> MappingString:
     """Rebuild a mapping string against an existing problem."""
-    if data.get("schema") != SCHEMA_VERSION:
+    if not is_version(data.get("schema"), SCHEMA_VERSION):
         raise SpecificationError(
             f"unsupported schema version {data.get('schema')!r}"
         )

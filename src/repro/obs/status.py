@@ -10,8 +10,8 @@ order, buffers torn trailing writes until the rest of the line arrives,
 and can either stop at end-of-file or keep following the stream until a
 terminal campaign event shows up.  :func:`campaign_status` folds one
 pass of those events into a :class:`CampaignStatus` with progress,
-retry/failure counts and an ETA extrapolated from the wall-clock times
-of already finished jobs.
+failure counts and an ETA extrapolated from the wall-clock times of
+already finished jobs.
 """
 
 from __future__ import annotations
@@ -101,7 +101,6 @@ class CampaignStatus:
     completed: int = 0
     skipped: int = 0
     failed: int = 0
-    retries: int = 0
     running: List[str] = field(default_factory=list)
     failures: Dict[str, str] = field(default_factory=dict)
     started_ts: Optional[float] = None
@@ -167,7 +166,7 @@ class CampaignStatus:
         estimate += mean * max(0, self.remaining - len(running))
         return estimate
 
-    # Internal: per-job start timestamps (latest attempt).
+    # Internal: per-job start timestamps.
     _job_started_ts: Dict[str, float] = field(default_factory=dict)
 
 
@@ -190,8 +189,8 @@ def campaign_status(run_dir: PathLike) -> CampaignStatus:
             # in an earlier segment is re-reported as job_skipped, a
             # previously failed one is re-attempted, and a job that was
             # mid-flight when the previous process died is not running
-            # any more.  Only the wall-time samples (for the ETA) and
-            # the retry count survive across segments.
+            # any more.  Only the wall-time samples (for the ETA)
+            # survive across segments.
             status.finished = False
             status.interrupted = False
             status.completed = 0
@@ -209,8 +208,6 @@ def campaign_status(run_dir: PathLike) -> CampaignStatus:
             status.last_generation[job_id] = int(
                 event.get("generation", 0)
             )
-        elif kind == "job_retried":
-            status.retries += 1
         elif kind == "job_finished" and job_id:
             status.completed += 1
             if job_id in status.running:
@@ -273,10 +270,7 @@ def format_event(event: Dict[str, Any]) -> str:
         )
     if kind == "job_started":
         resumed = event.get("resumed_from") or 0
-        attempt = event.get("attempt", 1)
-        suffix = f" (attempt {attempt})" if attempt and attempt > 1 else ""
-        if resumed:
-            suffix += f" resuming from generation {resumed}"
+        suffix = f" resuming from generation {resumed}" if resumed else ""
         return f"{prefix}[{job}] started{suffix}"
     if kind == "generation":
         best = event.get("best_fitness")
@@ -290,12 +284,6 @@ def format_event(event: Dict[str, Any]) -> str:
         return (
             f"{prefix}[{job}] checkpointed at generation "
             f"{event.get('generation')}"
-        )
-    if kind == "job_retried":
-        return (
-            f"{prefix}[{job}] worker pool died "
-            f"(attempt {event.get('attempt')}); retrying in "
-            f"{event.get('backoff_seconds')}s"
         )
     if kind == "job_finished":
         power = event.get("power")
@@ -344,10 +332,7 @@ def format_status(status: CampaignStatus) -> str:
         f"({status.progress:.0%}) — {status.completed} completed, "
         f"{status.skipped} skipped, {status.failed} failed"
     )
-    lines.append(
-        f"  retries: {status.retries}, elapsed: "
-        f"{_duration(status.elapsed_seconds)}"
-    )
+    lines.append(f"  elapsed: {_duration(status.elapsed_seconds)}")
     mean = status.mean_job_seconds
     if mean is not None:
         lines.append(f"  mean job wall time: {_duration(mean)}")

@@ -18,11 +18,10 @@ Schema (``version`` 1)::
       "interrupted": bool,
       "jobs": {"total": int, "completed": int,
                "failed": int, "pending": int},
-      "retries": int,
       "wall_seconds": float | null, # first..last event timestamp
       "job_results": {job_id: {"power": float, "cpu_time": float,
                                "feasible": bool, "generations": int,
-                               "evaluations": int, "attempts": int}},
+                               "evaluations": int}},
       "failures": {job_id: str},
       "perf": {...},                # PerfStats.to_dict() of the merge
                                     # of every job record's perf: each
@@ -57,7 +56,6 @@ _JOB_FIELDS = (
     "feasible",
     "generations",
     "evaluations",
-    "attempts",
 )
 
 def run_summary_path(run_dir: PathLike) -> pathlib.Path:
@@ -78,8 +76,7 @@ def build_run_summary(
 
     ``job_results`` maps job ids to their persisted result records (the
     :meth:`~repro.runtime.runner.JobResult.to_dict` shape); ``events``
-    is the campaign's event list, used only for wall-clock bounds and
-    the retry count.
+    is the campaign's event list, used only for wall-clock bounds.
     """
     timestamps = [
         float(event["ts"])
@@ -88,9 +85,6 @@ def build_run_summary(
     ]
     wall_seconds = (
         max(timestamps) - min(timestamps) if len(timestamps) > 1 else None
-    )
-    retries = sum(
-        1 for event in events if event.get("event") == "job_retried"
     )
     completed = len(job_results)
     failed = len(failures)
@@ -112,7 +106,6 @@ def build_run_summary(
             "failed": failed,
             "pending": max(0, total_jobs - completed - failed),
         },
-        "retries": retries,
         "wall_seconds": wall_seconds,
         "job_results": rows,
         "failures": dict(sorted(failures.items())),

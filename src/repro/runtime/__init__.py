@@ -3,7 +3,7 @@
 Declarative campaign specs (:mod:`repro.runtime.spec`), durable
 checkpoints and results (:mod:`repro.runtime.checkpoint`), the
 structured JSONL event stream (:mod:`repro.runtime.events`) and the
-retrying, resumable runner itself (:mod:`repro.runtime.runner`).
+resumable runner itself (:mod:`repro.runtime.runner`).
 """
 
 from repro.runtime.spec import CampaignSpec, JobSpec

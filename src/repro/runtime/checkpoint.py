@@ -23,7 +23,7 @@ import json
 import pathlib
 from typing import Any, Dict, Optional, Union
 
-from repro.durable import atomic_write_json
+from repro.durable import atomic_write_json, is_version
 from repro.errors import CampaignError, SynthesisError
 from repro.synthesis.config import SynthesisConfig
 from repro.synthesis.state import GAState
@@ -112,7 +112,7 @@ def load_checkpoint(
         return None
     data = _read_json(path, "checkpoint")
     version = data.get("version", CHECKPOINT_VERSION)
-    if version != CHECKPOINT_VERSION:
+    if not is_version(version, CHECKPOINT_VERSION):
         raise CampaignError(
             f"checkpoint {path} has unsupported version {version!r} "
             f"(expected {CHECKPOINT_VERSION})"

@@ -12,22 +12,19 @@ Event kinds emitted by the runner:
 ``campaign_started``
     name, total job count, pending job count (on resume).
 ``job_started``
-    job identity (instance/dvs/policy/seed), attempt number and the
-    generation the job resumes from (0 = fresh start).
+    job identity (instance/dvs/policy/seed) and the generation the job
+    resumes from (0 = fresh start).
 ``generation``
     per-generation progress: generation index, best fitness so far,
     cumulative evaluations.
 ``checkpointed``
     a GA snapshot was persisted for the job.
-``job_retried``
-    a worker-pool death was caught; the job will be retried after the
-    reported backoff.
 ``job_finished``
     final metrics of one job: power, cpu_time, feasibility,
     generations, evaluations, plus the ``SynthesisResult.perf``
     counters.
 ``job_failed``
-    the job exhausted its retries or raised a non-retryable error.
+    the job raised an error; the campaign goes on with the next job.
 ``campaign_finished``
     completed/failed totals.
 

@@ -11,12 +11,6 @@ as an ordered queue of synthesis jobs on top of the evaluation engine:
   snapshot — evaluation is a pure function of the genome, and the
   snapshot carries the RNG state, so the replay takes the exact path
   the uninterrupted run would have taken.
-* **Bounded retry with backoff** — jobs run with
-  ``pool_failure_mode="raise"``, so a died worker pool surfaces as
-  :class:`~repro.errors.WorkerPoolError` instead of silently falling
-  back to serial evaluation; the runner retries such jobs up to
-  ``max_retries`` times, sleeping ``retry_backoff × 2**attempt``
-  between attempts and resuming from the latest checkpoint.
 * **Structured observability** — every state change is appended to the
   run directory's ``events.jsonl`` (see :mod:`repro.runtime.events`);
   the final ``job_finished`` events carry enough (power, CPU time,
@@ -36,10 +30,11 @@ import pathlib
 import signal
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Dict, List, Optional, Union
 
-from repro.errors import CampaignError, ReproError, WorkerPoolError
+from repro.durable import is_version
+from repro.errors import CampaignError, ReproError
 from repro.obs.metrics import REGISTRY
 from repro.obs.summary import build_run_summary, write_run_summary
 from repro.problem import Problem
@@ -101,7 +96,6 @@ class JobResult:
     evaluations: int
     history: List[float] = field(default_factory=list)
     best_genes: List[str] = field(default_factory=list)
-    attempts: int = 1
     resumed_from: int = 0
     perf: Dict[str, Any] = field(default_factory=dict)
     #: Per-mode power breakdown ``{mode: {"dynamic": W, "static": W}}``
@@ -125,7 +119,6 @@ class JobResult:
             "evaluations": self.evaluations,
             "history": list(self.history),
             "best_genes": list(self.best_genes),
-            "attempts": self.attempts,
             "resumed_from": self.resumed_from,
             "perf": dict(self.perf),
             "mode_powers": {
@@ -136,15 +129,17 @@ class JobResult:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "JobResult":
-        values = dict(data)
-        # Results written before the field existed load with an empty
-        # breakdown rather than failing (additive schema change).
-        values.setdefault("mode_powers", {})
-        version = values.pop("version", RESULT_VERSION)
-        if version != RESULT_VERSION:
+        version = data.get("version", RESULT_VERSION)
+        if not is_version(version, RESULT_VERSION):
             raise CampaignError(
                 f"unsupported job result version {version!r}"
             )
+        # Keys that name no field, such as the retry count of earlier
+        # releases, are dropped; results written before ``mode_powers``
+        # existed load with an empty breakdown (additive schema change).
+        names = {item.name for item in fields(cls)}
+        values = {key: value for key, value in data.items() if key in names}
+        values.setdefault("mode_powers", {})
         return cls(**values)
 
 
@@ -185,8 +180,6 @@ class CampaignRunner:
     on_event:
         Optional callback receiving every event record right after it
         is appended to the JSONL stream (live progress display).
-    sleep:
-        Injected for tests; the retry backoff sleeper.
     """
 
     def __init__(
@@ -195,7 +188,6 @@ class CampaignRunner:
         run_dir: PathLike,
         problem_loader: Optional[Callable[[str], Problem]] = None,
         on_event: Optional[Callable[[Dict[str, Any]], None]] = None,
-        sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         self.spec = spec
         self.run_dir = ckpt.prepare_run_dir(run_dir)
@@ -205,7 +197,6 @@ class CampaignRunner:
             problem_loader = registry.get
         self._problem_loader = problem_loader
         self._on_event = on_event
-        self._sleep = sleep
         self._problems: Dict[str, Problem] = {}
         self._persist_spec()
 
@@ -387,121 +378,92 @@ class CampaignRunner:
 
     def _run_job(self, job: JobSpec, events: EventLog) -> JobResult:
         problem = self._problem(job.instance)
-        config = job.configure(self.spec.config).with_updates(
-            pool_failure_mode="raise"
-        )
-        attempts = self.spec.max_retries + 1
-        first_resumed_from = 0
+        config = job.configure(self.spec.config)
         job_started = time.perf_counter()
-        for attempt in range(attempts):
-            state = ckpt.load_checkpoint(self.run_dir, job.job_id, config)
-            resumed_from = state.generation if state is not None else 0
-            if attempt == 0:
-                first_resumed_from = resumed_from
+        state = ckpt.load_checkpoint(self.run_dir, job.job_id, config)
+        resumed_from = state.generation if state is not None else 0
+        self._emit(
+            events,
+            "job_started",
+            job_id=job.job_id,
+            instance=job.instance,
+            dvs=job.dvs.value,
+            use_probabilities=job.use_probabilities,
+            seed=job.seed,
+            resumed_from=resumed_from,
+        )
+
+        def on_generation(snapshot: GAState) -> None:
             self._emit(
                 events,
-                "job_started",
+                "generation",
                 job_id=job.job_id,
-                instance=job.instance,
-                dvs=job.dvs.value,
-                use_probabilities=job.use_probabilities,
-                seed=job.seed,
-                attempt=attempt + 1,
-                resumed_from=resumed_from,
+                generation=snapshot.generation,
+                best_fitness=(
+                    snapshot.best_fitness
+                    if snapshot.best_genes is not None
+                    else None
+                ),
+                evaluations=snapshot.evaluations,
             )
-
-            def on_generation(snapshot: GAState) -> None:
+            # The final generation always checkpoints, whatever the
+            # cadence: a crash between the last periodic snapshot and
+            # job completion must not lose finished work.
+            if (
+                snapshot.generation % self.spec.checkpoint_every == 0
+                or snapshot.generation >= config.max_generations
+            ):
+                ckpt.write_checkpoint(
+                    self.run_dir, job.job_id, snapshot, config
+                )
                 self._emit(
                     events,
-                    "generation",
+                    "checkpointed",
                     job_id=job.job_id,
                     generation=snapshot.generation,
-                    best_fitness=(
-                        snapshot.best_fitness
-                        if snapshot.best_genes is not None
-                        else None
-                    ),
-                    evaluations=snapshot.evaluations,
                 )
-                # The final generation always checkpoints, whatever the
-                # cadence: a crash between the last periodic snapshot
-                # and job completion must not lose finished work.
-                if (
-                    snapshot.generation % self.spec.checkpoint_every == 0
-                    or snapshot.generation >= config.max_generations
-                ):
-                    ckpt.write_checkpoint(
-                        self.run_dir, job.job_id, snapshot, config
-                    )
-                    self._emit(
-                        events,
-                        "checkpointed",
-                        job_id=job.job_id,
-                        generation=snapshot.generation,
-                    )
 
-            try:
-                synthesis = MultiModeSynthesizer(problem, config).run(
-                    resume=state, on_generation=on_generation
-                )
-            except WorkerPoolError as exc:
-                if attempt + 1 >= attempts:
-                    raise
-                backoff = self.spec.retry_backoff * (2**attempt)
-                REGISTRY.inc("campaign_job_retries_total")
-                self._emit(
-                    events,
-                    "job_retried",
-                    job_id=job.job_id,
-                    attempt=attempt + 1,
-                    backoff_seconds=backoff,
-                    error=str(exc),
-                )
-                if backoff > 0:
-                    self._sleep(backoff)
-                continue
-
-            validate_implementation(synthesis.best)
-            result = JobResult(
-                job_id=job.job_id,
-                instance=job.instance,
-                modes=len(problem.omsm),
-                dvs=job.dvs.value,
-                use_probabilities=job.use_probabilities,
-                seed=job.seed,
-                power=synthesis.average_power,
-                cpu_time=synthesis.cpu_time,
-                feasible=synthesis.is_feasible,
-                generations=synthesis.generations,
-                evaluations=synthesis.evaluations,
-                history=list(synthesis.history),
-                best_genes=list(synthesis.best.mapping.genes),
-                attempts=attempt + 1,
-                resumed_from=first_resumed_from,
-                perf=(
-                    synthesis.perf.to_dict()
-                    if synthesis.perf is not None
-                    else {}
-                ),
-                mode_powers={
-                    mode: dict(entry)
-                    for mode, entry in synthesis.mode_powers.items()
-                },
-            )
-            ckpt.write_result(self.run_dir, job.job_id, result.to_dict())
-            ckpt.clear_checkpoint(self.run_dir, job.job_id)
-            REGISTRY.inc("campaign_jobs_finished_total")
-            REGISTRY.observe(
-                "campaign_job_seconds",
-                time.perf_counter() - job_started,
-            )
-            self._emit(
-                events,
-                "job_finished",
-                **_finished_fields(result, config.max_generations),
-            )
-            return result
-        raise AssertionError("unreachable: retry loop exits via return/raise")
+        synthesis = MultiModeSynthesizer(problem, config).run(
+            resume=state, on_generation=on_generation
+        )
+        validate_implementation(synthesis.best)
+        result = JobResult(
+            job_id=job.job_id,
+            instance=job.instance,
+            modes=len(problem.omsm),
+            dvs=job.dvs.value,
+            use_probabilities=job.use_probabilities,
+            seed=job.seed,
+            power=synthesis.average_power,
+            cpu_time=synthesis.cpu_time,
+            feasible=synthesis.is_feasible,
+            generations=synthesis.generations,
+            evaluations=synthesis.evaluations,
+            history=list(synthesis.history),
+            best_genes=list(synthesis.best.mapping.genes),
+            resumed_from=resumed_from,
+            perf=(
+                synthesis.perf.to_dict()
+                if synthesis.perf is not None
+                else {}
+            ),
+            mode_powers={
+                mode: dict(entry)
+                for mode, entry in synthesis.mode_powers.items()
+            },
+        )
+        ckpt.write_result(self.run_dir, job.job_id, result.to_dict())
+        ckpt.clear_checkpoint(self.run_dir, job.job_id)
+        REGISTRY.inc("campaign_jobs_finished_total")
+        REGISTRY.observe(
+            "campaign_job_seconds", time.perf_counter() - job_started
+        )
+        self._emit(
+            events,
+            "job_finished",
+            **_finished_fields(result, config.max_generations),
+        )
+        return result
 
 
 def _finished_fields(
@@ -521,7 +483,6 @@ def _finished_fields(
         converged=result.generations < max_generations,
         generations=result.generations,
         evaluations=result.evaluations,
-        attempts=result.attempts,
         perf=result.perf,
         mode_powers=result.mode_powers,
     )

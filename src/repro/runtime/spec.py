@@ -21,7 +21,7 @@ import pathlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Union
 
-from repro.durable import atomic_write_json
+from repro.durable import atomic_write_json, is_version
 from repro.errors import CampaignError
 from repro.synthesis.config import DvsMethod, SynthesisConfig
 
@@ -54,15 +54,6 @@ class JobSpec:
             seed=self.seed,
         )
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "job_id": self.job_id,
-            "instance": self.instance,
-            "dvs": self.dvs.value,
-            "use_probabilities": self.use_probabilities,
-            "seed": self.seed,
-        }
-
 
 @dataclass
 class CampaignSpec:
@@ -84,10 +75,6 @@ class CampaignSpec:
         Base synthesis configuration shared by every job.
     checkpoint_every:
         Persist a GA checkpoint every this many generations (≥ 1).
-    max_retries / retry_backoff:
-        Bounded retry for jobs whose worker pool died: up to
-        ``max_retries`` further attempts, sleeping
-        ``retry_backoff × 2**attempt`` seconds before each.
     """
 
     name: str
@@ -102,8 +89,6 @@ class CampaignSpec:
     base_seed: int = 0
     config: SynthesisConfig = field(default_factory=SynthesisConfig)
     checkpoint_every: int = 5
-    max_retries: int = 2
-    retry_backoff: float = 1.0
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -134,10 +119,6 @@ class CampaignSpec:
             raise CampaignError("runs must be at least 1")
         if self.checkpoint_every < 1:
             raise CampaignError("checkpoint_every must be at least 1")
-        if self.max_retries < 0:
-            raise CampaignError("max_retries must be non-negative")
-        if self.retry_backoff < 0:
-            raise CampaignError("retry_backoff must be non-negative")
 
     # ------------------------------------------------------------------
     # Expansion
@@ -175,19 +156,21 @@ class CampaignSpec:
             "base_seed": self.base_seed,
             "config": self.config.to_dict(),
             "checkpoint_every": self.checkpoint_every,
-            "max_retries": self.max_retries,
-            "retry_backoff": self.retry_backoff,
         }
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "CampaignSpec":
         values = dict(data)
         version = values.pop("version", SPEC_VERSION)
-        if version != SPEC_VERSION:
+        if not is_version(version, SPEC_VERSION):
             raise CampaignError(
                 f"unsupported campaign spec version {version!r} "
                 f"(expected {SPEC_VERSION})"
             )
+        # Earlier releases retried a job whose worker pool died; a dead
+        # pool now falls back in place, so the retry keys are dropped.
+        for key in ("max_retries", "retry_backoff"):
+            values.pop(key, None)
         known = {
             "name",
             "instances",
@@ -197,8 +180,6 @@ class CampaignSpec:
             "base_seed",
             "config",
             "checkpoint_every",
-            "max_retries",
-            "retry_backoff",
         }
         unknown = sorted(set(values) - known)
         if unknown:

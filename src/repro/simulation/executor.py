@@ -95,9 +95,10 @@ def simulate(
     implementation:
         A fully evaluated implementation (mapping + schedules).
     trace:
-        Explicit mode visits.  When ``None``, a trace is generated over
-        ``horizon`` seconds from ``process`` (or a default
-        :class:`ModeProcess`) with the given ``seed``.
+        Explicit mode visits, each starting where the previous one
+        ended (:class:`SpecificationError` otherwise).  When ``None``,
+        a trace is generated over ``horizon`` seconds from ``process``
+        (or a default :class:`ModeProcess`) with the given ``seed``.
     horizon:
         Trace length in seconds (ignored when ``trace`` is given).
     reconfig_energy_per_cell:
@@ -113,6 +114,19 @@ def simulate(
         )
     if not trace:
         raise SpecificationError("cannot simulate an empty trace")
+    # The horizon spans the whole trace, so a gap or an overlap between
+    # visits would mis-state the average power.
+    for index, visit in enumerate(trace):
+        if visit.end < visit.start:
+            raise SpecificationError(
+                f"trace visit {index} ends at {visit.end} before it "
+                f"starts at {visit.start}"
+            )
+        if index and visit.start != trace[index - 1].end:
+            raise SpecificationError(
+                f"trace visit {index} starts at {visit.start}, not where "
+                f"the previous visit ended ({trace[index - 1].end})"
+            )
     actual_horizon = trace[-1].end - trace[0].start
 
     iteration_energy: Dict[str, float] = {}

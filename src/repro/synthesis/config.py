@@ -10,11 +10,12 @@ from typing import Any, Dict, Mapping, Optional
 from repro.errors import SynthesisError
 
 #: Evaluation and pool switches of earlier versions.  Each one only
-#: chose between bit-identical implementations, so specs, checkpoints
-#: and ``with_updates`` calls that still carry them load with the key
-#: dropped, whatever its value.  ``dvs_warm_start`` and
-#: ``inner_loop_iterations`` (see :func:`_drop_retired`) are the retired
-#: keys whose non-default values changed results.
+#: chose between bit-identical implementations or pool failure
+#: policies, so specs, checkpoints and ``with_updates`` calls that still
+#: carry them load with the key dropped, whatever its value.
+#: ``dvs_warm_start`` and ``inner_loop_iterations`` (see
+#: :func:`_drop_retired`) are the retired keys whose non-default values
+#: changed results.
 RETIRED_KEYS = frozenset(
     {
         "decode_cache",
@@ -24,6 +25,7 @@ RETIRED_KEYS = frozenset(
         "async_pool",
         "speculative",
         "speculation_depth",
+        "pool_failure_mode",
     }
 )
 
@@ -127,13 +129,9 @@ class SynthesisConfig:
         (:class:`~repro.engine.backend.PooledBackend`), which also
         starts the exactly predicted next generation while the parent
         breeds it (:mod:`repro.synthesis.speculation`).  Results are
-        bit-identical to serial evaluation for any job count.
-    pool_failure_mode:
-        What a dead/unusable worker pool does to the run.
-        ``"fallback"`` (default) degrades to in-process evaluation and
-        records the failure; ``"raise"`` surfaces it as a
-        :class:`~repro.errors.WorkerPoolError` so a supervising runtime
-        (the campaign runner) can retry the job on a fresh pool.
+        bit-identical to serial evaluation for any job count.  A pool
+        that dies is retired with a :class:`RuntimeWarning` and the run
+        finishes in-process.
     seed:
         Seed of the synthesis RNG; runs are reproducible per seed.
     """
@@ -169,7 +167,6 @@ class SynthesisConfig:
     local_search_budget_factor: float = 3.0
 
     jobs: int = 1
-    pool_failure_mode: str = "fallback"
 
     seed: int = 0
 
@@ -217,10 +214,6 @@ class SynthesisConfig:
             )
         if self.jobs < 1:
             raise SynthesisError("jobs must be at least 1")
-        if self.pool_failure_mode not in ("fallback", "raise"):
-            raise SynthesisError(
-                "pool failure mode must be 'fallback' or 'raise'"
-            )
 
     def with_updates(self, **changes: Any) -> "SynthesisConfig":
         """A copy of this configuration with some fields replaced.

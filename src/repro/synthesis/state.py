@@ -28,6 +28,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.durable import is_version
 from repro.errors import SynthesisError
 
 #: Schema version of serialised snapshots; bump on incompatible change.
@@ -99,7 +100,7 @@ class GAState:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "GAState":
         version = data.get("version")
-        if version != STATE_VERSION:
+        if not is_version(version, STATE_VERSION):
             raise SynthesisError(
                 f"unsupported GA state version {version!r} "
                 f"(expected {STATE_VERSION})"

@@ -12,7 +12,6 @@ import pytest
 from repro.engine import backend as backend_module
 from repro.engine.backend import PooledBackend, SerialBackend, backend_for
 from repro.engine.records import EvalRecord, evaluate_genes
-from repro.errors import WorkerPoolError
 from repro.mapping.encoding import MappingString
 from repro.synthesis.config import SynthesisConfig
 
@@ -144,18 +143,6 @@ class TestPooledPath:
             # Later batches stay on the serial path without error.
             assert _evaluate(backend, genomes) == records
 
-    def test_dead_pool_raises_in_raise_mode(self, problem):
-        config = SynthesisConfig(jobs=2, pool_failure_mode="raise")
-        genomes = _genomes(problem, 4)
-        with _pooled(problem, config) as backend:
-            assert backend.failure_mode == "raise"
-            backend._pool.terminate()
-            backend._pool.join()
-            with pytest.raises(WorkerPoolError):
-                _evaluate(backend, genomes)
-            assert not backend.uses_pool
-            assert backend.perf.pool_fallbacks == 0
-
     def test_workers_leave_ctrl_c_to_the_parent(self, problem):
         # A worker killed by SIGINT while holding the task queue's lock
         # would deadlock the parent's terminate(); workers ignore it.
@@ -280,21 +267,6 @@ class TestEarlyDispatch:
             assert not backend.uses_pool
             assert backend.perf.batches == 0
         assert records == _serial_records(problem, config, genomes)
-
-    def test_pool_killed_before_drain_raises_in_raise_mode(
-        self, problem, slow_workers
-    ):
-        slow_workers(30.0)
-        config = SynthesisConfig(jobs=2, pool_failure_mode="raise")
-        genomes = _genomes(problem, 6, seed=16)
-        with _pooled(problem, config) as backend:
-            backend.speculate(genomes)
-            backend._pool.terminate()
-            backend._pool.join()
-            backend.submit(genomes)
-            with pytest.raises(WorkerPoolError):
-                backend.drain()
-            assert not backend.uses_pool
 
     @pytest.mark.parametrize("end", ["cancel_speculation", "close"])
     def test_outstanding_dispatch_collected_as_discards(

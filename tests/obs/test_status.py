@@ -171,20 +171,24 @@ class TestCampaignStatus:
         assert status.running == []
         assert status.eta_seconds is None
 
-    def test_retries_are_counted(self, tmp_path):
+    def test_old_job_retried_lines_are_skipped(self, tmp_path):
+        # Streams of earlier versions log a job_retried line before a
+        # job's second start; the status reads as if it were absent.
+        retried = event("job_retried", 2, 2.0, job_id="a", attempt=1,
+                        backoff_seconds=0.5, error="pool died")
+        stream = [
+            event("campaign_started", 0, 1.0, campaign="t",
+                  total_jobs=1, pending_jobs=1),
+            event("job_started", 1, 1.0, job_id="a", attempt=1),
+            event("job_started", 3, 3.0, job_id="a", attempt=2),
+        ]
+        write_events(tmp_path / "events.jsonl", stream)
+        expected = campaign_status(tmp_path)
         write_events(
-            tmp_path / "events.jsonl",
-            [
-                event("campaign_started", 0, 1.0, campaign="t",
-                      total_jobs=1, pending_jobs=1),
-                event("job_started", 1, 1.0, job_id="a", attempt=1),
-                event("job_retried", 2, 2.0, job_id="a", attempt=1,
-                      backoff_seconds=0.5, error="pool died"),
-                event("job_started", 3, 3.0, job_id="a", attempt=2),
-            ],
+            tmp_path / "events.jsonl", stream[:2] + [retried] + stream[2:]
         )
         status = campaign_status(tmp_path)
-        assert status.retries == 1
+        assert status == expected
         assert status.running == ["a"]  # not double-listed
 
     def test_resume_segment_resets_progress_counters(self, tmp_path):
@@ -225,6 +229,20 @@ class TestRendering:
         line = format_event({"seq": 0, "ts": 1.0, "event": "mystery",
                              "detail": 7})
         assert "mystery" in line and "7" in line
+
+    def test_old_job_retried_line_renders_as_json(self):
+        line = format_event(
+            event("job_retried", 2, 2.0, job_id="a", attempt=1,
+                  backoff_seconds=0.5, error="pool died")
+        )
+        payload = json.loads(line.split(" ", 1)[1])
+        assert payload == {
+            "event": "job_retried",
+            "job_id": "a",
+            "attempt": 1,
+            "backoff_seconds": 0.5,
+            "error": "pool died",
+        }
 
     def test_format_status_mid_campaign(self, tmp_path):
         write_events(tmp_path / "events.jsonl", mid_campaign_events())

@@ -73,19 +73,18 @@ class TestBuild:
         # Rows carry the scalar outcome, not the bulky payloads.
         assert "history" not in summary["job_results"]["a"]
 
-    def test_retries_counted_from_events(self):
+    def test_no_retry_counts(self):
+        # Jobs are not retried any more: an earlier version's record
+        # that still carries an attempt count is summarised without it.
         summary = build_run_summary(
             campaign="t",
             total_jobs=1,
-            job_results={},
+            job_results={"a": job_record(attempts=2)},
             failures={},
-            events=[
-                {"ts": 1.0, "event": "job_retried"},
-                {"ts": 2.0, "event": "job_retried"},
-            ],
+            events=[{"ts": 1.0, "event": "job_retried"}],
         )
-        assert summary["retries"] == 2
-        assert summary["wall_seconds"] == pytest.approx(1.0)
+        assert "retries" not in summary
+        assert "attempts" not in summary["job_results"]["a"]
 
     def test_perf_aggregates_across_jobs(self):
         summary = build_run_summary(
@@ -171,7 +170,6 @@ class TestCampaignPerf:
                 convergence_generations=4,
                 jobs=2,
             ),
-            retry_backoff=0.0,
         )
         run_dir = tmp_path_factory.mktemp("pooled")
         outcome = run_campaign(spec, run_dir)

@@ -1,8 +1,8 @@
-"""CampaignRunner behaviour: queue execution, durability, retry, failure."""
+"""CampaignRunner behaviour: queue execution, durability, failures."""
 
 import pytest
 
-from repro.errors import CampaignError, SynthesisError, WorkerPoolError
+from repro.errors import CampaignError, SynthesisError
 from repro.eval.cache import mode_cache_for
 from repro.obs.summary import load_run_summary, run_summary_path
 from repro.runtime import runner as runner_mod
@@ -16,6 +16,7 @@ from repro.runtime.runner import (
 )
 from repro.runtime.spec import CampaignSpec
 from repro.synthesis.config import SynthesisConfig
+from repro.synthesis import cosynthesis
 from repro.synthesis.cosynthesis import MultiModeSynthesizer
 
 from tests.conftest import make_two_mode_problem
@@ -44,7 +45,6 @@ def tiny_spec(**overrides):
         base_seed=3,
         config=tiny_config(),
         checkpoint_every=2,
-        retry_backoff=0.0,
     )
     values.update(overrides)
     return CampaignSpec(**values)
@@ -66,7 +66,6 @@ class TestSmokeRun:
             result = outcome.results[job.job_id]
             assert result.power > 0
             assert result.history
-            assert result.attempts == 1
             assert result.perf  # SynthesisResult.perf counters present
             # Result record survives on disk and round-trips.
             stored = load_result(tmp_path / "run", job.job_id)
@@ -117,81 +116,88 @@ class TestSmokeRun:
         assert len(skipped) == first.completed
 
 
-class TestRetry:
-    def _flaky_synthesizer(self, monkeypatch, failures):
-        """Make the first ``failures`` run() calls die like a dead pool."""
-        calls = {"n": 0}
-
-        class Flaky(MultiModeSynthesizer):
-            def run(self, resume=None, on_generation=None):
-                calls["n"] += 1
-                if calls["n"] <= failures:
-                    raise WorkerPoolError("worker pool died")
-                return super().run(
-                    resume=resume, on_generation=on_generation
-                )
-
-        monkeypatch.setattr(runner_mod, "MultiModeSynthesizer", Flaky)
-        return calls
-
-    def test_pool_death_is_retried_with_backoff(
+class TestPoolFailure:
+    def test_dead_pool_falls_back_and_the_job_finishes(
         self, problem, tmp_path, monkeypatch
     ):
-        self._flaky_synthesizer(monkeypatch, failures=1)
-        sleeps = []
-        spec = tiny_spec(
-            probability_settings=[True], max_retries=2, retry_backoff=0.5
-        )
-        outcome = CampaignRunner(
-            spec,
-            tmp_path / "run",
+        # Evaluation is a pure function of the genome, so a job whose
+        # pool dies mid-run finishes in-process with the result the
+        # serial campaign computes, in one pass.
+        serial = run_campaign(
+            tiny_spec(),
+            tmp_path / "serial",
             problem_loader=loader_for(problem),
-            sleep=sleeps.append,
-        ).run()
-        assert outcome.failed == 0
-        (result,) = outcome.job_results()
-        assert result.attempts == 2
-        assert sleeps == [0.5]  # retry_backoff * 2**0
-        retried = [
-            e
-            for e in read_events(events_path(tmp_path / "run"))
-            if e["event"] == "job_retried"
-        ]
-        assert len(retried) == 1
-        assert retried[0]["backoff_seconds"] == 0.5
-
-    def test_retries_exhausted_fails_job_not_campaign(
-        self, problem, tmp_path, monkeypatch
-    ):
-        self._flaky_synthesizer(monkeypatch, failures=100)
-        spec = tiny_spec(max_retries=1)
-        outcome = run_campaign(
-            spec, tmp_path / "run", problem_loader=loader_for(problem)
         )
-        assert outcome.completed == 0
-        assert outcome.failed == 2
+        backends = []
+        real_backend_for = cosynthesis.backend_for
+
+        def capture(*args, **kwargs):
+            backend = real_backend_for(*args, **kwargs)
+            backends.append(backend)
+            return backend
+
+        killed = []
+
+        def kill_pool_once(record):
+            if record["event"] == "generation" and not killed:
+                pool = backends[-1]._pool
+                pool.terminate()
+                pool.join()
+                killed.append(record["job_id"])
+
+        monkeypatch.setattr(cosynthesis, "backend_for", capture)
+        with pytest.warns(RuntimeWarning, match="in-process"):
+            pooled = run_campaign(
+                tiny_spec(config=tiny_config(jobs=2)),
+                tmp_path / "pooled",
+                problem_loader=loader_for(problem),
+                on_event=kill_pool_once,
+            )
+        assert len(backends) == 2 and len(killed) == 1
+        assert pooled.failed == 0 and pooled.completed == 2
+        for job_id, expected in serial.results.items():
+            got = pooled.results[job_id]
+            assert got.power == expected.power
+            assert got.history == expected.history
+            assert got.best_genes == expected.best_genes
+            assert got.evaluations == expected.evaluations
+            fallbacks = 1 if job_id in killed else 0
+            assert got.perf["pool_fallbacks"] == fallbacks
         kinds = [
-            e["event"]
-            for e in read_events(events_path(tmp_path / "run"))
+            (e["event"], e.get("job_id"))
+            for e in read_events(events_path(tmp_path / "pooled"))
         ]
-        assert kinds.count("job_failed") == 2
-        assert kinds[-1] == "campaign_finished"
+        for job_id in serial.results:
+            assert kinds.count(("job_started", job_id)) == 1
+            assert kinds.count(("job_finished", job_id)) == 1
+        assert not any(kind == "job_failed" for kind, _ in kinds)
+        summary = load_run_summary(tmp_path / "pooled")
+        assert summary["perf"]["pool_fallbacks"] == 1
 
-    def test_jobs_run_in_raise_mode(self, problem, tmp_path, monkeypatch):
-        seen = []
-        original = MultiModeSynthesizer.__init__
 
-        def spy(self, prob, config):
-            seen.append(config.pool_failure_mode)
-            original(self, prob, config)
-
-        monkeypatch.setattr(MultiModeSynthesizer, "__init__", spy)
-        run_campaign(
-            tiny_spec(probability_settings=[False]),
+class TestJobResultRecords:
+    def _record(self, problem, tmp_path):
+        outcome = run_campaign(
+            tiny_spec(probability_settings=[True]),
             tmp_path / "run",
             problem_loader=loader_for(problem),
         )
-        assert seen == ["raise"]
+        (result,) = outcome.job_results()
+        return result, load_result(tmp_path / "run", result.job_id)
+
+    def test_stored_retry_count_is_dropped(self, problem, tmp_path):
+        # Records written while campaign jobs were retried on a fresh
+        # pool carry an attempt count; they still load.
+        result, record = self._record(problem, tmp_path)
+        record["attempts"] = 2
+        assert JobResult.from_dict(record).to_dict() == result.to_dict()
+
+    @pytest.mark.parametrize("version", [True, 1.0], ids=["true", "1.0"])
+    def test_bool_or_float_version_refused(self, problem, tmp_path, version):
+        _, record = self._record(problem, tmp_path)
+        record["version"] = version
+        with pytest.raises(CampaignError, match="result version"):
+            JobResult.from_dict(record)
 
 
 class TestFailureIsolation:

@@ -44,7 +44,6 @@ def _spec():
             convergence_generations=8,
         ),
         checkpoint_every=2,
-        retry_backoff=0.0,
     )
 
 
@@ -152,7 +151,6 @@ class TestKillResume:
                 convergence_generations=100,
             ),
             checkpoint_every=3,
-            retry_backoff=0.0,
         )
         reference = run_campaign(
             spec, tmp_path / "reference",

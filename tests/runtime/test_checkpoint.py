@@ -100,6 +100,17 @@ class TestCheckpoints:
         assert str(path) in message
         assert "version 2" in message
 
+    @pytest.mark.parametrize("version", [True, 1.0], ids=["true", "1.0"])
+    def test_bool_or_float_version_refused(self, run_dir, version):
+        path = write_checkpoint(
+            run_dir, "job-a", _state(), SynthesisConfig()
+        )
+        data = json.loads(path.read_text())
+        data["version"] = version
+        path.write_text(json.dumps(data))
+        with pytest.raises(CampaignError, match="unsupported version"):
+            load_checkpoint(run_dir, "job-a")
+
     def test_no_tmp_file_left_behind(self, run_dir):
         write_checkpoint(run_dir, "job-a", _state(), SynthesisConfig())
         leftovers = list((run_dir / "checkpoints").glob("*.tmp"))
@@ -185,6 +196,11 @@ class TestRetiredKeys:
             assert config["speculative"] is True
             assert config["speculation_depth"] == 1
             assert config["inner_loop_iterations"] == 0
+        # Written while campaign jobs retried a dead pool in raise mode.
+        assert spec["config"]["pool_failure_mode"] == "fallback"
+        assert checkpoint["config"]["pool_failure_mode"] == "raise"
+        assert spec["max_retries"] == 2
+        assert spec["retry_backoff"] == 0.0
 
     def test_checkpoint_loads_under_normalised_config(self):
         spec = CampaignSpec.load(RETIRED_KEYS_RUN / "spec.json")

@@ -82,6 +82,27 @@ class TestExplicitTraces:
         with pytest.raises(SpecificationError):
             simulate(impl, trace=[])
 
+    @pytest.mark.parametrize(
+        "visits",
+        [
+            [("O1", 0, 5), ("O2", 50, 55)],
+            [("O1", 0, 5), ("O2", 3, 8)],
+            [("O1", 10, 0)],
+        ],
+        ids=["gap", "overlap", "negative-duration"],
+    )
+    def test_non_contiguous_trace_rejected(self, visits):
+        # The report's horizon spans the whole trace, so every visit
+        # must start where the previous one ended.
+        impl = implementation()
+        period = impl.problem.omsm.mode("O1").period
+        trace = [
+            ModeVisit(mode, start * period, end * period)
+            for mode, start, end in visits
+        ]
+        with pytest.raises(SpecificationError, match="trace visit"):
+            simulate(impl, trace=trace)
+
 
 class TestGeneratedTraces:
     def test_same_seed_same_report(self):

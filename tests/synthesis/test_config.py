@@ -76,15 +76,6 @@ class TestValidation:
                 SynthesisConfig(dvs=bad)
 
 
-class TestPoolFailureMode:
-    def test_default_is_fallback(self):
-        assert SynthesisConfig().pool_failure_mode == "fallback"
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(SynthesisError, match="pool failure mode"):
-            SynthesisConfig(pool_failure_mode="explode")
-
-
 class TestSerialisation:
     def test_round_trip(self):
         config = SynthesisConfig(
@@ -94,7 +85,6 @@ class TestSerialisation:
             per_gene_mutation_rate=0.05,
             seed=9,
             jobs=2,
-            pool_failure_mode="raise",
         )
         data = config.to_dict()
         assert data["dvs"] == "gradient"  # enum serialised by value
@@ -202,7 +192,19 @@ class TestSerialisation:
         fields = {f.name for f in dataclasses.fields(SynthesisConfig)}
         for key in ("async_pool", "speculative", "speculation_depth"):
             assert key not in data and key not in fields
-        assert len(fields) == 27
+        assert len(fields) == 26
+
+    @pytest.mark.parametrize("mode", ["fallback", "raise"])
+    def test_pool_failure_mode_dropped(self, mode):
+        # Both failure policies of earlier versions load: a dead pool
+        # now always falls back in place.
+        config = SynthesisConfig(seed=3, jobs=2)
+        data = config.to_dict()
+        data["pool_failure_mode"] = mode
+        restored = SynthesisConfig.from_dict(data)
+        assert restored == config
+        assert "pool_failure_mode" not in restored.to_dict()
+        assert config.with_updates(pool_failure_mode=mode) == config
 
     def test_speculation_depth_validated(self):
         # Retired keys are dropped before validation, so any depth

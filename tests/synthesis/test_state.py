@@ -74,6 +74,13 @@ class TestGAStateSerialisation:
         with pytest.raises(SynthesisError, match="version"):
             GAState.from_dict(data)
 
+    @pytest.mark.parametrize("version", [True, 1.0], ids=["true", "1.0"])
+    def test_bool_or_float_version_refused(self, version):
+        data = self._state().to_dict()
+        data["version"] = version
+        with pytest.raises(SynthesisError, match="version"):
+            GAState.from_dict(data)
+
 
 class TestSynthesizerResume:
     @pytest.fixture(scope="class")

@@ -96,6 +96,13 @@ class TestProblemRoundtrip:
         with pytest.raises(SpecificationError, match="schema"):
             problem_from_dict(data)
 
+    @pytest.mark.parametrize("version", [True, 1.0], ids=["true", "1.0"])
+    def test_bool_or_float_version_refused(self, version):
+        data = problem_to_dict(make_two_mode_problem())
+        data["schema"] = version
+        with pytest.raises(SpecificationError, match="schema"):
+            problem_from_dict(data)
+
     def test_tampered_file_fails_validation(self):
         data = problem_to_dict(make_two_mode_problem())
         data["modes"][0]["probability"] = 0.5  # no longer sums to 1
@@ -152,6 +159,15 @@ class TestMappingRoundtrip:
         data = mapping_to_dict(mapping)
         data["schema"] = 0
         with pytest.raises(SpecificationError):
+            mapping_from_dict(problem, data)
+
+    @pytest.mark.parametrize("version", [True, 1.0], ids=["true", "1.0"])
+    def test_bool_or_float_version_refused(self, version):
+        problem = make_two_mode_problem()
+        mapping = MappingString.random(problem, random.Random(2))
+        data = mapping_to_dict(mapping)
+        data["schema"] = version
+        with pytest.raises(SpecificationError, match="schema"):
             mapping_from_dict(problem, data)
 
 
@@ -235,6 +251,15 @@ class TestResultRoundtrip:
 
         data = result_to_dict(result)
         data["schema"] = "v999"
+        with pytest.raises(SpecificationError, match="schema"):
+            result_from_dict(problem, data)
+
+    @pytest.mark.parametrize("version", [True, 1.0], ids=["true", "1.0"])
+    def test_bool_or_float_version_refused(self, problem, result, version):
+        from repro.io import result_from_dict, result_to_dict
+
+        data = result_to_dict(result)
+        data["schema"] = version
         with pytest.raises(SpecificationError, match="schema"):
             result_from_dict(problem, data)
 
