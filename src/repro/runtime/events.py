@@ -102,10 +102,9 @@ class EventLog:
 
         Reads only the *tail* of the stream — seeking backwards in
         growing chunks for the last complete line — so reopening the
-        log of a long campaign (every retry and resume does) stays
-        O(1) instead of JSON-parsing the entire file.  A torn final
-        line (crash mid-write) is skipped, like :func:`iter_events`
-        does.
+        log of a long campaign (every resume does) stays O(1) instead
+        of JSON-parsing the entire file.  A torn final line (crash
+        mid-write) is skipped, like :func:`iter_events` does.
         """
         try:
             size = self.path.stat().st_size

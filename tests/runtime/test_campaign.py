@@ -15,8 +15,8 @@ from repro.runtime.runner import (
     run_campaign,
 )
 from repro.runtime.spec import CampaignSpec
-from repro.synthesis.config import SynthesisConfig
 from repro.synthesis import cosynthesis
+from repro.synthesis.config import SynthesisConfig
 from repro.synthesis.cosynthesis import MultiModeSynthesizer
 
 from tests.conftest import make_two_mode_problem
