@@ -3,27 +3,36 @@
 Times the gradient descent in isolation — no GA, no mode cache — over
 a fixed-seed corpus of random-mapping schedules per instance, so the
 kernel's own speedup is visible without the engine's other phases
-diluting it.  Two arms per case:
+diluting it.  Three arms per case:
 
 ``legacy``
     ``reference_scale_schedule`` — the seed's dict-based descent, kept
     frozen in ``tests/oracles/pv_dvs_reference.py``.
 ``vector``
     :func:`repro.dvs.pv_dvs.scale_schedule` — the struct-of-arrays
-    kernels.  Asserted bit-identical to ``legacy`` on every corpus
-    entry before timing.
+    kernels, voltage selection plus emission of the scaled schedule.
+    Asserted bit-identical to ``legacy`` on every corpus entry before
+    timing.
+``score``
+    the evaluator's scoring kernel:
+    :func:`repro.dvs.pv_dvs.gradient_selection`, then
+    :func:`repro.eval.stages.score_mode` on the selection's task finish
+    times and energies — no schedule is emitted.
 
 Every corpus entry also checks the kernels' uniform baseline
 (:func:`repro.dvs.pv_dvs.uniform_scale_schedule`) for bit-identity
-with the seed's ``reference_uniform_scale_schedule`` (not timed).
+with the seed's ``reference_uniform_scale_schedule`` (not timed), and,
+for both methods, that the emission-free scores — timing violations,
+dynamic and static power — equal the ones read from the emitted
+schedule.
 
 Cases span the paper-scale gradient suite (where fixed per-call
 overhead dominates) and the ``stress1``/``stress2`` tier (200+ tasks
 per mode — where the kernels' asymptotic advantage shows).  Results
 are written to ``benchmarks/results/bench_dvs.json``; ``--quick`` runs
 a two-case smoke subset (used by ``make bench-smoke``), writes it to
-the git-ignored ``benchmarks/out/bench_dvs_quick.json`` and fails on
-any identity violation.
+the git-ignored ``benchmarks/out/bench_dvs_quick.json``.  Any identity
+violation fails the run.
 
 Usage::
 
@@ -48,12 +57,17 @@ sys.path.insert(0, str(REPO_ROOT))  # for the tests.oracles reference
 
 from repro.benchgen import registry  # noqa: E402
 from repro.dvs.pv_dvs import (  # noqa: E402
+    gradient_selection,
     scale_schedule,
     uniform_scale_schedule,
+    uniform_selection,
 )
 from repro.engine.decode_cache import context_for  # noqa: E402
+from repro.eval.stages import score_mode  # noqa: E402
 from repro.mapping.cores import allocate_cores  # noqa: E402
 from repro.mapping.encoding import MappingString  # noqa: E402
+from repro.power.energy_model import mode_dynamic_power  # noqa: E402
+from repro.power.shutdown import mode_static_power  # noqa: E402
 from repro.problem import Problem  # noqa: E402
 from repro.scheduling.list_scheduler import schedule_mode  # noqa: E402
 from tests.oracles.pv_dvs_reference import (  # noqa: E402
@@ -102,6 +116,23 @@ def _identical(a, b) -> bool:
     )
 
 
+def _read_scores(problem: Problem, mode, scaled) -> Tuple[object, ...]:
+    """Timing violations and dynamic/static power read off a schedule."""
+    return (
+        scaled.timing_violations(mode),
+        mode_dynamic_power(problem, mode.name, scaled),
+        mode_static_power(problem, scaled),
+    )
+
+
+def _selection_scores(problem: Problem, context, mode, selection):
+    """The same three scores, from a selection without emitting it."""
+    outcome = score_mode(
+        problem, context, mode, selection.schedule, *selection.task_scores()
+    )
+    return (outcome.timing, outcome.dynamic, outcome.static)
+
+
 def run_case(
     name: str, genomes: int, seed: int, repeats: int
 ) -> Dict[str, object]:
@@ -111,6 +142,7 @@ def run_case(
 
     identical = True
     uniform_identical = True
+    scores_identical = True
     for mode, schedule in corpus:
         legacy = reference_scale_schedule(problem, mode, schedule)
         vector = scale_schedule(problem, mode, schedule, context=context)
@@ -124,6 +156,14 @@ def run_case(
         )
         if not _identical(reference_uniform, uniform):
             uniform_identical = False
+        for scaled, selection in (
+            (vector, gradient_selection(problem, mode, schedule, context=context)),
+            (uniform, uniform_selection(problem, mode, schedule, context=context)),
+        ):
+            if _read_scores(problem, mode, scaled) != _selection_scores(
+                problem, context, mode, selection
+            ):
+                scores_identical = False
 
     def timed(scale, **kwargs) -> float:
         best = math.inf
@@ -136,15 +176,22 @@ def run_case(
                 best = elapsed
         return best / len(corpus)
 
+    def score(problem, mode, schedule, context):
+        selection = gradient_selection(problem, mode, schedule, context=context)
+        return _selection_scores(problem, context, mode, selection)
+
     legacy_us = timed(reference_scale_schedule) * 1e6
     vector_us = timed(scale_schedule, context=context) * 1e6
+    score_us = timed(score, context=context) * 1e6
     return {
         "name": name,
         "corpus_calls": len(corpus),
         "identical": identical,
         "uniform_identical": uniform_identical,
+        "scores_identical": scores_identical,
         "legacy_us_per_call": round(legacy_us, 2),
         "vector_us_per_call": round(vector_us, 2),
+        "score_us_per_call": round(score_us, 2),
         "speedup_vector": round(legacy_us / vector_us, 4),
     }
 
@@ -195,8 +242,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"[bench_dvs]   legacy {case['legacy_us_per_call']:.0f}us, "
             f"vector {case['vector_us_per_call']:.0f}us "
             f"({case['speedup_vector']:.2f}x), "
+            f"score {case['score_us_per_call']:.0f}us, "
             f"identical={case['identical']}, "
-            f"uniform_identical={case['uniform_identical']}",
+            f"uniform_identical={case['uniform_identical']}, "
+            f"scores_identical={case['scores_identical']}",
             flush=True,
         )
 
@@ -213,6 +262,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             "all_identical": all(c["identical"] for c in cases),
             "all_uniform_identical": all(
                 c["uniform_identical"] for c in cases
+            ),
+            "all_scores_identical": all(
+                c["scores_identical"] for c in cases
             ),
         },
     }
@@ -240,6 +292,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(
             "[bench_dvs] FAIL: uniform kernels diverged from the "
             "reference"
+        )
+        return 1
+    if not aggregate["all_scores_identical"]:
+        print(
+            "[bench_dvs] FAIL: emission-free scores differ from the "
+            "scores of the emitted schedules"
         )
         return 1
     return 0

@@ -54,6 +54,15 @@ baseline) — run on one struct-of-arrays graph, :class:`_VectorGraph`:
   every mapping-fixed array (names, PEs, links, resource order) with
   the input schedule; no task or comm object is built.
 
+Selection and emission are separate steps.  :func:`gradient_selection`
+and :func:`uniform_selection` stop after selection and return a
+:class:`VoltageSelection`; :meth:`VoltageSelection.emit` is the
+emission, and :meth:`VoltageSelection.task_scores` reads only what
+fitness needs — each task's finish time and energy, the floats the
+emission would write — without building a schedule.
+:func:`scale_schedule` and :func:`uniform_scale_schedule` are
+selection plus emission.
+
 The frozen seed implementation under ``tests/oracles`` is the
 bit-identity reference both methods are fuzz-checked against.
 """
@@ -80,6 +89,10 @@ _INF = math.inf
 #: Table type of one scalable node: per-level durations or energies,
 #: ascending voltage (index ``len-1`` is nominal).
 _Table = Tuple[float, ...]
+
+#: The replay graph over task-level activities (tasks in schedule
+#: order, then comm nodes): ``(preds, succs, durations)``.
+_Replay = Tuple[List[List[int]], List[List[int]], List[float]]
 
 
 class _VectorGraph:
@@ -160,10 +173,7 @@ def _build_vector_graph(
     schedule: ModeSchedule,
     shared_rail: bool,
     context: "DecodeContext",
-) -> Tuple[
-    _VectorGraph,
-    Optional[Tuple[List[List[int]], List[List[int]], List[float]]],
-]:
+) -> Tuple[_VectorGraph, Optional[_Replay]]:
     """One fused pass: DVS graph arrays plus the shared replay graph.
 
     Reads the schedule's arrays and its per-resource activity order
@@ -395,9 +405,7 @@ def _build_vector_graph(
     # --- replay graph over task-level activities ----------------------
     # Tasks in schedule order, then the comm nodes of the DVS graph in
     # the same order; internal messages are task-to-task edges again.
-    replay: Optional[
-        Tuple[List[List[int]], List[List[int]], List[float]]
-    ] = None
+    replay: Optional[_Replay] = None
     if seg_pes:
         shift = task_count - comm_base
         replay_preds: List[List[int]] = [[] for _ in range(size + shift)]
@@ -607,9 +615,9 @@ def _descent(graph: _VectorGraph, need_final_est: bool) -> None:
     re-tests exactly.  Accept decisions therefore match an always-exact
     scan bit for bit.
 
-    ``need_final_est`` requests one last forward flush so ``est`` is
-    exact on return (the direct-emission path reads it; the replay
-    path does not).
+    ``need_final_est`` requests one last forward flush so ``est`` and
+    ``finish`` are exact on return (the direct emission and scores read
+    them; the replay path does not).
     """
     dur_tables = graph.dur_tables
     en_tables = graph.en_tables
@@ -693,7 +701,7 @@ def _descent(graph: _VectorGraph, need_final_est: bool) -> None:
 
 
 # ----------------------------------------------------------------------
-# Emission
+# Emission and scores
 # ----------------------------------------------------------------------
 
 
@@ -756,27 +764,48 @@ def _emit_direct(schedule: ModeSchedule, graph: _VectorGraph) -> ModeSchedule:
     )
 
 
-def _emit(
+def _direct_scores(
+    schedule: ModeSchedule, graph: _VectorGraph
+) -> Tuple[List[float], List[float]]:
+    """Per-task finish times and energies straight from the graph arrays.
+
+    The floats :func:`_emit_direct` writes for ``task_ends`` and
+    ``task_energies``: every node's ``finish`` is its exact earliest
+    start plus its current duration — the descent's last flush and the
+    uniform method's full pass both leave it so.
+    """
+    finish = graph.finish
+    level = graph.level
+    en_tables = graph.en_tables
+    flags = graph.scalable_flags
+    task_pos = graph.task_pos
+    energies = list(schedule.task_energies)
+    for index, pos in enumerate(task_pos):
+        if flags[pos]:
+            en_t = en_tables[pos]
+            assert en_t is not None
+            energies[index] = en_t[level[pos]]
+    return [finish[pos] for pos in task_pos], energies
+
+
+def _map_segments(
     schedule: ModeSchedule,
     graph: _VectorGraph,
-    replay: Optional[Tuple[List[List[int]], List[List[int]], List[float]]],
+    durations: List[float],
     context: "DecodeContext",
-) -> ModeSchedule:
-    """The scaled schedule of a finished voltage selection.
+    pieces: Optional[List[Tuple[Tuple[float, float], ...]]],
+) -> List[float]:
+    """Map the selected voltages back to the tasks of a segment-chain mode.
 
-    Without segment chains the graph's own arrays are the result
-    (:func:`_emit_direct`).  Otherwise segment voltages are mapped back
-    to tasks and the mode is replayed: piece durations are read from
-    the segment voltage tables (the exact floats ``scaled_duration``
-    produces — the tables were built from it) and piece energies reuse
-    precomputed per-level ``(v/vmax)²`` factors, matching
-    ``scaled_energy``'s operation order.
+    Writes every task's scaled duration into ``durations`` (the replay
+    graph's task slots) and returns the scaled task energies; fills
+    ``pieces`` with the per-task (duration, voltage) profiles when
+    given.  Piece durations are read from the segment voltage tables
+    (the exact floats ``scaled_duration`` produces — the tables were
+    built from it) and piece energies reuse precomputed per-level
+    ``(v/vmax)²`` factors, matching ``scaled_energy``'s operation order.
     """
-    if replay is None:
-        return _emit_direct(schedule, graph)
-    replay_preds, replay_succs, replay_durations = replay
     task_pes = schedule.task_pes
-    task_count = len(task_pes)
     task_pos = graph.task_pos
     task_segments = graph.task_segments
     seg_nominal = graph.seg_nominal
@@ -795,10 +824,7 @@ def _emit(
         )
 
     scaled_energy_of = list(schedule.task_energies)
-    scaled_pieces: List[Tuple[Tuple[float, float], ...]] = [
-        ()
-    ] * task_count
-    for index in range(task_count):
+    for index in range(len(task_pes)):
         segs = task_segments.get(index)
         if segs is not None:
             factors = energy_factors[task_pes[index]]
@@ -809,10 +835,12 @@ def _emit(
             for pos in segs:
                 seg_level = level[pos]
                 dur_t = dur_tables[pos]
-                volts = voltages[pos]
-                assert dur_t is not None and volts is not None
+                assert dur_t is not None
                 piece = dur_t[seg_level]
-                pieces_list.append((piece, volts[seg_level]))
+                if pieces is not None:
+                    volts = voltages[pos]
+                    assert volts is not None
+                    pieces_list.append((piece, volts[seg_level]))
                 duration += piece
                 # Nominal slice energy = task power · nominal segment
                 # duration (the exact original, not the table's top
@@ -820,34 +848,42 @@ def _emit(
                 # ops scaled_energy performs.
                 energy += (power * seg_nominal[pos]) * factors[seg_level]
             scaled_energy_of[index] = energy
-            scaled_pieces[index] = tuple(pieces_list)
+            if pieces is not None:
+                pieces[index] = tuple(pieces_list)
         else:
             pos = task_pos[index]
             if flags[pos]:
                 current = level[pos]
                 dur_t = dur_tables[pos]
                 en_t = graph.en_tables[pos]
-                volts = voltages[pos]
-                assert (
-                    dur_t is not None
-                    and en_t is not None
-                    and volts is not None
-                )
+                assert dur_t is not None and en_t is not None
                 duration = dur_t[current]
                 scaled_energy_of[index] = en_t[current]
-                scaled_pieces[index] = ((duration, volts[current]),)
+                if pieces is not None:
+                    volts = voltages[pos]
+                    assert volts is not None
+                    pieces[index] = ((duration, volts[current]),)
             else:
                 duration = (
                     schedule.task_ends[index] - schedule.task_starts[index]
                 )
-        replay_durations[index] = duration
+        durations[index] = duration
+    return scaled_energy_of
 
-    # Kahn replay: start times are exact max-accumulations, so visit
-    # order cannot change a float.
+
+def _replay(
+    replay: _Replay, starts: Optional[List[float]] = None
+) -> List[float]:
+    """Kahn forward pass over the replay graph: every activity's finish.
+
+    Start times are exact max-accumulations, so visit order cannot
+    change a float.  Writes each activity's start into ``starts`` when
+    given.
+    """
+    replay_preds, replay_succs, replay_durations = replay
     count = len(replay_durations)
     in_degree = [len(entries) for entries in replay_preds]
     ready = [index for index in range(count) if not in_degree[index]]
-    start = [0.0] * count
     finish = [0.0] * count
     visited = 0
     while ready:
@@ -858,7 +894,8 @@ def _emit(
             candidate = finish[prev]
             if candidate > arrival:
                 arrival = candidate
-        start[current] = arrival
+        if starts is not None:
+            starts[current] = arrival
         finish[current] = arrival + replay_durations[current]
         for nxt in replay_succs[current]:
             in_degree[nxt] -= 1
@@ -866,10 +903,33 @@ def _emit(
                 ready.append(nxt)
     if visited != count:
         raise VoltageScalingError("replay graph contains a cycle")
+    return finish
+
+
+def _emit(
+    schedule: ModeSchedule,
+    graph: _VectorGraph,
+    replay: Optional[_Replay],
+    context: "DecodeContext",
+) -> ModeSchedule:
+    """The scaled schedule of a finished voltage selection.
+
+    Without segment chains the graph's own arrays are the result
+    (:func:`_emit_direct`).  Otherwise segment voltages are mapped back
+    to tasks (:func:`_map_segments`) and the mode is replayed
+    (:func:`_replay`).
+    """
+    if replay is None:
+        return _emit_direct(schedule, graph)
+    task_count = len(schedule.task_pes)
+    pieces: List[Tuple[Tuple[float, float], ...]] = [()] * task_count
+    energies = _map_segments(schedule, graph, replay[2], context, pieces)
+    start = [0.0] * len(replay[2])
+    finish = _replay(replay, start)
 
     # A comm node's replay index is its graph position plus `shift`;
     # an internal message starts and ends at its producer's finish.
-    shift = count - graph.size
+    shift = len(start) - graph.size
     comm_slots = [
         (start[pos + shift], finish[pos + shift])
         if pos >= 0
@@ -879,11 +939,55 @@ def _emit(
     return schedule.retimed(
         task_starts=tuple(start[:task_count]),
         task_ends=tuple(finish[:task_count]),
-        task_energies=tuple(scaled_energy_of),
-        task_pieces=tuple(scaled_pieces),
+        task_energies=tuple(energies),
+        task_pieces=tuple(pieces),
         comm_starts=tuple([slot[0] for slot in comm_slots]),
         comm_ends=tuple([slot[1] for slot in comm_slots]),
     )
+
+
+class VoltageSelection:
+    """The voltages one method chose for one mode's schedule.
+
+    Holds the input schedule, the DVS graph after selection and, when
+    Fig. 5 segment chains exist, the replay graph.  :meth:`emit` builds
+    the scaled schedule; :meth:`task_scores` reads only what the
+    schedule's scores need.
+    """
+
+    __slots__ = ("schedule", "graph", "replay", "context")
+
+    def __init__(
+        self,
+        schedule: ModeSchedule,
+        graph: _VectorGraph,
+        replay: Optional[_Replay],
+        context: "DecodeContext",
+    ) -> None:
+        self.schedule = schedule
+        self.graph = graph
+        self.replay = replay
+        self.context = context
+
+    def emit(self) -> ModeSchedule:
+        """The voltage-scaled :class:`ModeSchedule`."""
+        return _emit(self.schedule, self.graph, self.replay, self.context)
+
+    def task_scores(self) -> Tuple[List[float], List[float]]:
+        """Per-task finish times and dynamic energies, in schedule order.
+
+        Exactly the ``task_ends`` and ``task_energies`` :meth:`emit`
+        writes, computed without building piece tuples, start arrays,
+        comm times or a schedule.
+        """
+        replay = self.replay
+        if replay is None:
+            return _direct_scores(self.schedule, self.graph)
+        energies = _map_segments(
+            self.schedule, self.graph, replay[2], self.context, None
+        )
+        finish = _replay(replay)
+        return finish[: len(energies)], energies
 
 
 # ----------------------------------------------------------------------
@@ -891,33 +995,14 @@ def _emit(
 # ----------------------------------------------------------------------
 
 
-def scale_schedule(
+def gradient_selection(
     problem: Problem,
     mode: Mode,
     schedule: ModeSchedule,
     shared_rail: bool = True,
     context: Optional["DecodeContext"] = None,
-) -> ModeSchedule:
-    """Voltage-scale one mode's schedule by greedy energy-gradient descent.
-
-    Returns a new :class:`ModeSchedule` with stretched activities,
-    reduced task energies and per-task ``pieces`` recording the
-    (duration, voltage) profile.  If the input schedule already violates
-    deadlines, or no component is DVS-enabled, the schedule is returned
-    with unchanged timing (energies and times identical).
-
-    ``shared_rail`` models the paper's assumption that all cores of one
-    hardware component are fed by a single supply (Section 4.2).
-    Setting it to ``False`` gives every core its own rail — each
-    hardware task scales individually, without the Fig. 5
-    transformation.  That idealisation bounds what the extra DC/DC
-    converters the paper rules out (area/power overhead) could buy,
-    and is exposed for the ablation benchmarks.
-
-    ``context`` (see :mod:`repro.engine.decode_cache`) memoises the
-    per-(PE, duration, energy) voltage tables across candidates; it is
-    resolved per problem when omitted.
-    """
+) -> VoltageSelection:
+    """The voltage selection of :func:`scale_schedule`, without emission."""
     if context is None:
         from repro.engine.decode_cache import context_for
 
@@ -926,22 +1011,20 @@ def scale_schedule(
     _forward_full(graph)
     _backward_full(graph)
     _descent(graph, need_final_est=replay is None)
-    return _emit(schedule, graph, replay, context)
+    return VoltageSelection(schedule, graph, replay, context)
 
 
-def uniform_scale_schedule(
+def uniform_selection(
     problem: Problem,
     mode: Mode,
     schedule: ModeSchedule,
     context: Optional["DecodeContext"] = None,
-) -> ModeSchedule:
-    """Naive DVS baseline: one global stretch factor for all activities.
+) -> VoltageSelection:
+    """The voltage selection of :func:`uniform_scale_schedule`.
 
     Every scalable activity is slowed to the lowest discrete level whose
     duration stays within ``nominal × κ``; the largest feasible κ is
     found by bisection on the DVS graph (shared rails, like the paper).
-    Serves as the ablation comparator for the gradient-based
-    :func:`scale_schedule`.
     """
     if context is None:
         from repro.engine.decode_cache import context_for
@@ -983,4 +1066,51 @@ def uniform_scale_schedule(
             else:
                 high = mid
         apply_factor(low)
-    return _emit(schedule, graph, replay, context)
+    return VoltageSelection(schedule, graph, replay, context)
+
+
+def scale_schedule(
+    problem: Problem,
+    mode: Mode,
+    schedule: ModeSchedule,
+    shared_rail: bool = True,
+    context: Optional["DecodeContext"] = None,
+) -> ModeSchedule:
+    """Voltage-scale one mode's schedule by greedy energy-gradient descent.
+
+    Returns a new :class:`ModeSchedule` with stretched activities,
+    reduced task energies and per-task ``pieces`` recording the
+    (duration, voltage) profile.  If the input schedule already violates
+    deadlines, or no component is DVS-enabled, the schedule is returned
+    with unchanged timing (energies and times identical).
+
+    ``shared_rail`` models the paper's assumption that all cores of one
+    hardware component are fed by a single supply (Section 4.2).
+    Setting it to ``False`` gives every core its own rail — each
+    hardware task scales individually, without the Fig. 5
+    transformation.  That idealisation bounds what the extra DC/DC
+    converters the paper rules out (area/power overhead) could buy,
+    and is exposed for the ablation benchmarks.
+
+    ``context`` (see :mod:`repro.engine.decode_cache`) memoises the
+    per-(PE, duration, energy) voltage tables across candidates; it is
+    resolved per problem when omitted.
+    """
+    return gradient_selection(
+        problem, mode, schedule, shared_rail, context
+    ).emit()
+
+
+def uniform_scale_schedule(
+    problem: Problem,
+    mode: Mode,
+    schedule: ModeSchedule,
+    context: Optional["DecodeContext"] = None,
+) -> ModeSchedule:
+    """Naive DVS baseline: one global stretch factor for all activities.
+
+    The schedule :func:`uniform_selection` chooses, emitted.  Serves as
+    the ablation comparator for the gradient-based
+    :func:`scale_schedule`.
+    """
+    return uniform_selection(problem, mode, schedule, context).emit()

@@ -92,9 +92,13 @@ def _init_forked_worker() -> None:
     shipped back must only cover work done in this process.  Ctrl-C is
     left to the parent, which terminates the pool: a worker killed by
     SIGINT while it holds the task queue's lock would deadlock that
-    terminate.
+    terminate.  SIGTERM, which that terminate sends, gets its default
+    action back: a pool forked while a campaign turns SIGTERM into
+    ``KeyboardInterrupt`` would otherwise make every busy worker print
+    a traceback as it is stopped.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     PROFILER.reset()
     REGISTRY.reset()
 

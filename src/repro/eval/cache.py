@@ -33,7 +33,9 @@ An entry holds only what a later lookup reads.  Two segments, two keys:
 Both segments are bounded LRUs (:data:`MODE_CACHE_SIZE` entries each
 for the per-problem cache); hits, misses and evictions are metered per
 mode on the process-global :data:`~repro.obs.metrics.REGISTRY` together
-with a hit-rate gauge and an (approximate) bytes-resident gauge.
+with a hit-rate gauge and an (approximate) bytes-resident gauge.  A
+lookup adds to one pre-resolved counter and names itself the hit-rate
+gauge's source; the registry computes the rate only when it is read.
 
 Cached values are Ψ-independent — probabilities only enter the final
 weighted sum — so one cache instance serves both probability policies
@@ -57,8 +59,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: :func:`mode_cache_for`.
 MODE_CACHE_SIZE = 4096
 
-#: The gauge series, resolved once: hit rate (set on every lookup),
-#: resident bytes and entries (on every insertion).
+#: The gauge series, resolved once: hit rate (read from the cache that
+#: looked up last), resident bytes and entries (set on every insertion).
 _HIT_RATE: MetricKey = metric_key("eval_mode_cache_hit_rate", {})
 _BYTES: MetricKey = metric_key("eval_mode_cache_bytes_resident", {})
 _ENTRIES: MetricKey = metric_key("eval_mode_cache_entries", {})
@@ -160,14 +162,30 @@ def _footprint(key: Tuple[Any, ...], value: Any) -> int:
     return value.approx_bytes
 
 
+#: The ``(hits, misses, evictions)`` counter series of one mode and stage.
+_Series = Tuple[MetricKey, MetricKey, MetricKey]
+
+
+def _resolve(series_of: Dict[str, _Series], mode: str, stage: str) -> _Series:
+    """Resolve and remember one mode's counter series in one segment."""
+    labels = {"mode": mode, "stage": stage}
+    series = series_of[mode] = (
+        metric_key("eval_mode_cache_hits_total", labels),
+        metric_key("eval_mode_cache_misses_total", labels),
+        metric_key("eval_mode_cache_evictions_total", labels),
+    )
+    return series
+
+
 class ModeResultCache:
     """Two bounded LRU segments of per-mode stage results.
 
     One instance serves one :class:`Problem`, under either probability
     policy, within one process; pool workers each hold their own (fork
-    workers inherit the parent's warm entries copy-on-write).  All bookkeeping is metered on the
-    process-global metrics registry, so worker-side hits travel back to
-    the parent through the existing snapshot/delta/merge plumbing.
+    workers inherit the parent's warm entries copy-on-write).  All
+    bookkeeping is metered on the process-global metrics registry, so
+    worker-side hits travel back to the parent through the existing
+    snapshot/delta/merge plumbing.
     """
 
     __slots__ = (
@@ -178,7 +196,8 @@ class ModeResultCache:
         "misses",
         "evictions",
         "bytes_resident",
-        "_series",
+        "_prep_series",
+        "_sched_series",
     )
 
     def __init__(self, capacity: int = MODE_CACHE_SIZE) -> None:
@@ -191,38 +210,47 @@ class ModeResultCache:
         self.misses = 0
         self.evictions = 0
         self.bytes_resident = 0
-        # (counter, mode, stage) -> its hits/misses/evictions series,
-        # resolved once per series instead of once per call.
-        self._series: Dict[Tuple[str, str, str], MetricKey] = {}
+        # Per segment, mode -> its hits/misses/evictions series,
+        # resolved once per mode instead of once per call.
+        self._prep_series: Dict[str, _Series] = {}
+        self._sched_series: Dict[str, _Series] = {}
 
     def get_prep(self, key: PrepKey) -> Optional[ModePrep]:
-        return self._get(self._prep, key, "prep")
+        return self._get(self._prep, key, self._prep_series, "prep")
 
     def put_prep(self, key: PrepKey, value: ModePrep) -> None:
-        self._put(self._prep, key, value, "prep")
+        self._put(self._prep, key, value, self._prep_series, "prep")
 
     def get_sched(self, key: SchedKey) -> Optional[ModeOutcome]:
-        return self._get(self._sched, key, "sched")
+        return self._get(self._sched, key, self._sched_series, "sched")
 
     def put_sched(self, key: SchedKey, value: ModeOutcome) -> None:
-        self._put(self._sched, key, value, "sched")
+        self._put(self._sched, key, value, self._sched_series, "sched")
 
     # ------------------------------------------------------------------
     # Bookkeeping
     # ------------------------------------------------------------------
 
     def _get(
-        self, segment: "OrderedDict[Any, Any]", key: Tuple[Any, ...], stage: str
+        self,
+        segment: "OrderedDict[Any, Any]",
+        key: Tuple[Any, ...],
+        series_of: Dict[str, _Series],
+        stage: str,
     ) -> Any:
+        series = series_of.get(key[0])
+        if series is None:
+            series = _resolve(series_of, key[0], stage)
         entry = segment.get(key)
         if entry is not None:
             segment.move_to_end(key)
             self.hits += 1
-            self._add("eval_mode_cache_hits_total", key[0], stage)
+            REGISTRY.add(series[0])
         else:
             self.misses += 1
-            self._add("eval_mode_cache_misses_total", key[0], stage)
-        REGISTRY.set_gauge_key(_HIT_RATE, self.hit_rate)
+            REGISTRY.add(series[1])
+        # The rate is computed when the registry is read, not here.
+        REGISTRY.set_gauge_source(_HIT_RATE, self._hit_rate_now)
         return entry
 
     def _put(
@@ -230,6 +258,7 @@ class ModeResultCache:
         segment: "OrderedDict[Any, Any]",
         key: Tuple[Any, ...],
         value: Any,
+        series_of: Dict[str, _Series],
         stage: str,
     ) -> None:
         if key in segment:  # pragma: no cover - defensive (get-first)
@@ -240,28 +269,25 @@ class ModeResultCache:
             evicted_key, evicted = segment.popitem(last=False)
             self.bytes_resident -= _footprint(evicted_key, evicted)
             self.evictions += 1
-            self._add("eval_mode_cache_evictions_total", evicted_key[0], stage)
+            series = series_of.get(evicted_key[0])
+            if series is None:
+                series = _resolve(series_of, evicted_key[0], stage)
+            REGISTRY.add(series[2])
         self._publish_gauges()
-
-    def _add(self, counter: str, mode: str, stage: str) -> None:
-        series = self._series.get((counter, mode, stage))
-        if series is None:
-            series = self._series[(counter, mode, stage)] = metric_key(
-                counter, {"mode": mode, "stage": stage}
-            )
-        REGISTRY.add(series)
 
     def _publish_gauges(self) -> None:
         REGISTRY.set_gauge_key(_BYTES, self.bytes_resident)
         REGISTRY.set_gauge_key(_ENTRIES, len(self))
 
-    @property
-    def hit_rate(self) -> float:
+    def _hit_rate_now(self) -> float:
         """Fraction of lookups served from cache (both segments)."""
         looked_up = self.hits + self.misses
         if looked_up == 0:
             return 0.0
         return self.hits / looked_up
+
+    # The method itself is the hit-rate gauge's source (see _get).
+    hit_rate = property(_hit_rate_now)
 
     def __len__(self) -> int:
         return len(self._prep) + len(self._sched)

@@ -10,17 +10,21 @@ It runs each candidate through explicit stages —
 — and serves per-mode stage results of *clean* modes from a bounded
 :class:`~repro.eval.cache.ModeResultCache`.  After a single-mode
 mutation, only the dirty mode pays for mobility, scheduling and DVS;
-everything else is a cache hit recorded in the profiler's dedicated
-``cache_hit`` phase (per-mode buckets keep summing exactly to the
-aggregates because skipped stages simply record nothing).
+everything else is a cache hit.  Hits are counted per mode and stage
+by the cache's ``eval_mode_cache_hits_total`` counters, not timed: a
+hit's time stays inside the evaluation (per-mode profiler buckets keep
+summing exactly to the aggregates because skipped stages simply record
+nothing).
 
 The cache is consulted by *key*: a mode's prep is keyed on its gene
 slice and a config fingerprint, its schedule additionally on the core
 counts its scheduler reads (see :mod:`repro.eval.cache`), so the
 pipeline needs no record of which modes an operator changed.  The
-cache keeps each mode's scores, not its schedule; the returned
-:class:`~repro.mapping.implementation.Implementation` rebuilds a
-mode's schedule when it is first read.
+cache keeps each mode's scores, not its schedule: a sched miss scores
+the mode from arrays (:func:`~repro.eval.stages.run_mode`) and the
+returned :class:`~repro.mapping.implementation.Implementation` builds a
+mode's schedule only when it is first read
+(:func:`~repro.eval.stages.final_schedule`).
 
 Results are pinned bit-for-bit to the frozen seed evaluator under
 ``tests/oracles`` (a single monolithic recompute-per-candidate pass).
@@ -28,9 +32,8 @@ Results are pinned bit-for-bit to the frozen seed evaluator under
 
 from __future__ import annotations
 
-import time
 from functools import partial
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.engine.decode_cache import DecodeContext, context_for
 from repro.engine.profile import PROFILER
@@ -82,34 +85,27 @@ def evaluate_mapping_incremental(
     # slice was seen before.
     genome = mapping.genes
     modes = problem.omsm.modes
-    preps: Dict[str, ModePrep] = {}
+    preps: List[ModePrep] = []
     # ALAP rows of the preps that missed here, for their sched misses.
     alaps: Dict[str, Tuple[float, ...]] = {}
     for mode, (_, start, end) in zip(modes, mode_bounds(problem)):
         genes = genome[start:end]
         prep_key = (mode.name, genes, fingerprint)
-        started = time.perf_counter()
         prep = cache.get_prep(prep_key)
-        if prep is not None:
-            PROFILER.add(
-                "cache_hit",
-                time.perf_counter() - started,
-                mode=mode.name,
-            )
-        else:
+        if prep is None:
             with PROFILER.phase("mobility", mode=mode.name):
                 prep, alaps[mode.name] = prepare_mode(
                     problem, context, genes, mode
                 )
             cache.put_prep(prep_key, prep)
-        preps[mode.name] = prep
+        preps.append(prep)
 
     # Stage 3 (core allocation): the only cross-mode coupling; always
     # recombined from the (cached) per-mode demands.
     with PROFILER.phase("cores"):
         cores = combine_cores(
             problem,
-            {name: prep.demand for name, prep in preps.items()},
+            {mode.name: prep.demand for mode, prep in zip(modes, preps)},
         )
         area_violations = cores.area_violations()
         transition_violations = cores.transition_violations()
@@ -123,8 +119,7 @@ def evaluate_mapping_incremental(
     dynamic: Dict[str, float] = {}
     static: Dict[str, float] = {}
     counts = cores.counts
-    for mode in modes:
-        prep = preps[mode.name]
+    for mode, prep in zip(modes, preps):
         signature = tuple(
             [
                 (pe, tuple([(t, counts[pe][mode.name].get(t, 0)) for t in types]))
@@ -132,15 +127,8 @@ def evaluate_mapping_incremental(
             ]
         )
         sched_key = (mode.name, prep.genes, signature, fingerprint)
-        started = time.perf_counter()
         outcome = cache.get_sched(sched_key)
-        if outcome is not None:
-            PROFILER.add(
-                "cache_hit",
-                time.perf_counter() - started,
-                mode=mode.name,
-            )
-        else:
+        if outcome is None:
             outcome = run_mode(
                 problem, config, context, mode, prep, cores, alaps.get(mode.name)
             )

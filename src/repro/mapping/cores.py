@@ -220,24 +220,22 @@ def combine_cores(
     The only cross-mode coupling of core allocation: ASICs take the
     per-type max over modes (union configuration), FPGAs fit each mode
     separately.  Modes are visited in OMSM order, which fixes the
-    greedy fitting order.
+    greedy fitting order.  Every mode's entry of an ASIC is the one
+    union count table; nothing mutates ``counts`` after allocation.
     """
     counts: Dict[str, Dict[str, Dict[str, int]]] = {}
     area_used: Dict[str, float] = {}
     mode_names = problem.omsm.mode_names
+    mode_demands = [demands[mode_name] for mode_name in mode_names]
     for pe in problem.architecture.hardware_pes():
-        base: Dict[str, Dict[str, int]] = {}
-        desired: Dict[str, Dict[str, int]] = {}
-        for mode_name in mode_names:
-            base[mode_name], desired[mode_name] = demands[mode_name][pe.name]
+        pe_demands = [demand[pe.name] for demand in mode_demands]
         if pe.kind is PEKind.ASIC:
-            pe_counts, used = _fit_asic(problem, pe, base, desired)
+            union, used = _fit_asic(problem, pe, pe_demands)
+            counts[pe.name] = dict.fromkeys(mode_names, union)
         else:
-            pe_counts, used = _fit_fpga(problem, pe, base, desired)
-        counts[pe.name] = {
-            mode_name: pe_counts.get(mode_name, {})
-            for mode_name in mode_names
-        }
+            counts[pe.name], used = _fit_fpga(
+                problem, pe, mode_names, pe_demands
+            )
         area_used[pe.name] = used
     return CoreAllocation(counts=counts, area_used=area_used, _problem=problem)
 
@@ -257,31 +255,37 @@ def _core_areas(problem: Problem) -> Dict[str, Dict[str, float]]:
 def _fit_asic(
     problem: Problem,
     pe: ProcessingElement,
-    base: Dict[str, Dict[str, int]],
-    desired: Dict[str, Dict[str, int]],
-) -> Tuple[Dict[str, Dict[str, int]], float]:
-    """Static configuration: per-type max over modes, shared by all modes."""
+    demands: Sequence[Tuple[Dict[str, int], Dict[str, int]]],
+) -> Tuple[Dict[str, int], float]:
+    """Static configuration: per-type max over modes, shared by all modes.
+
+    ``demands`` holds every mode's ``(base, desired)`` counts on ``pe``,
+    in OMSM order.  Returns the one count table and its area.
+    """
     areas = _core_areas(problem)[pe.name]
-    base_union: Dict[str, int] = {}
-    desired_union: Dict[str, int] = {}
-    for mode_counts in base.values():
-        for task_type, count in mode_counts.items():
-            base_union[task_type] = max(
-                base_union.get(task_type, 0), count
-            )
-    for mode_counts in desired.values():
-        for task_type, count in mode_counts.items():
-            desired_union[task_type] = max(
-                desired_union.get(task_type, 0), count
-            )
-    final = dict(base_union)
+    # The per-type max of the base counts, in first-seen order.
+    final: Dict[str, int] = {}
+    for base_counts, _ in demands:
+        for task_type, count in base_counts.items():
+            known = final.get(task_type)
+            if known is None or count > known:
+                final[task_type] = count
     used = sum(
         count * areas[task_type] for task_type, count in final.items()
     )
+    # The per-type max of the desired counts, kept only where it asks
+    # for more cores than the base union has.
+    wanted: Dict[str, int] = {}
+    for _, desired_counts in demands:
+        for task_type, want in desired_counts.items():
+            if want > wanted.get(task_type, final.get(task_type, 0)):
+                wanted[task_type] = want
+    if not wanted:
+        return final, used
     # Add desired extra cores greedily (smallest area first) while the
     # component still has room.
     extras: List[Tuple[float, str]] = []
-    for task_type, want in sorted(desired_union.items()):
+    for task_type, want in sorted(wanted.items()):
         area = areas[task_type]
         for _ in range(want - final.get(task_type, 0)):
             extras.append((area, task_type))
@@ -290,27 +294,26 @@ def _fit_asic(
         if used + area <= pe.area:
             final[task_type] = final.get(task_type, 0) + 1
             used += area
-    per_mode = {mode_name: dict(final) for mode_name in base}
-    return per_mode, used
+    return final, used
 
 
 def _fit_fpga(
     problem: Problem,
     pe: ProcessingElement,
-    base: Dict[str, Dict[str, int]],
-    desired: Dict[str, Dict[str, int]],
+    mode_names: Sequence[str],
+    demands: Sequence[Tuple[Dict[str, int], Dict[str, int]]],
 ) -> Tuple[Dict[str, Dict[str, int]], float]:
     """Per-mode configurations; the largest mode's area is charged."""
     areas = _core_areas(problem)[pe.name]
     per_mode: Dict[str, Dict[str, int]] = {}
     worst_area = 0.0
-    for mode_name, base_counts in base.items():
+    for mode_name, (base_counts, desired_counts) in zip(mode_names, demands):
         final = dict(base_counts)
         used = sum(
             count * areas[task_type] for task_type, count in final.items()
         )
         extras: List[Tuple[float, str]] = []
-        for task_type, want in sorted(desired[mode_name].items()):
+        for task_type, want in sorted(desired_counts.items()):
             area = areas[task_type]
             for _ in range(want - final.get(task_type, 0)):
                 extras.append((area, task_type))

@@ -21,6 +21,12 @@ Merge semantics per instrument:
   counters; ``min``/``max`` travel as current values and merge via
   ``min()``/``max()``.
 
+A gauge that changes far more often than anyone reads it can name its
+*source* instead (:meth:`MetricsRegistry.set_gauge_source`): the
+registry calls the source and stores the value when it is next read —
+by a snapshot, a delta, a merge, an export or :meth:`gauge_value` — so
+every read sees the value a write on every change would have left.
+
 The registry is deliberately lock-free: every process in this codebase
 records from a single thread, and cross-process aggregation happens
 through explicit snapshot/delta/merge calls.
@@ -31,7 +37,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Mapping, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Tuple
 
 #: Identity of one metric series: name + sorted ``(label, value)`` pairs.
 MetricKey = Tuple[str, Tuple[Tuple[str, str], ...]]
@@ -117,6 +123,8 @@ class MetricsRegistry:
         self._counters: Dict[MetricKey, float] = {}
         self._gauges: Dict[MetricKey, float] = {}
         self._histograms: Dict[MetricKey, HistogramData] = {}
+        # Gauges whose value is read from their source at the next read.
+        self._sources: Dict[MetricKey, Callable[[], float]] = {}
         self._paused = 0
 
     # ------------------------------------------------------------------
@@ -132,8 +140,11 @@ class MetricsRegistry:
         stages meter themselves — without suppression every speculated
         generation would double-count ``ga_*`` counters.  Reads,
         snapshots and merges stay live; only ``inc`` / ``set_gauge`` /
-        ``observe`` become no-ops.
+        ``set_gauge_source`` / ``observe`` become no-ops.  A pending
+        gauge source is read on entry, so the block's work cannot leak
+        into the value it publishes.
         """
+        self._publish()
         self._paused += 1
         try:
             yield
@@ -159,7 +170,35 @@ class MetricsRegistry:
         """:meth:`set_gauge` for a series key resolved once by the caller."""
         if self._paused:
             return
+        if self._sources:
+            self._sources.pop(key, None)
         self._gauges[key] = float(value)
+
+    def set_gauge_source(
+        self, key: MetricKey, source: Callable[[], float]
+    ) -> None:
+        """Let gauge ``key`` read ``float(source())`` at the next read.
+
+        For a gauge that would otherwise be rewritten on every change
+        of its value: the writer registers where the value lives, and
+        the registry stores it once, before the next snapshot, delta,
+        merge, export or :meth:`gauge_value`.  A later write to the
+        same gauge replaces the source; a paused registry ignores it.
+        The registry holds ``source`` (and what it refers to) until
+        the next read or a later write to the gauge.
+        """
+        if self._paused:
+            return
+        self._sources[key] = source
+
+    def _publish(self) -> None:
+        """Store every pending gauge source's value (before a read)."""
+        sources = self._sources
+        if sources:
+            gauges = self._gauges
+            for key, source in sources.items():
+                gauges[key] = float(source())
+            sources.clear()
 
     def observe(self, name: str, value: float, **labels: Any) -> None:
         """Record one histogram observation."""
@@ -179,6 +218,7 @@ class MetricsRegistry:
         return self._counters.get(metric_key(name, labels), 0.0)
 
     def gauge_value(self, name: str, **labels: Any) -> float:
+        self._publish()
         return self._gauges.get(metric_key(name, labels), 0.0)
 
     def histogram_data(self, name: str, **labels: Any) -> HistogramData:
@@ -192,6 +232,7 @@ class MetricsRegistry:
 
     def snapshot(self) -> MetricsSnapshot:
         """Current state, safe to keep across further accumulation."""
+        self._publish()
         return {
             "counters": dict(self._counters),
             "gauges": dict(self._gauges),
@@ -209,6 +250,7 @@ class MetricsRegistry:
 
     def delta_since(self, base: MetricsSnapshot) -> MetricsSnapshot:
         """Accumulation that happened after ``base`` was snapshotted."""
+        self._publish()
         base_counters = base.get("counters", {})
         base_gauges = base.get("gauges", {})
         base_histograms = base.get("histograms", {})
@@ -251,6 +293,8 @@ class MetricsRegistry:
 
     def merge(self, delta: MetricsSnapshot) -> None:
         """Fold another registry's snapshot (or a delta) into this one."""
+        # Pending local values first: the merged gauges are later writes.
+        self._publish()
         for key, value in delta.get("counters", {}).items():
             self._counters[key] = self._counters.get(key, 0.0) + value
         for key, value in delta.get("gauges", {}).items():
@@ -269,9 +313,15 @@ class MetricsRegistry:
                 mine.buckets[index] += count
 
     def reset(self) -> None:
+        """Drop every figure, pending gauge sources included.
+
+        A forked worker resets on start, so it publishes nothing it
+        inherited from its parent.
+        """
         self._counters.clear()
         self._gauges.clear()
         self._histograms.clear()
+        self._sources.clear()
 
     # ------------------------------------------------------------------
     # Export
@@ -279,6 +329,7 @@ class MetricsRegistry:
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-serialisable dump (used by ``run_summary.json``)."""
+        self._publish()
         return {
             "counters": {
                 format_key(key): value

@@ -16,7 +16,7 @@ are always under the true probabilities.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import SpecificationError
 from repro.power.shutdown import mode_static_power
@@ -24,12 +24,29 @@ from repro.problem import Problem
 from repro.scheduling.schedule import ModeSchedule
 
 
+def dynamic_power(
+    task_energies: Sequence[float],
+    comm_energies: Sequence[float],
+    period: float,
+) -> float:
+    """Average dynamic power from one iteration's energy arrays.
+
+    The task energies (in schedule order) plus the communication
+    energies, over the hyper-period: the kernel of
+    :func:`mode_dynamic_power`, which the evaluation pipeline also
+    feeds with voltage-scaled energies that no schedule holds.
+    """
+    return (sum(task_energies) + sum(comm_energies)) / period
+
+
 def mode_dynamic_power(
     problem: Problem, mode_name: str, schedule: ModeSchedule
 ) -> float:
     """Average dynamic power of one mode: iteration energy / hyper-period."""
     mode = problem.omsm.mode(mode_name)
-    return schedule.total_dynamic_energy() / mode.period
+    return dynamic_power(
+        schedule.task_energies, schedule.comm_energies, mode.period
+    )
 
 
 def power_breakdown(

@@ -40,9 +40,14 @@ def mode_static_power(problem: Problem, schedule: ModeSchedule) -> float:
     """Static power ``p̄_stat`` of one mode, in watts.
 
     Sums the static power of every active component; shut-down
-    components contribute nothing.
+    components contribute nothing.  Depends only on the mode's mapping
+    (its task PEs and message links), so a voltage-scaled schedule and
+    its nominal input score alike.
     """
-    active = active_components(problem, schedule)
+    # The set active_components builds, without sorting or freezing
+    # it (an internal message's ``None`` link names no component).
+    active = set(schedule.task_pes)
+    active.update(schedule.comm_links)
     total = 0.0
     for pe in problem.architecture.pes:
         if pe.name in active:

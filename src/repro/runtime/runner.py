@@ -30,7 +30,7 @@ import pathlib
 import signal
 import threading
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.durable import is_version
@@ -129,6 +129,9 @@ class JobResult:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "JobResult":
+        """Load a stored record; a damaged one is a :class:`CampaignError`."""
+        if not isinstance(data, dict):
+            raise CampaignError("job result is not a JSON object")
         version = data.get("version", RESULT_VERSION)
         if not is_version(version, RESULT_VERSION):
             raise CampaignError(
@@ -140,6 +143,17 @@ class JobResult:
         names = {item.name for item in fields(cls)}
         values = {key: value for key, value in data.items() if key in names}
         values.setdefault("mode_powers", {})
+        missing = [
+            item.name
+            for item in fields(cls)
+            if item.name not in values
+            and item.default is MISSING
+            and item.default_factory is MISSING
+        ]
+        if missing:
+            raise CampaignError(
+                f"job result misses the fields {', '.join(missing)}"
+            )
         return cls(**values)
 
 
@@ -255,10 +269,7 @@ class CampaignRunner:
         with _sigterm_as_interrupt(), EventLog(
             events_path(self.run_dir)
         ) as events:
-            stored = {
-                job.job_id: ckpt.load_result(self.run_dir, job.job_id)
-                for job in queue
-            }
+            stored = {job.job_id: self._stored_result(job) for job in queue}
             pending = [job for job in queue if stored[job.job_id] is None]
             # Only a run directory with stored results can have lost a
             # job_finished event; a fresh campaign never reads its stream.
@@ -282,10 +293,9 @@ class CampaignRunner:
             )
             try:
                 for job in queue:
-                    record = stored[job.job_id]
-                    if record is not None:
-                        result = JobResult.from_dict(record)
-                        outcome.results[job.job_id] = result
+                    done = stored[job.job_id]
+                    if done is not None:
+                        outcome.results[job.job_id] = done
                         REGISTRY.inc("campaign_jobs_skipped_total")
                         if job.job_id in logged_finished:
                             self._emit(
@@ -300,7 +310,7 @@ class CampaignRunner:
                                 events,
                                 "job_finished",
                                 **_finished_fields(
-                                    result, config.max_generations
+                                    done, config.max_generations
                                 ),
                             )
                         continue
@@ -367,6 +377,24 @@ class CampaignRunner:
         except Exception:
             if not interrupted:
                 raise
+
+    def _stored_result(self, job: JobSpec) -> Optional[JobResult]:
+        """The job's stored result, or ``None`` if it has none yet.
+
+        A stored record that does not load — corrupt JSON, a missing
+        field — is a :class:`CampaignError` naming the job and the file,
+        raised before any job runs.
+        """
+        record = ckpt.load_result(self.run_dir, job.job_id)
+        if record is None:
+            return None
+        try:
+            return JobResult.from_dict(record)
+        except CampaignError as exc:
+            raise CampaignError(
+                f"stored result of job {job.job_id!r} at "
+                f"{ckpt.result_path(self.run_dir, job.job_id)}: {exc}"
+            ) from None
 
     def _emit(
         self, events: EventLog, kind: str, **fields: Any

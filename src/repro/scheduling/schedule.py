@@ -550,17 +550,13 @@ class ModeSchedule:
                 task.name: mode.effective_deadline(task.name)
                 for task in mode.task_graph
             }
-        index = self.task_index
-        ends = self.task_ends
-        violations: Dict[str, float] = {}
-        for name, deadline in deadlines.items():
-            position = index.get(name)
-            if position is None:
-                self.task(name)  # raises: not scheduled
-            overshoot = ends[position] - deadline
-            if overshoot > TIME_EPS:
-                violations[name] = overshoot
-        return violations
+        try:
+            return deadline_overshoots(deadlines, self.task_index, self.task_ends)
+        except KeyError as missing:
+            raise SchedulingError(
+                f"schedule {self.mode_name!r}: task {missing.args[0]!r} not "
+                f"scheduled"
+            ) from None
 
     def is_timing_feasible(self, mode: Mode) -> bool:
         """True if no task misses its effective deadline."""
@@ -576,6 +572,27 @@ class ModeSchedule:
 #: Every array slot of :class:`ModeSchedule` (all but the name and the
 #: object-view caches).
 _ARRAY_SLOTS = ModeSchedule.__slots__[1:-2]
+
+
+def deadline_overshoots(
+    deadlines: Dict[str, float],
+    task_index: Dict[str, int],
+    task_ends: Sequence[float],
+) -> Dict[str, float]:
+    """Per-task deadline overshoot of a mode's finish times.
+
+    The kernel of :meth:`ModeSchedule.timing_violations`, on bare
+    arrays: ``task_ends`` is indexed by ``task_index``.  Tasks are
+    visited in ``deadlines`` order and only overshoots beyond
+    :data:`TIME_EPS` are kept.  A task missing from ``task_index``
+    raises :class:`KeyError`.
+    """
+    violations: Dict[str, float] = {}
+    for name, deadline in deadlines.items():
+        overshoot = task_ends[task_index[name]] - deadline
+        if overshoot > TIME_EPS:
+            violations[name] = overshoot
+    return violations
 
 
 def _check_serial(activities: Sequence, resource: str) -> None:

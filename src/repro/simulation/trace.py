@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.errors import SpecificationError
 from repro.simulation.markov import ModeProcess
@@ -70,18 +70,3 @@ def generate_trace(
             )
     return visits
 
-
-def time_fractions(visits: Sequence[ModeVisit]) -> dict:
-    """Observed fraction of time per mode in a trace."""
-    total = sum(v.duration for v in visits)
-    fractions: dict = {}
-    for visit in visits:
-        fractions[visit.mode] = (
-            fractions.get(visit.mode, 0.0) + visit.duration
-        )
-    return {mode: value / total for mode, value in fractions.items()}
-
-
-def transition_count(visits: Sequence[ModeVisit]) -> int:
-    """Number of mode changes in a trace."""
-    return max(0, len(visits) - 1)

@@ -6,20 +6,22 @@ within float tolerance, to that phase's aggregate ``phase_seconds`` —
 with serial evaluation and with a worker pool, whose per-mode buckets
 travel back to the parent as profiler deltas.  With the incremental
 pipeline a warm mode-result cache may skip per-mode stages entirely
-(they then record *nothing*, keeping the invariant trivially) and
-serves hits in a dedicated per-mode ``cache_hit`` phase.
+(they then record *nothing*, keeping the invariant trivially); its hits
+are counted per mode by the ``eval_mode_cache_hits_total`` counters,
+not timed.
 """
 
 import pytest
 
 from repro.engine.profile import SHARED_MODE
+from repro.obs.metrics import REGISTRY
 from repro.synthesis.config import DvsMethod, SynthesisConfig
 from repro.synthesis.cosynthesis import MultiModeSynthesizer
 
 from tests.conftest import make_two_mode_problem
 
 #: Phases always timed per mode (whichever of them actually run).
-PER_MODE_PHASES = {"mobility", "schedule", "dvs", "cache_hit"}
+PER_MODE_PHASES = {"mobility", "schedule", "dvs"}
 #: Phases timed once per candidate (or per prediction pass, for
 #: ``speculate`` — which wraps whole evaluations on the worker side and
 #: the replay on the parent side), landing in the shared bucket.
@@ -77,17 +79,21 @@ def test_mode_attribution_matches_phase_kind(problem, jobs):
 def test_cache_hits_profiled_per_mode(jobs):
     # A fresh problem, evaluated twice with the same seed: the second
     # run replays identical genomes against the warm per-mode cache, so
-    # hits must show up — in the dedicated per-mode cache_hit phase, in
-    # the PerfStats counters, and still summing to the aggregates.
+    # hits must show up — per mode in the eval_mode_cache_hits_total
+    # counters (pool workers' merged in) and in the PerfStats counters.
     problem = make_two_mode_problem()
     cold = _run(problem, jobs).perf
     assert cold.mode_cache_misses > 0
+    base = REGISTRY.snapshot()
     warm = _run(problem, jobs).perf
     assert warm.mode_cache_hits > 0
     assert 0.0 < warm.mode_cache_hit_rate <= 1.0
-    mode_names = {mode.name for mode in problem.omsm.modes}
-    buckets = warm.mode_phase_seconds["cache_hit"]
-    assert set(buckets) <= mode_names
-    assert sum(buckets.values()) == pytest.approx(
-        warm.phase_seconds["cache_hit"]
-    )
+    hits = {}
+    for (name, labels), value in REGISTRY.delta_since(base)["counters"].items():
+        if name == "eval_mode_cache_hits_total":
+            mode = dict(labels)["mode"]
+            hits[mode] = hits.get(mode, 0.0) + value
+    assert set(hits) == {mode.name for mode in problem.omsm.modes}
+    assert sum(hits.values()) == warm.mode_cache_hits
+    # Hits are counted, not timed: they have no profiler phase.
+    assert "cache_hit" not in warm.phase_seconds

@@ -43,6 +43,15 @@ def _sigint_handler(_):
     return signal.getsignal(signal.SIGINT)
 
 
+def _spin(marker):
+    """Keep a pool worker busy (at most 20 s) once it has left a marker."""
+    with open(f"{marker}.{os.getpid()}", "w"):
+        pass
+    deadline = time.monotonic() + 20.0
+    while time.monotonic() < deadline:
+        pass
+
+
 def _pooled(problem, config):
     backend = PooledBackend(problem, config)
     if not backend.uses_pool:  # pragma: no cover - platform
@@ -149,6 +158,25 @@ class TestPooledPath:
         with _pooled(problem, SynthesisConfig(jobs=2)) as backend:
             handlers = backend._pool.map(_sigint_handler, range(4))
         assert set(handlers) == {signal.SIG_IGN}
+
+    def test_terminate_in_a_campaign_leaves_no_tracebacks(
+        self, problem, tmp_path, capfd
+    ):
+        # A campaign turns SIGTERM into KeyboardInterrupt while it runs.
+        # Workers forked then must not keep that handler: terminate()
+        # sends them SIGTERM, and each busy one would print a traceback.
+        from repro.runtime.runner import _sigterm_as_interrupt
+
+        marker = str(tmp_path / "busy")
+        with _sigterm_as_interrupt():
+            with _pooled(problem, SynthesisConfig(jobs=2)) as backend:
+                backend._pool.map_async(_spin, [marker, marker], chunksize=1)
+                deadline = time.monotonic() + 10.0
+                while len(list(tmp_path.glob("busy.*"))) < 2:
+                    assert time.monotonic() < deadline, "workers never started"
+                    time.sleep(0.02)
+                backend.terminate()
+        assert "KeyboardInterrupt" not in capfd.readouterr().err
 
     def test_close_is_idempotent(self, problem):
         backend = PooledBackend(problem, SynthesisConfig(jobs=2))

@@ -30,11 +30,14 @@ from repro.synthesis.evaluator import evaluate_mapping
 from tests.oracles import seed_evaluator
 
 #: (instance, chain steps, per-gene mutation rate) — ≥200 fuzzed
-#: candidates per instance, two tgff-style suite instances plus the
-#: smartphone case study.
+#: candidates per instance: three tgff-style suite instances plus the
+#: smartphone case study.  mul7 is the one with DVS hardware on shared
+#: rails (ASIC1 and ASIC3), so its candidates take the Fig. 5
+#: segment-chain path of voltage selection and scoring.
 INSTANCES = [
     ("mul1", 200, 0.08),
     ("mul3", 200, 0.06),
+    ("mul7", 200, 0.06),
     ("smartphone", 200, 0.04),
 ]
 

@@ -7,7 +7,8 @@ violations, dynamic and static power) and hands out an
 scored it, when it is first read.  These tests pin that the rebuilt
 schedule reproduces the cached scores bit for bit, that a GA run
 schedules exactly once per sched-segment miss, and that a schedule is
-built at most once per implementation.
+built at most once per implementation.  A GA run scores every mode
+from arrays: it emits no voltage-scaled schedule until one is read.
 """
 
 import random
@@ -15,6 +16,7 @@ from collections.abc import Mapping, MutableMapping
 
 import pytest
 
+import repro.dvs.pv_dvs as pv_dvs
 import repro.eval.stages as stages
 from repro.benchgen import registry
 from repro.eval.cache import ModeResultCache
@@ -43,6 +45,14 @@ def schedule_calls(monkeypatch):
 
     monkeypatch.setattr(stages, "schedule_mode", counting)
     return calls
+
+
+def _sched_misses(counters):
+    return sum(
+        value
+        for (metric, labels), value in counters.items()
+        if metric == "eval_mode_cache_misses_total" and ("stage", "sched") in labels
+    )
 
 
 def _implementations(problem, config, cache, count, seed):
@@ -115,13 +125,7 @@ class TestScheduleReads:
         )
         base = REGISTRY.snapshot()
         result = MultiModeSynthesizer(problem, config).run()
-        counters = REGISTRY.delta_since(base)["counters"]
-        sched_misses = sum(
-            value
-            for (metric, labels), value in counters.items()
-            if metric == "eval_mode_cache_misses_total"
-            and ("stage", "sched") in labels
-        )
+        sched_misses = _sched_misses(REGISTRY.delta_since(base)["counters"])
         assert sched_misses > 0
         assert len(schedule_calls) == sched_misses
 
@@ -163,3 +167,40 @@ class TestScheduleReads:
         assert "ghost" not in schedules
         assert schedules.get("ghost") is None
         assert schedule_calls == []
+
+
+class TestScoringPath:
+    @pytest.mark.parametrize(
+        "method", [DvsMethod.GRADIENT, DvsMethod.UNIFORM], ids=lambda m: m.value
+    )
+    @pytest.mark.parametrize("name", ["mul7", "smartphone"])
+    def test_run_emits_no_scaled_schedule(
+        self, name, method, schedule_calls, monkeypatch
+    ):
+        # mul7 scores through Fig. 5 segment chains (DVS ASICs on shared
+        # rails), the smartphone straight from the DVS graph.
+        emitted = []
+        original = pv_dvs._emit
+
+        def counting(schedule, *args, **kwargs):
+            emitted.append(schedule.mode_name)
+            return original(schedule, *args, **kwargs)
+
+        monkeypatch.setattr(pv_dvs, "_emit", counting)
+        problem = registry.get(name)
+        config = SynthesisConfig(
+            dvs=method, population_size=10, max_generations=4, seed=5
+        )
+        base = REGISTRY.snapshot()
+        result = MultiModeSynthesizer(problem, config).run()
+        sched_misses = _sched_misses(REGISTRY.delta_since(base)["counters"])
+        assert sched_misses > 0
+        assert len(schedule_calls) == sched_misses
+        assert emitted == []
+
+        # A read builds the schedule: one list schedule, one emission.
+        del schedule_calls[:]
+        mode_name = problem.omsm.mode_names[-1]
+        result.best.schedules[mode_name]
+        assert schedule_calls == [mode_name]
+        assert emitted == [mode_name]

@@ -159,6 +159,31 @@ class TestMetrics:
         assert REGISTRY.gauge_value("eval_mode_cache_entries") == 0
 
 
+class TestHitRateGauge:
+    """The gauge reads the rate the last lookup left, whenever it is read."""
+
+    def test_reads_the_cache_that_looked_up_last(self):
+        first, second = ModeResultCache(4), ModeResultCache(4)
+        key = ("m0", ("PE0",), FP)
+        first.put_prep(key, _prep())
+        first.get_prep(key)
+        second.get_prep(key)
+        assert REGISTRY.gauge_value("eval_mode_cache_hit_rate") == 0.0
+        first.get_prep(key)
+        assert REGISTRY.gauge_value("eval_mode_cache_hit_rate") == 1.0
+
+    def test_lookups_while_paused_leave_it_unchanged(self):
+        cache = ModeResultCache(4)
+        key = ("m0", ("PE0",), FP)
+        cache.get_prep(key)
+        cache.put_prep(key, _prep())
+        cache.get_prep(key)
+        with REGISTRY.paused():
+            cache.get_prep(key)
+        assert cache.hit_rate == 2 / 3
+        assert REGISTRY.gauge_value("eval_mode_cache_hit_rate") == 0.5
+
+
 class TestConfigFingerprint:
     def test_captures_result_affecting_facets(self):
         base = SynthesisConfig()

@@ -168,3 +168,55 @@ class TestExport:
         data = reg.histogram_data("absent").to_dict()
         assert data["min"] is None and data["max"] is None
         assert data["count"] == 0 and data["mean"] == 0.0
+
+
+class TestGaugeSources:
+    """A gauge may name its source; the registry reads it at each read."""
+
+    def _registry_with_source(self):
+        reg = MetricsRegistry()
+        value = [0.25]
+        reg.set_gauge_source(metric_key("rate", {}), lambda: value[0])
+        return reg, value
+
+    def test_every_read_publishes_the_current_value(self):
+        reg, value = self._registry_with_source()
+        base = reg.snapshot()
+        assert base["gauges"] == {metric_key("rate", {}): 0.25}
+        value[0] = 0.5
+        reg.set_gauge_source(metric_key("rate", {}), lambda: value[0])
+        assert reg.delta_since(base)["gauges"] == {metric_key("rate", {}): 0.5}
+        value[0] = 0.75
+        reg.set_gauge_source(metric_key("rate", {}), lambda: value[0])
+        assert reg.to_dict()["gauges"] == {"rate": 0.75}
+        value[0] = 1.0
+        reg.set_gauge_source(metric_key("rate", {}), lambda: value[0])
+        assert reg.gauge_value("rate") == 1.0
+
+    def test_a_direct_write_replaces_the_source(self):
+        reg, _ = self._registry_with_source()
+        reg.set_gauge("rate", 0.9)
+        assert reg.gauge_value("rate") == 0.9
+
+    def test_a_merged_value_is_a_later_write(self):
+        reg, _ = self._registry_with_source()
+        worker = MetricsRegistry()
+        worker.set_gauge("rate", 0.6)
+        reg.merge(worker.snapshot())
+        assert reg.gauge_value("rate") == 0.6
+
+    def test_work_while_paused_stays_unpublished(self):
+        reg, value = self._registry_with_source()
+        with reg.paused():
+            value[0] = 0.5  # the source's value moves while paused
+            reg.set_gauge_source(metric_key("rate", {}), lambda: 0.99)
+            assert reg.gauge_value("rate") == 0.25
+        assert reg.gauge_value("rate") == 0.25
+
+    def test_reset_drops_pending_sources(self):
+        # A forked worker resets on start: it must not publish a value
+        # it inherited from its parent.
+        reg, _ = self._registry_with_source()
+        reg.reset()
+        assert reg.snapshot()["gauges"] == {}
+        assert reg.gauge_value("rate") == 0.0

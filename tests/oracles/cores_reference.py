@@ -6,10 +6,12 @@ kernels (``_per_mode_demand``, ``mode_pe_demand``) as they stood before
 the decode tables became the only runtime implementation: mobilities
 walk the task graph's own adjacency, and core demand scans the genome
 with ``pe_of`` and queries ``TaskGraph.independent``.  The greedy
-fitting (``_fit_asic``, ``_fit_fpga``) and :class:`CoreAllocation`
-stay shared with the runtime.  :mod:`tests.oracles.seed_evaluator`
-allocates through this module, and ``tests/mapping/test_cores.py``
-compares the runtime allocator with it on every registry instance.
+fitting (``_fit_asic``, ``_fit_fpga``) is frozen here as it stood
+before the runtime's ASIC fit started sharing one count table across
+modes; :class:`CoreAllocation` stays shared with the runtime.
+:mod:`tests.oracles.seed_evaluator` allocates through this module, and
+``tests/mapping/test_cores.py`` compares the runtime allocator with it
+on every registry instance.
 
 Do not optimise this module; its value is being the unchanged
 reference.
@@ -29,7 +31,7 @@ from typing import (
 
 from repro.architecture.processing_element import PEKind, ProcessingElement
 from repro.errors import SchedulingError
-from repro.mapping.cores import CoreAllocation, _fit_asic, _fit_fpga
+from repro.mapping.cores import CoreAllocation
 from repro.mapping.encoding import MappingString
 from repro.problem import Problem
 from repro.scheduling.mobility import MobilityInfo
@@ -259,3 +261,88 @@ def mode_pe_demand(
                     extra += 1
         desired_counts[task_type] = 1 + min(extra, len(members) - 1)
     return base_counts, desired_counts
+
+
+def _core_areas(problem: Problem) -> Dict[str, Dict[str, float]]:
+    """``{hardware PE: {task type: core area}}`` (cached per problem).
+
+    Cached under its own attribute, apart from the runtime's table.
+    """
+    cached = getattr(problem, "_reference_core_areas", None)
+    if cached is None:
+        cached = {pe.name: {} for pe in problem.architecture.hardware_pes()}
+        for entry in problem.technology:
+            if entry.pe in cached:
+                cached[entry.pe][entry.task_type] = entry.area
+        problem._reference_core_areas = cached  # type: ignore[attr-defined]
+    return cached
+
+
+def _fit_asic(
+    problem: Problem,
+    pe: ProcessingElement,
+    base: Dict[str, Dict[str, int]],
+    desired: Dict[str, Dict[str, int]],
+) -> Tuple[Dict[str, Dict[str, int]], float]:
+    """Static configuration: per-type max over modes, shared by all modes."""
+    areas = _core_areas(problem)[pe.name]
+    base_union: Dict[str, int] = {}
+    desired_union: Dict[str, int] = {}
+    for mode_counts in base.values():
+        for task_type, count in mode_counts.items():
+            base_union[task_type] = max(
+                base_union.get(task_type, 0), count
+            )
+    for mode_counts in desired.values():
+        for task_type, count in mode_counts.items():
+            desired_union[task_type] = max(
+                desired_union.get(task_type, 0), count
+            )
+    final = dict(base_union)
+    used = sum(
+        count * areas[task_type] for task_type, count in final.items()
+    )
+    # Add desired extra cores greedily (smallest area first) while the
+    # component still has room.
+    extras: List[Tuple[float, str]] = []
+    for task_type, want in sorted(desired_union.items()):
+        area = areas[task_type]
+        for _ in range(want - final.get(task_type, 0)):
+            extras.append((area, task_type))
+    extras.sort()
+    for area, task_type in extras:
+        if used + area <= pe.area:
+            final[task_type] = final.get(task_type, 0) + 1
+            used += area
+    per_mode = {mode_name: dict(final) for mode_name in base}
+    return per_mode, used
+
+
+def _fit_fpga(
+    problem: Problem,
+    pe: ProcessingElement,
+    base: Dict[str, Dict[str, int]],
+    desired: Dict[str, Dict[str, int]],
+) -> Tuple[Dict[str, Dict[str, int]], float]:
+    """Per-mode configurations; the largest mode's area is charged."""
+    areas = _core_areas(problem)[pe.name]
+    per_mode: Dict[str, Dict[str, int]] = {}
+    worst_area = 0.0
+    for mode_name, base_counts in base.items():
+        final = dict(base_counts)
+        used = sum(
+            count * areas[task_type] for task_type, count in final.items()
+        )
+        extras: List[Tuple[float, str]] = []
+        for task_type, want in sorted(desired[mode_name].items()):
+            area = areas[task_type]
+            for _ in range(want - final.get(task_type, 0)):
+                extras.append((area, task_type))
+        extras.sort()
+        for area, task_type in extras:
+            if used + area <= pe.area:
+                final[task_type] = final.get(task_type, 0) + 1
+                used += area
+        per_mode[mode_name] = final
+        worst_area = max(worst_area, used)
+    return per_mode, worst_area

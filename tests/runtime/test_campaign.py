@@ -1,12 +1,14 @@
 """CampaignRunner behaviour: queue execution, durability, failures."""
 
+import json
+
 import pytest
 
 from repro.errors import CampaignError, SynthesisError
 from repro.eval.cache import mode_cache_for
 from repro.obs.summary import load_run_summary, run_summary_path
 from repro.runtime import runner as runner_mod
-from repro.runtime.checkpoint import load_result, spec_path
+from repro.runtime.checkpoint import load_result, result_path, spec_path
 from repro.runtime.events import events_path, read_events
 from repro.runtime.runner import (
     CampaignRunner,
@@ -198,6 +200,22 @@ class TestJobResultRecords:
         record["version"] = version
         with pytest.raises(CampaignError, match="result version"):
             JobResult.from_dict(record)
+
+    def test_record_without_a_field_fails_the_resume_cleanly(
+        self, problem, tmp_path
+    ):
+        # A damaged record used to abort the re-run with a bare
+        # TypeError from the dataclass constructor.
+        result, record = self._record(problem, tmp_path)
+        del record["power"]
+        path = result_path(tmp_path / "run", result.job_id)
+        path.write_text(json.dumps(record))
+        with pytest.raises(CampaignError) as excinfo:
+            resume_campaign(tmp_path / "run", problem_loader=loader_for(problem))
+        message = str(excinfo.value)
+        assert "power" in message
+        assert result.job_id in message
+        assert str(path) in message
 
 
 class TestFailureIsolation:

@@ -15,9 +15,10 @@ import pytest
 from repro.benchgen import registry
 from repro.benchgen.smartphone import smartphone_problem
 from repro.simulation.markov import ModeProcess
-from repro.simulation.trace import generate_trace, time_fractions
+from repro.simulation.trace import generate_trace
 
 from tests.conftest import make_two_mode_problem
+from tests.simulation.test_trace import time_fractions
 
 
 def empirical_fractions(process, horizon, seed):

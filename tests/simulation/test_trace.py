@@ -1,18 +1,31 @@
 """Tests for mode-trace generation."""
 
 import random
+from typing import Sequence
 
 import pytest
 
 from repro.errors import SpecificationError
 from repro.simulation.markov import ModeProcess
-from repro.simulation.trace import (
-    generate_trace,
-    time_fractions,
-    transition_count,
-)
+from repro.simulation.trace import ModeVisit, generate_trace
 
 from tests.conftest import make_two_mode_problem
+
+
+def time_fractions(visits: Sequence[ModeVisit]) -> dict:
+    """Observed fraction of time per mode in a trace."""
+    total = sum(v.duration for v in visits)
+    fractions: dict = {}
+    for visit in visits:
+        fractions[visit.mode] = (
+            fractions.get(visit.mode, 0.0) + visit.duration
+        )
+    return {mode: value / total for mode, value in fractions.items()}
+
+
+def transition_count(visits: Sequence[ModeVisit]) -> int:
+    """Number of mode changes in a trace."""
+    return max(0, len(visits) - 1)
 
 
 @pytest.fixture

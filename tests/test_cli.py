@@ -301,6 +301,42 @@ class TestCampaign:
         )
         assert row.split()[-3:] == ["n/a", "n/a", "n/a"]
 
+    def test_resume_with_a_damaged_result_is_a_clean_error(self, tmp_path):
+        import json
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        import repro
+
+        spec = self._write_spec(tmp_path)
+        run_dir = tmp_path / "run"
+        assert main(["campaign", str(spec), "--out", str(run_dir), "--quiet"]) == 0
+        damaged = sorted((run_dir / "results").glob("*.json"))[0]
+        record = json.loads(damaged.read_text())
+        del record["power"]
+        damaged.write_text(json.dumps(record))
+
+        env = dict(os.environ)
+        source = str(pathlib.Path(repro.__file__).parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [source] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        child = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "campaign", "--resume",
+             str(run_dir), "--quiet"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert child.returncode != 0
+        assert "Traceback" not in child.stderr
+        (line,) = child.stderr.strip().splitlines()
+        assert line.startswith("repro-mm: error: ")
+        assert "power" in line and damaged.stem in line
+
     def test_report_without_events_errors(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["campaign", "--report", str(tmp_path / "nowhere")])
