@@ -51,14 +51,18 @@ bench-fast:
 # stay bit-identical to the seed path (tests/oracles) and fails on a
 # >20% speedup regression against the committed baseline at jobs=4;
 # then the PV-DVS kernel microbench (gradient and uniform bit-identity
-# gates against the seed reference).  Both reports go to the ignored
-# benchmarks/out/, so a smoke run leaves the tree clean.
+# gates against the seed reference); then the Tables 1–3 mini-campaign
+# on one worker and on every usable CPU (fails unless every job's
+# result is identical).  All reports go to the ignored benchmarks/out/,
+# so a smoke run leaves the tree clean.
 bench-smoke:
 	$(PYTHON) benchmarks/bench_engine.py --quick --jobs 4 \
 	    --check benchmarks/results/bench_engine_quick_baseline.json \
 	    --out benchmarks/out/bench_engine_quick.json
 	$(PYTHON) benchmarks/bench_dvs.py --quick \
 	    --out benchmarks/out/bench_dvs_quick.json
+	$(PYTHON) benchmarks/bench_campaign.py --quick \
+	    --out benchmarks/out/bench_campaign_quick.json
 
 # The full pre-merge gate: lint + typecheck (when available), tier-1
 # test suite, the end-to-end benchmark's contract tests (every name

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import pathlib
 import statistics
-from typing import Any, Dict, Iterable, List, Mapping, Sequence, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
 from repro.analysis.experiments import ComparisonResult, PolicyOutcome
 from repro.analysis.paper_data import PaperRow
+from repro.runtime.spec import CampaignSpec
 
 
 def _is_complete(result: ComparisonResult) -> bool:
@@ -153,27 +154,42 @@ def format_smartphone_table(
 
 def results_from_events(
     events: Union[str, pathlib.Path, Iterable[Mapping[str, Any]]],
+    spec: Optional[CampaignSpec] = None,
 ) -> List[ComparisonResult]:
     """Rebuild Table-1/2/3 aggregates from ``job_finished`` events.
 
     ``events`` is either a path to an ``events.jsonl`` stream or an
     already-loaded event sequence.  Jobs are grouped per (instance,
-    DVS method) in first-appearance order; within a group the runs of
-    each policy are ordered by seed, matching the live aggregation of
-    :mod:`repro.analysis.experiments` exactly.  When a campaign swept
-    several DVS methods, the row label carries the method
-    (``"smartphone [gradient]"``) so the rows stay distinguishable.
+    DVS method): in the order of ``spec``'s instances and DVS methods
+    when the campaign's spec is given (a campaign with workers finishes
+    its jobs out of queue order), else in first-appearance order.
+    Within a group the runs of each policy are ordered by seed,
+    matching the live aggregation of :mod:`repro.analysis.experiments`
+    exactly.  When a campaign swept several DVS methods, the row label
+    carries the method (``"smartphone [gradient]"``) so the rows stay
+    distinguishable.  A segment of an unknown stream version is a
+    :class:`~repro.errors.CampaignError`.
     """
-    if isinstance(events, (str, pathlib.Path)):
-        from repro.runtime.events import iter_events
+    from repro.runtime.events import check_segment_version, iter_events
 
+    if isinstance(events, (str, pathlib.Path)):
         events = iter_events(events)
-    finished = [e for e in events if e.get("event") == "job_finished"]
+    finished = []
+    for event in events:
+        if event.get("event") == "campaign_started":
+            check_segment_version(event)
+        elif event.get("event") == "job_finished":
+            finished.append(event)
     groups: Dict[tuple, List[Mapping[str, Any]]] = {}
+    if spec is not None:
+        for instance in spec.instances:
+            for method in spec.dvs_methods:
+                groups[(instance, method.value)] = []
     for event in finished:
         groups.setdefault((event["instance"], event["dvs"]), []).append(
             event
         )
+    groups = {key: group for key, group in groups.items() if group}
     dvs_methods = {dvs for _, dvs in groups}
     results: List[ComparisonResult] = []
     for (instance, dvs), group in groups.items():

@@ -21,10 +21,12 @@ from __future__ import annotations
 
 import argparse
 import math
+import pathlib
 import sys
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro.analysis.experiments import (
+    ComparisonResult,
     run_smartphone_experiment,
     run_suite_experiment,
 )
@@ -44,6 +46,7 @@ from repro.runtime import (
     events_path,
     resume_campaign,
     run_campaign,
+    spec_path,
 )
 from repro.synthesis.config import DvsMethod, SynthesisConfig
 from repro.synthesis.cosynthesis import MultiModeSynthesizer
@@ -250,6 +253,15 @@ def _print_campaign_event(event: Dict[str, object]) -> None:
         print(f"  [{event['job_id']}] already complete, skipped")
 
 
+def _campaign_rows(
+    run_dir: Union[str, pathlib.Path],
+) -> List[ComparisonResult]:
+    """Report rows of a run directory, in its spec's order when it has one."""
+    path = spec_path(run_dir)
+    spec = CampaignSpec.load(path) if path.exists() else None
+    return results_from_events(events_path(run_dir), spec=spec)
+
+
 def _cmd_campaign(args: argparse.Namespace) -> int:
     if args.status is not None:
         from repro.obs import (
@@ -288,7 +300,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         return 0
     if args.report is not None:
         try:
-            results = results_from_events(events_path(args.report))
+            results = _campaign_rows(args.report)
         except CampaignError as exc:
             raise SystemExit(f"repro-mm: error: {exc}") from None
         if not results:
@@ -331,7 +343,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         f"campaign done: {outcome.completed} jobs completed, "
         f"{outcome.failed} failed (run dir: {outcome.run_dir})"
     )
-    results = results_from_events(events_path(outcome.run_dir))
+    results = _campaign_rows(outcome.run_dir)
     if results:
         print()
         print(

@@ -12,6 +12,12 @@ terminal campaign event shows up.  :func:`campaign_status` folds one
 pass of those events into a :class:`CampaignStatus` with progress,
 failure counts and an ETA extrapolated from the wall-clock times of
 already finished jobs.
+
+A campaign that runs its jobs on several workers logs each job's events
+as one block when the job ends, so its status lists no running job; a
+job's wall time still comes from its own ``job_started`` and
+``job_finished`` timestamps, and the ETA divides the jobs not yet
+started among the segment's workers.
 """
 
 from __future__ import annotations
@@ -107,6 +113,8 @@ class CampaignStatus:
     last_ts: Optional[float] = None
     finished: bool = False
     interrupted: bool = False
+    #: Campaign workers of the latest segment (1: jobs run in-process).
+    workers: int = 1
     #: Wall-clock seconds of each job finished *in this stream*.
     job_wall_seconds: Dict[str, float] = field(default_factory=dict)
     #: job_id -> last reported generation (still-running jobs).
@@ -147,7 +155,8 @@ class CampaignStatus:
         ``None`` until at least one job has finished in this stream (a
         resumed campaign that has only skipped jobs so far has no
         timing sample yet).  Running jobs count for the time they have
-        left relative to the mean, never negative.
+        left relative to the mean, never negative; the jobs not started
+        yet share the segment's workers.
         """
         mean = self.mean_job_seconds
         if mean is None or self.finished:
@@ -163,7 +172,9 @@ class CampaignStatus:
                 else 0.0
             )
             estimate += max(0.0, mean - elapsed)
-        estimate += mean * max(0, self.remaining - len(running))
+        estimate += (
+            mean * max(0, self.remaining - len(running)) / self.workers
+        )
         return estimate
 
     # Internal: per-job start timestamps.
@@ -171,20 +182,29 @@ class CampaignStatus:
 
 
 def campaign_status(run_dir: PathLike) -> CampaignStatus:
-    """Aggregate ``<run_dir>/events.jsonl`` into a :class:`CampaignStatus`."""
+    """Aggregate ``<run_dir>/events.jsonl`` into a :class:`CampaignStatus`.
+
+    A segment of an unknown stream version is a
+    :class:`~repro.errors.CampaignError`.
+    """
+    from repro.runtime.events import check_segment_version
+
     path = pathlib.Path(run_dir) / "events.jsonl"
     status = CampaignStatus()
     for event in tail_events(path, follow=False):
         kind = event.get("event")
         ts = event.get("ts")
         if isinstance(ts, (int, float)):
-            status.last_ts = float(ts)
+            # A worker's block carries the times its events happened.
+            status.last_ts = max(float(ts), status.last_ts or float(ts))
             if status.started_ts is None:
                 status.started_ts = float(ts)
         job_id = event.get("job_id")
         if kind == "campaign_started":
+            check_segment_version(event)
             status.campaign = event.get("campaign")
             status.total_jobs = int(event.get("total_jobs", 0))
+            status.workers = max(1, int(event.get("workers", 1)))
             # A resume restarts the stream bookkeeping: every job done
             # in an earlier segment is re-reported as job_skipped, a
             # previously failed one is re-attempted, and a job that was
@@ -333,6 +353,10 @@ def format_status(status: CampaignStatus) -> str:
         f"{status.skipped} skipped, {status.failed} failed"
     )
     lines.append(f"  elapsed: {_duration(status.elapsed_seconds)}")
+    if status.workers > 1:
+        lines.append(
+            f"  workers: {status.workers} (jobs are logged when they end)"
+        )
     mean = status.mean_job_seconds
     if mean is not None:
         lines.append(f"  mean job wall time: {_duration(mean)}")

@@ -10,7 +10,9 @@ re-running anything, and a monitoring process can tail it live.
 Event kinds emitted by the runner:
 
 ``campaign_started``
-    name, total job count, pending job count (on resume).
+    name, total job count, pending job count (on resume), the stream
+    format ``version`` and the number of campaign ``workers`` the
+    segment runs with (1 when its jobs run in-process).
 ``job_started``
     job identity (instance/dvs/policy/seed) and the generation the job
     resumes from (0 = fresh start).
@@ -28,6 +30,17 @@ Event kinds emitted by the runner:
 ``campaign_finished``
     completed/failed totals.
 
+Each ``campaign_started`` opens a *segment* (a resume appends one).  A
+segment's format version is the one on its ``campaign_started``; a
+segment without one was written before events carried a version and
+is version 1.  Readers refuse any other version
+(:func:`check_segment_version`).
+
+With campaign workers, a job's ``job_started``, ``generation`` and
+``checkpointed`` events reach the stream as one contiguous block when
+the job ends, stamped with the times the worker recorded, so ``ts``
+need not increase from line to line; ``seq`` always does.
+
 Writes are flushed line-by-line so the log survives a ``kill -9`` of
 the campaign process (the OS page cache holds flushed lines even when
 the process dies).
@@ -38,14 +51,33 @@ from __future__ import annotations
 import json
 import pathlib
 import time
-from typing import Any, Callable, Dict, Iterator, List, Optional, Union
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Union
 
+from repro.durable import is_version
 from repro.errors import CampaignError
 
 PathLike = Union[str, pathlib.Path]
 
 #: File name of the event stream inside a campaign run directory.
 EVENTS_FILENAME = "events.jsonl"
+
+#: Format version of the events a ``campaign_started`` segment holds;
+#: bump on incompatible change.
+EVENTS_VERSION = 1
+
+
+def check_segment_version(event: Mapping[str, Any]) -> None:
+    """Refuse the segment a ``campaign_started`` event opens, if unknown.
+
+    A segment with no ``version`` is version 1, the shape of streams
+    written before events carried one.
+    """
+    version = event.get("version", EVENTS_VERSION)
+    if not is_version(version, EVENTS_VERSION):
+        raise CampaignError(
+            f"unsupported event stream version {version!r} "
+            f"(expected {EVENTS_VERSION})"
+        )
 
 
 class EventLog:
@@ -149,11 +181,17 @@ class EventLog:
                 return int(event.get("seq", -1))
         return None
 
-    def emit(self, event: str, **fields: Any) -> Dict[str, Any]:
-        """Append one event; returns the record as written."""
+    def emit(
+        self, event: str, at: Optional[float] = None, **fields: Any
+    ) -> Dict[str, Any]:
+        """Append one event; returns the record as written.
+
+        ``at`` is the wall-clock time the event happened, when that was
+        earlier than now (a worker's event logged when its job ends).
+        """
         record: Dict[str, Any] = {
             "seq": self._seq,
-            "ts": round(self._clock(), 6),
+            "ts": round(self._clock() if at is None else at, 6),
             "event": event,
         }
         record.update(fields)

@@ -164,3 +164,52 @@ class TestResultsFromInProgressEvents:
         path = tmp_path / "events.jsonl"
         path.write_text("")
         assert results_from_events(path) == []
+
+
+class TestRowOrder:
+    """Campaign workers finish jobs out of queue order."""
+
+    def finished(self, instance, dvs):
+        return {
+            "event": "job_finished",
+            "instance": instance,
+            "dvs": dvs,
+            "seed": 0,
+            "use_probabilities": False,
+            "power": 1e-3,
+            "cpu_time": 1.0,
+            "feasible": True,
+            "modes": 4,
+        }
+
+    def events(self):
+        return [
+            self.finished("mul6", "gradient"),
+            self.finished("mul6", "none"),
+            self.finished("smartphone", "none"),
+        ]
+
+    def test_a_bare_event_list_keeps_first_appearance_order(self):
+        from repro.analysis.reporting import results_from_events
+
+        assert [r.example for r in results_from_events(self.events())] == [
+            "mul6 [gradient]",
+            "mul6 [none]",
+            "smartphone [none]",
+        ]
+
+    def test_with_the_spec_rows_follow_its_instances_and_methods(self):
+        from repro.analysis.reporting import results_from_events
+        from repro.runtime.spec import CampaignSpec
+
+        spec = CampaignSpec(
+            name="order",
+            instances=["smartphone", "mul9", "mul6"],
+            dvs_methods=["none", "gradient"],
+        )
+        rows = results_from_events(self.events(), spec=spec)
+        assert [r.example for r in rows] == [
+            "smartphone [none]",
+            "mul6 [none]",
+            "mul6 [gradient]",
+        ]

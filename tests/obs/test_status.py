@@ -142,6 +142,28 @@ class TestCampaignStatus:
         assert status.mean_job_seconds == pytest.approx(10.0)
         assert status.eta_seconds == pytest.approx(16.0)
 
+    def test_eta_shares_the_jobs_not_started_among_the_workers(
+        self, tmp_path
+    ):
+        # A parallel campaign logs each job as one block when it ends:
+        # job a ran 10 s (its own timestamps), three jobs remain.
+        stream = [
+            event("campaign_started", 0, 100.0, campaign="t", version=1,
+                  workers=2, total_jobs=4, pending_jobs=4),
+            event("job_started", 1, 100.0, job_id="a"),
+            event("generation", 2, 105.0, job_id="a", generation=1,
+                  best_fitness=1.0, evaluations=10),
+            event("job_finished", 3, 110.0, job_id="a", power=0.5,
+                  cpu_time=9.9, generations=1, evaluations=10),
+        ]
+        write_events(tmp_path / "events.jsonl", stream)
+        status = campaign_status(tmp_path)
+        assert status.workers == 2
+        assert status.running == []
+        assert status.job_wall_seconds == {"a": pytest.approx(10.0)}
+        assert status.eta_seconds == pytest.approx(15.0)
+        assert "workers: 2" in format_status(status)
+
     def test_eta_unknown_without_timing_sample(self, tmp_path):
         write_events(
             tmp_path / "events.jsonl",

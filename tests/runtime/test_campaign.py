@@ -1,11 +1,16 @@
 """CampaignRunner behaviour: queue execution, durability, failures."""
 
 import json
+import multiprocessing
+import os
+import signal
 
 import pytest
 
+from repro.cli import main
 from repro.errors import CampaignError, SynthesisError
 from repro.eval.cache import mode_cache_for
+from repro.obs.status import campaign_status, format_status
 from repro.obs.summary import load_run_summary, run_summary_path
 from repro.runtime import runner as runner_mod
 from repro.runtime.checkpoint import load_result, result_path, spec_path
@@ -18,7 +23,7 @@ from repro.runtime.runner import (
 )
 from repro.runtime.spec import CampaignSpec
 from repro.synthesis import cosynthesis
-from repro.synthesis.config import SynthesisConfig
+from repro.synthesis.config import DvsMethod, SynthesisConfig
 from repro.synthesis.cosynthesis import MultiModeSynthesizer
 
 from tests.conftest import make_two_mode_problem
@@ -275,7 +280,10 @@ class TestProblemMemo:
     ):
         # Mode-cache entries are Ψ-independent: the runner loads each
         # instance once, so its uniform and Ψ-aware jobs evaluate on
-        # one Problem and share that problem's cache.
+        # one Problem and share that problem's cache.  One usable CPU
+        # keeps the jobs in this process, where the closures below
+        # can record them.
+        monkeypatch.setattr(runner_mod, "usable_cpus", lambda: 1)
         loads = []
         runs = []
 
@@ -425,3 +433,360 @@ class TestRunSummary:
         )
         with open(run_summary_path(tmp_path / "run")) as handle:
             assert json.load(handle)["version"] == 1
+
+
+class TwoArgumentError(Exception):
+    """Pickles, but does not unpickle: its constructor takes two values."""
+
+    def __init__(self, first, second):
+        super().__init__(f"{first} and {second}")
+
+
+def fingerprints(outcome):
+    return {
+        job_id: (
+            result.power,
+            result.evaluations,
+            result.generations,
+            result.history,
+            result.best_genes,
+            result.mode_powers,
+        )
+        for job_id, result in outcome.results.items()
+    }
+
+
+def cpus(monkeypatch, count):
+    monkeypatch.setattr(runner_mod, "usable_cpus", lambda: count)
+
+
+class TestWorkers:
+    """Campaign workers, pinned to two usable CPUs on any host."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        cpus(monkeypatch, 2)
+
+    def test_worker_count_is_capped_by_cpus_jobs_and_units(
+        self, tmp_path, monkeypatch
+    ):
+        cases = [
+            (1, 1, 4, 1),  # one usable CPU
+            (8, 1, 1, 1),  # one unit
+            (2, 2, 4, 1),  # jobs take every usable CPU
+            (8, 2, 4, 4),
+            (8, 1, 3, 3),
+        ]
+        for usable, jobs, runs, expected in cases:
+            cpus(monkeypatch, usable)
+            runner = CampaignRunner(
+                tiny_spec(runs=runs, config=tiny_config(jobs=jobs)),
+                tmp_path / f"run-{usable}-{jobs}-{runs}",
+            )
+            assert runner._worker_count(runs) == expected
+        monkeypatch.setattr(
+            multiprocessing, "get_all_start_methods", lambda: ["spawn"]
+        )
+        assert runner._worker_count(runs) == 1  # no fork: in-process
+
+    def test_keyboard_interrupt_in_on_event_reaps_every_worker(
+        self, problem, tmp_path
+    ):
+        def explode(event):
+            if event["event"] == "generation":
+                raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            run_campaign(
+                tiny_spec(runs=2),
+                tmp_path / "run",
+                problem_loader=loader_for(problem),
+                on_event=explode,
+            )
+        assert multiprocessing.active_children() == []
+        events = read_events(events_path(tmp_path / "run"))
+        assert events[0]["workers"] == 2
+        assert events[-1]["event"] == "campaign_interrupted"
+        assert load_run_summary(tmp_path / "run")["interrupted"] is True
+
+    def test_a_second_interrupt_while_stopping_still_reaps_every_worker(
+        self, problem, tmp_path, monkeypatch
+    ):
+        # Workers that ignore SIGTERM keep the parent in its grace wait,
+        # which is where the second signal lands (``timeout`` signals a
+        # process and then its group).
+        real_init = runner_mod._init_forked_worker
+
+        def stubborn():
+            real_init()
+            signal.signal(signal.SIGTERM, signal.SIG_IGN)
+
+        monkeypatch.setattr(runner_mod, "_init_forked_worker", stubborn)
+        monkeypatch.setattr(runner_mod, "STOP_GRACE_SECONDS", 1.0)
+        sent = []
+
+        def send_sigterm(signum, frame):
+            sent.append(signum)
+            if len(sent) == 2:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+            os.kill(os.getpid(), signal.SIGTERM)
+
+        spec = tiny_spec(
+            runs=2,
+            config=tiny_config(
+                max_generations=5000, convergence_generations=5000
+            ),
+        )
+        previous_alarm = signal.signal(signal.SIGALRM, send_sigterm)
+        # A SIGTERM outside the campaign must not end the test process.
+        previous_term = signal.signal(signal.SIGTERM, lambda *args: None)
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.5, 0.3)
+            with pytest.raises(KeyboardInterrupt):
+                run_campaign(
+                    spec, tmp_path / "run", problem_loader=loader_for(problem)
+                )
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous_alarm)
+            signal.signal(signal.SIGTERM, previous_term)
+            alive = multiprocessing.active_children()
+            for process in alive:
+                process.kill()
+                process.join()
+        assert len(sent) == 2
+        assert alive == []
+        events = read_events(events_path(tmp_path / "run"))
+        assert events[-1]["event"] == "campaign_interrupted"
+
+    @pytest.mark.parametrize(
+        "error,raised,message",
+        [
+            (
+                RuntimeError("crash inside a job"),
+                RuntimeError,
+                "crash inside a job",
+            ),
+            # Re-raised as a RuntimeError carrying the worker's traceback.
+            (
+                TwoArgumentError("one", "two"),
+                RuntimeError,
+                "TwoArgumentError: one and two",
+            ),
+        ],
+        ids=["pickles", "does-not-unpickle"],
+    )
+    def test_unexpected_exception_in_a_worker_job_is_raised_here(
+        self, problem, tmp_path, monkeypatch, error, raised, message
+    ):
+        def crash(implementation):
+            raise error
+
+        monkeypatch.setattr(runner_mod, "validate_implementation", crash)
+        with pytest.raises(raised) as excinfo:
+            run_campaign(
+                tiny_spec(runs=2),
+                tmp_path / "run",
+                problem_loader=loader_for(problem),
+            )
+        assert message in str(excinfo.value)
+        assert multiprocessing.active_children() == []
+        # The job's block is logged before the campaign stops.
+        kinds = [e["event"] for e in read_events(events_path(tmp_path / "run"))]
+        assert kinds.count("job_started") == 1
+        assert kinds[-1] == "checkpointed"
+
+    def test_a_worker_that_dies_mid_job_stops_the_campaign(
+        self, problem, tmp_path, monkeypatch
+    ):
+        serial = run_campaign(
+            tiny_spec(runs=2),
+            tmp_path / "serial",
+            problem_loader=loader_for(problem),
+        )
+
+        class DiesInOneJob(MultiModeSynthesizer):
+            def run(self, resume=None, on_generation=None):
+                if self.config.seed == 4 and self.config.use_probabilities:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return super().run(resume=resume, on_generation=on_generation)
+
+        monkeypatch.setattr(runner_mod, "MultiModeSynthesizer", DiesInOneJob)
+        run_dir = tmp_path / "run"
+        with pytest.raises(CampaignError) as excinfo:
+            run_campaign(
+                tiny_spec(runs=2), run_dir, problem_loader=loader_for(problem)
+            )
+        message = str(excinfo.value)
+        assert "'two_mode-none-prob-s4'" in message
+        assert "status -9" in message
+        assert f"--resume {run_dir}" in message
+        assert multiprocessing.active_children() == []
+        assert read_events(events_path(run_dir))[-1]["event"] == (
+            "campaign_interrupted"
+        )
+        assert load_run_summary(run_dir)["interrupted"] is True
+
+        monkeypatch.setattr(
+            runner_mod, "MultiModeSynthesizer", MultiModeSynthesizer
+        )
+        resumed = resume_campaign(run_dir, problem_loader=loader_for(problem))
+        # A resumed job re-evaluates genomes its lost cache held, so
+        # its evaluation count may differ; its design may not.
+        for job_id, expected in serial.results.items():
+            got = resumed.results[job_id]
+            for name in ("power", "history", "best_genes", "generations"):
+                assert getattr(got, name) == getattr(expected, name), name
+
+    def test_stress_more_workers_than_cpus(
+        self, problem, tmp_path, monkeypatch
+    ):
+        spec = tiny_spec(runs=6)
+        cpus(monkeypatch, 1)
+        serial = run_campaign(
+            spec, tmp_path / "serial", problem_loader=loader_for(problem)
+        )
+        cpus(monkeypatch, 4)
+
+        def timed_out(signum, frame):
+            raise TimeoutError("stress campaign took over 120 s")
+
+        previous = signal.signal(signal.SIGALRM, timed_out)
+        signal.alarm(120)
+        try:
+            parallel = run_campaign(
+                spec, tmp_path / "run", problem_loader=loader_for(problem)
+            )
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert multiprocessing.active_children() == []
+        assert list(parallel.results) == [job.job_id for job in spec.jobs()]
+        assert fingerprints(parallel) == fingerprints(serial)
+
+        events = read_events(events_path(tmp_path / "run"))
+        assert events[0]["workers"] == 4
+        assert [e["seq"] for e in events] == list(range(len(events)))
+        finished = [e["job_id"] for e in events if e["event"] == "job_finished"]
+        assert sorted(finished) == sorted(job.job_id for job in spec.jobs())
+        # Each job's lines form one block: job_started .. job_finished.
+        jobs = [e.get("job_id") for e in events[1:-1]]
+        for job_id in finished:
+            lines = [i for i, other in enumerate(jobs) if other == job_id]
+            assert lines == list(range(lines[0], lines[-1] + 1))
+            assert events[1 + lines[0]]["event"] == "job_started"
+            assert events[1 + lines[-1]]["event"] == "job_finished"
+
+    def test_each_process_loads_an_instance_once_and_runs_a_seed_on_it(
+        self, tmp_path, monkeypatch
+    ):
+        record = tmp_path / "record.txt"
+
+        def note(*values):
+            with open(record, "a") as handle:
+                handle.write(" ".join(str(value) for value in values) + "\n")
+
+        def loader(name):
+            problem = make_two_mode_problem()
+            note("load", os.getpid(), name, id(problem))
+            return problem
+
+        class Recording(MultiModeSynthesizer):
+            def run(self, resume=None, on_generation=None):
+                note(
+                    "run",
+                    os.getpid(),
+                    self.config.seed,
+                    id(self.problem),
+                    id(mode_cache_for(self.problem, self.config)),
+                )
+                return super().run(resume=resume, on_generation=on_generation)
+
+        monkeypatch.setattr(runner_mod, "MultiModeSynthesizer", Recording)
+        outcome = run_campaign(
+            tiny_spec(runs=4), tmp_path / "run", problem_loader=loader
+        )
+        assert outcome.completed == 8
+        lines = [line.split() for line in record.read_text().splitlines()]
+        # ("load", pid, name, problem) and ("run", pid, seed, problem, cache)
+        loads = [tuple(line[1:]) for line in lines if line[0] == "load"]
+        runs = [tuple(line[1:]) for line in lines if line[0] == "run"]
+        pids = [pid for pid, _, _ in loads]
+        assert str(os.getpid()) not in pids  # the jobs ran in workers
+        assert len(pids) == len(set(pids))  # no process loads twice
+        by_seed = {}
+        for pid, seed, problem, cache in runs:
+            by_seed.setdefault(seed, set()).add((pid, problem, cache))
+        assert len(by_seed) == 4
+        for (one_run,) in by_seed.values():  # both policies: one process
+            pid, problem, _ = one_run
+            assert (pid, "two_mode", problem) in loads
+
+    def test_status_times_jobs_by_the_worker_timestamps(
+        self, problem, tmp_path
+    ):
+        spec = tiny_spec(
+            runs=2,
+            config=tiny_config(max_generations=30, convergence_generations=30),
+        )
+        outcome = run_campaign(
+            spec, tmp_path / "run", problem_loader=loader_for(problem)
+        )
+        status = campaign_status(tmp_path / "run")
+        assert status.workers == 2
+        for job_id, result in outcome.results.items():
+            # The GA's own wall time (``cpu_time``) lies between the
+            # job's job_started and job_finished; a block stamped when
+            # the parent logs it would span a millisecond or so.
+            assert result.cpu_time > 0.01
+            assert status.job_wall_seconds[job_id] >= result.cpu_time - 1e-3
+        report = format_status(status)
+        assert "workers: 2" in report
+        assert "running:" not in report
+
+    def test_report_rows_follow_the_spec_not_completion_order(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        spec = CampaignSpec(
+            name="order",
+            instances=["smartphone", "mul6"],
+            dvs_methods=[DvsMethod.NONE],
+            runs=1,
+            base_seed=5,
+            config=SynthesisConfig(
+                population_size=6,
+                max_generations=3,
+                convergence_generations=3,
+                local_search_budget_factor=0.1,
+            ),
+        )
+        spec_file = tmp_path / "spec.json"
+        spec.save(spec_file)
+
+        def powers(text):
+            # Example, modes and both powers; CPU seconds differ by run.
+            return [
+                [line.split()[i] for i in (0, 1, 2, 4, 6)]
+                for line in text.splitlines()
+                if line.startswith(("smartphone (", "mul6 ("))
+            ]
+
+        tables = {}
+        for count in (1, 2):
+            cpus(monkeypatch, count)
+            run_dir = tmp_path / f"run-{count}"
+            assert main(
+                ["campaign", str(spec_file), "--out", str(run_dir), "--quiet"]
+            ) == 0
+            printed = capsys.readouterr().out
+            assert main(["campaign", "--report", str(run_dir)]) == 0
+            tables[count] = (powers(printed), powers(capsys.readouterr().out))
+        finished = [
+            e["instance"]
+            for e in read_events(events_path(tmp_path / "run-2"))
+            if e["event"] == "job_finished"
+        ]
+        assert finished[0] == "mul6"  # the workers finished out of order
+        for rows in tables[2]:
+            assert [row[0] for row in rows] == ["smartphone", "mul6"]
+        assert tables[2] == tables[1]

@@ -18,10 +18,14 @@ the end of ``events.jsonl``.  From every such state the next
 
 The kills are real: an external ``SIGKILL`` of a running
 ``repro-mm campaign`` process, and a child that sends ``SIGKILL`` to
-itself at one chosen write.
+itself at one chosen write.  A campaign of two units runs on campaign
+workers (the child pins two usable CPUs, so a one-CPU host runs them
+too): there a worker dies mid-checkpoint, or the parent dies mid-line,
+and no process of the campaign may outlive it.
 """
 
 import json
+import pathlib
 import signal
 import subprocess
 import sys
@@ -38,11 +42,11 @@ from repro.synthesis.config import SynthesisConfig
 from tests.runtime.test_campaign_signals import repro_env
 
 
-def make_spec(generations):
-    """mul1, one seed, both policies, a checkpoint every generation."""
+def make_spec(generations, instances=("mul1",)):
+    """One seed, both policies, a checkpoint every generation."""
     return CampaignSpec(
         name="killed",
-        instances=["mul1"],
+        instances=list(instances),
         runs=1,
         base_seed=11,
         config=SynthesisConfig(
@@ -181,9 +185,13 @@ def assert_resumed_bit_identically(run_dir, spec, reference, capsys):
 
     assert main(["campaign", "--report", str(run_dir)]) == 0
     report = capsys.readouterr().out
-    row = next(line for line in report.splitlines() if "mul1" in line)
-    assert "n/a" not in row
     for job in spec.jobs():
+        row = next(
+            line
+            for line in report.splitlines()
+            if line.startswith(f"{job.instance} (")
+        )
+        assert "n/a" not in row
         power_mw = reference.results[job.job_id].power * 1e3
         assert f"{power_mw:.3f}" in row
 
@@ -306,3 +314,180 @@ def test_external_sigkill_mid_campaign_then_resume(tmp_path, capsys):
     ]
     assert finished == [first]
     assert_resumed_bit_identically(run_dir, spec, reference, capsys)
+
+
+#: Runs the campaign CLI on two campaign workers and sends SIGKILL at
+#: one write: ``argv[1]`` names the site, ``argv[2]`` the job whose
+#: checkpoint write kills its worker (``-`` for the parent's
+#: ``generation`` lines), ``argv[3]`` which occurrence of it.
+WORKER_KILLER = textwrap.dedent(
+    """
+    import os, pathlib, signal, sys
+
+    from repro.cli import main
+    from repro.runtime import runner
+    from repro.runtime.events import EventLog
+
+    runner.usable_cpus = lambda: 2
+    site, job_id, occurrence, spec, run_dir = sys.argv[1:]
+    seen = 0
+
+    def reached():
+        global seen
+        seen += 1
+        return seen == int(occurrence)
+
+    def die():
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    class HalfLine:
+        def __init__(self, handle):
+            self.handle = handle
+
+        def write(self, text):
+            self.handle.write(text[: len(text) // 2])
+            self.handle.flush()
+            die()
+
+    if site == "worker-checkpoint":
+        real_replace = os.replace
+
+        def replace(src, dst):
+            target = pathlib.Path(dst)
+            if (
+                target.parent.name == "checkpoints"
+                and target.name == job_id + ".json"
+                and reached()
+            ):
+                die()
+            real_replace(src, dst)
+
+        os.replace = replace
+    else:
+        real_emit = EventLog.emit
+
+        def emit(self, event, **fields):
+            if event == "generation" and reached():
+                self._handle = HalfLine(self._handle)
+            return real_emit(self, event, **fields)
+
+        EventLog.emit = emit
+
+    main(["campaign", spec, "--out", run_dir, "--quiet"])
+    """
+)
+
+
+def processes_running(script):
+    """Process ids whose command line names ``script``."""
+    found = []
+    for entry in pathlib.Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            command = (entry / "cmdline").read_bytes()
+        except OSError:  # it ended while we looked
+            continue
+        if str(script).encode() in command:
+            found.append(int(entry.name))
+    return found
+
+
+def checkpoint_generations(run_dir):
+    """``{job checkpoint: generation}``; a write in flight is a ``.tmp``."""
+    return {
+        path.name: json.loads(path.read_text())["state"]["generation"]
+        for path in (run_dir / "checkpoints").glob("*.json")
+    }
+
+
+@pytest.fixture(scope="module")
+def two_unit_spec():
+    # Jobs of most of a second each, so a worker that ignored its
+    # parent's death would go on writing checkpoints for a while.
+    return make_spec(25, instances=("mul8", "mul10"))
+
+
+@pytest.fixture(scope="module")
+def two_unit_reference(two_unit_spec, tmp_path_factory):
+    run_dir = tmp_path_factory.mktemp("two-unit-reference")
+    return run_campaign(two_unit_spec, run_dir)
+
+
+def worker_killer(tmp_path, spec, site, job_id, occurrence):
+    spec_file = tmp_path / "campaign.json"
+    spec.save(spec_file)
+    script = tmp_path / "worker_killer.py"
+    script.write_text(WORKER_KILLER)
+    command = [
+        sys.executable,
+        str(script),
+        site,
+        job_id,
+        str(occurrence),
+        str(spec_file),
+        str(tmp_path / "run"),
+    ]
+    return script, command
+
+
+@pytest.mark.slow
+def test_worker_killed_mid_checkpoint_then_resume(
+    two_unit_spec, two_unit_reference, tmp_path, capsys
+):
+    victim = two_unit_spec.jobs()[2].job_id  # the second unit's first job
+    script, command = worker_killer(
+        tmp_path, two_unit_spec, "worker-checkpoint", victim, 5
+    )
+    child = subprocess.run(
+        command, env=repro_env(), capture_output=True, text=True, timeout=300
+    )
+    assert_typed_error(child, "campaign worker")
+    assert f"running job {victim!r}" in child.stderr
+    assert "status -9" in child.stderr
+    assert "--resume" in child.stderr
+    assert processes_running(script) == []
+    assert_resumed_bit_identically(
+        tmp_path / "run", two_unit_spec, two_unit_reference, capsys
+    )
+
+
+@pytest.mark.slow
+def test_parent_killed_mid_line_leaves_no_worker_then_resume(
+    two_unit_spec, two_unit_reference, tmp_path, capsys
+):
+    script, command = worker_killer(
+        tmp_path, two_unit_spec, "parent-generation", "-", 10
+    )
+    child = subprocess.Popen(
+        command,
+        env=repro_env(),
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+    try:
+        assert child.wait(timeout=300) == -signal.SIGKILL
+    finally:
+        if child.poll() is None:
+            child.kill()
+            child.wait()
+    died = time.monotonic()
+    run_dir = tmp_path / "run"
+    at_death = checkpoint_generations(run_dir)
+    assert at_death  # the workers were mid-job
+    while processes_running(script) and time.monotonic() < died + 10.0:
+        time.sleep(0.05)
+    assert processes_running(script) == []
+    settled = checkpoint_generations(run_dir)
+    # A worker that passed its parent check just before the kill may
+    # finish that one checkpoint write; one that ignored the death
+    # would write a checkpoint every generation to the end of its job.
+    for name, generation in settled.items():
+        assert generation <= at_death.get(name, 0) + 1, name
+    time.sleep(0.5)
+    assert checkpoint_generations(run_dir) == settled
+    events = read_events(run_dir)
+    assert not any(e.get("event") == "job_finished" for e in events)
+    assert_resumed_bit_identically(
+        run_dir, two_unit_spec, two_unit_reference, capsys
+    )
