@@ -20,15 +20,14 @@ throw-away temporary directory.
 from __future__ import annotations
 
 import statistics
-import tempfile
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.benchgen.smartphone import smartphone_problem
 from repro.benchgen.suite import SUITE_SPECS
 from repro.errors import CampaignError
 from repro.problem import Problem
-from repro.runtime.runner import CampaignRunner, JobResult, PathLike
+from repro.runtime.runner import JobResult, PathLike, run_campaign
 from repro.runtime.spec import CampaignSpec
 from repro.synthesis.config import DvsMethod, SynthesisConfig
 
@@ -103,6 +102,54 @@ class ComparisonResult:
         )
 
 
+def _fold_row(records: Sequence[Mapping[str, Any]]) -> ComparisonResult:
+    """Fold the finished-job records of one row into a Table-1/2/3 row.
+
+    A record is a :meth:`JobResult.to_dict` or a ``job_finished`` event;
+    only ``instance``, ``modes``, ``seed``, ``use_probabilities``,
+    ``power``, ``cpu_time`` and ``feasible`` are read.  Runs of each
+    policy are ordered by seed, so the row does not depend on the order
+    in which the jobs finished.
+    """
+    without = PolicyOutcome()
+    with_probabilities = PolicyOutcome()
+    for record in sorted(records, key=lambda r: r["seed"]):
+        outcome = (
+            with_probabilities if record["use_probabilities"] else without
+        )
+        outcome.add(record["power"], record["cpu_time"], record["feasible"])
+    return ComparisonResult(
+        example=records[0]["instance"],
+        modes=records[0]["modes"],
+        without=without,
+        with_probabilities=with_probabilities,
+        runs=max(len(without.powers), len(with_probabilities.powers)),
+    )
+
+
+def comparison_rows(
+    records: Iterable[Mapping[str, Any]],
+    spec: Optional[CampaignSpec] = None,
+) -> Dict[Tuple[str, str], ComparisonResult]:
+    """One row per (instance, DVS method) of finished-job records.
+
+    Rows follow ``spec``'s instances and DVS methods when it is given
+    (campaign workers finish jobs out of queue order), else the order
+    in which each (instance, DVS method) first appears.  Records are
+    read as :func:`_fold_row` reads them, plus ``dvs``.
+    """
+    groups: Dict[Tuple[str, str], List[Mapping[str, Any]]] = {}
+    if spec is not None:
+        for instance in spec.instances:
+            for method in spec.dvs_methods:
+                groups[(instance, method.value)] = []
+    for record in records:
+        groups.setdefault((record["instance"], record["dvs"]), []).append(
+            record
+        )
+    return {key: _fold_row(group) for key, group in groups.items() if group}
+
+
 def comparison_from_job_results(
     results: Sequence[JobResult],
     example: Optional[str] = None,
@@ -121,48 +168,33 @@ def comparison_from_job_results(
         raise CampaignError(
             f"job results span several instances: {sorted(instances)}"
         )
-    without = PolicyOutcome()
-    with_probabilities = PolicyOutcome()
-    for result in sorted(results, key=lambda r: r.seed):
-        outcome = (
-            with_probabilities if result.use_probabilities else without
-        )
-        outcome.add(result.power, result.cpu_time, result.feasible)
-    return ComparisonResult(
-        example=example if example is not None else results[0].instance,
-        modes=modes if modes is not None else results[0].modes,
-        without=without,
-        with_probabilities=with_probabilities,
-        runs=max(len(without.powers), len(with_probabilities.powers)),
-    )
+    row = _fold_row([result.to_dict() for result in results])
+    if example is not None:
+        row.example = example
+    if modes is not None:
+        row.modes = modes
+    return row
 
 
 def _run_comparison_campaign(
     spec: CampaignSpec,
     run_dir: Optional[PathLike],
     problem_loader: Optional[Callable[[str], Problem]] = None,
-) -> List[JobResult]:
-    """Execute ``spec`` (in a temp dir unless one is given).
+) -> Dict[Tuple[str, str], ComparisonResult]:
+    """Execute ``spec`` (in a temp dir unless one is given); its rows.
 
     A job failure in a comparison campaign invalidates the paired
     aggregate, so failures raise instead of being summarised away.
     """
-
-    def execute(directory: PathLike) -> List[JobResult]:
-        outcome = CampaignRunner(
-            spec, directory, problem_loader=problem_loader
-        ).run()
-        if outcome.failures:
-            raise CampaignError(
-                f"{len(outcome.failures)} campaign job(s) failed: "
-                f"{outcome.failures}"
-            )
-        return outcome.job_results()
-
-    if run_dir is not None:
-        return execute(run_dir)
-    with tempfile.TemporaryDirectory(prefix="repro-campaign-") as tmp:
-        return execute(tmp)
+    outcome = run_campaign(spec, run_dir, problem_loader=problem_loader)
+    if outcome.failures:
+        raise CampaignError(
+            f"{len(outcome.failures)} campaign job(s) failed: "
+            f"{outcome.failures}"
+        )
+    return comparison_rows(
+        [result.to_dict() for result in outcome.job_results()], spec
+    )
 
 
 def compare_policies(
@@ -189,12 +221,10 @@ def compare_policies(
         base_seed=base_seed,
         config=config,
     )
-    results = _run_comparison_campaign(
+    (row,) = _run_comparison_campaign(
         spec, run_dir, problem_loader=lambda name: problem
-    )
-    return comparison_from_job_results(
-        results, example=problem.name, modes=len(problem.omsm)
-    )
+    ).values()
+    return row
 
 
 def run_suite_experiment(
@@ -227,14 +257,7 @@ def run_suite_experiment(
         base_seed=base_seed,
         config=config,
     )
-    job_results = _run_comparison_campaign(spec, run_dir)
-    by_instance: Dict[str, List[JobResult]] = {}
-    for result in job_results:
-        by_instance.setdefault(result.instance, []).append(result)
-    return [
-        comparison_from_job_results(by_instance[name])
-        for name in instances
-    ]
+    return list(_run_comparison_campaign(spec, run_dir).values())
 
 
 def run_smartphone_experiment(
@@ -255,17 +278,10 @@ def run_smartphone_experiment(
         base_seed=base_seed,
         config=config,
     )
-    job_results = _run_comparison_campaign(
+    rows = _run_comparison_campaign(
         spec, run_dir, problem_loader=lambda name: smartphone_problem()
     )
-    by_dvs: Dict[str, List[JobResult]] = {}
-    for result in job_results:
-        by_dvs.setdefault(result.dvs, []).append(result)
     return {
-        "w/o DVS": comparison_from_job_results(
-            by_dvs.get(DvsMethod.NONE.value, [])
-        ),
-        "with DVS": comparison_from_job_results(
-            by_dvs.get(DvsMethod.GRADIENT.value, [])
-        ),
+        "w/o DVS": rows[("smartphone", DvsMethod.NONE.value)],
+        "with DVS": rows[("smartphone", DvsMethod.GRADIENT.value)],
     }

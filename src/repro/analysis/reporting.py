@@ -13,7 +13,7 @@ import pathlib
 import statistics
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
-from repro.analysis.experiments import ComparisonResult, PolicyOutcome
+from repro.analysis.experiments import ComparisonResult, comparison_rows
 from repro.analysis.paper_data import PaperRow
 from repro.runtime.spec import CampaignSpec
 
@@ -159,15 +159,14 @@ def results_from_events(
     """Rebuild Table-1/2/3 aggregates from ``job_finished`` events.
 
     ``events`` is either a path to an ``events.jsonl`` stream or an
-    already-loaded event sequence.  Jobs are grouped per (instance,
-    DVS method): in the order of ``spec``'s instances and DVS methods
-    when the campaign's spec is given (a campaign with workers finishes
-    its jobs out of queue order), else in first-appearance order.
-    Within a group the runs of each policy are ordered by seed,
-    matching the live aggregation of :mod:`repro.analysis.experiments`
-    exactly.  When a campaign swept several DVS methods, the row label
-    carries the method (``"smartphone [gradient]"``) so the rows stay
-    distinguishable.  A segment of an unknown stream version is a
+    already-loaded event sequence.  The ``job_finished`` events go
+    through :func:`~repro.analysis.experiments.comparison_rows`, the
+    fold the live experiment drivers use: one row per (instance, DVS
+    method), in ``spec``'s order when the campaign's spec is given,
+    else in first-appearance order.  When a campaign swept several DVS
+    methods, the row label carries the method
+    (``"smartphone [gradient]"``) so the rows stay distinguishable.  A
+    segment of an unknown stream version is a
     :class:`~repro.errors.CampaignError`.
     """
     from repro.runtime.events import check_segment_version, iter_events
@@ -180,42 +179,8 @@ def results_from_events(
             check_segment_version(event)
         elif event.get("event") == "job_finished":
             finished.append(event)
-    groups: Dict[tuple, List[Mapping[str, Any]]] = {}
-    if spec is not None:
-        for instance in spec.instances:
-            for method in spec.dvs_methods:
-                groups[(instance, method.value)] = []
-    for event in finished:
-        groups.setdefault((event["instance"], event["dvs"]), []).append(
-            event
-        )
-    groups = {key: group for key, group in groups.items() if group}
-    dvs_methods = {dvs for _, dvs in groups}
-    results: List[ComparisonResult] = []
-    for (instance, dvs), group in groups.items():
-        without = PolicyOutcome()
-        with_probabilities = PolicyOutcome()
-        for event in sorted(group, key=lambda e: e["seed"]):
-            outcome = (
-                with_probabilities
-                if event["use_probabilities"]
-                else without
-            )
-            outcome.add(
-                event["power"], event["cpu_time"], event["feasible"]
-            )
-        example = (
-            instance if len(dvs_methods) == 1 else f"{instance} [{dvs}]"
-        )
-        results.append(
-            ComparisonResult(
-                example=example,
-                modes=group[0]["modes"],
-                without=without,
-                with_probabilities=with_probabilities,
-                runs=max(
-                    len(without.powers), len(with_probabilities.powers)
-                ),
-            )
-        )
-    return results
+    rows = comparison_rows(finished, spec)
+    if len({dvs for _, dvs in rows}) > 1:
+        for (instance, dvs), row in rows.items():
+            row.example = f"{instance} [{dvs}]"
+    return list(rows.values())

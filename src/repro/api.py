@@ -22,11 +22,8 @@ from typing import Any, Callable, Dict, Mapping, Optional, Union
 
 from repro.benchgen import registry
 from repro.problem import Problem
-from repro.runtime.runner import (
-    CampaignResult,
-    CampaignRunner,
-    resume_campaign,
-)
+from repro.runtime import runner
+from repro.runtime.runner import CampaignResult, resume_campaign
 from repro.runtime.spec import CampaignSpec
 from repro.synthesis.cosynthesis import synthesize
 
@@ -74,13 +71,6 @@ def run_campaign(
         spec = CampaignSpec.load(spec)
     elif not isinstance(spec, CampaignSpec):
         spec = CampaignSpec.from_dict(spec)
-    if run_dir is None:
-        import tempfile
-
-        with tempfile.TemporaryDirectory(prefix="repro-campaign-") as tmp:
-            return CampaignRunner(
-                spec, tmp, problem_loader=problem_loader, on_event=on_event
-            ).run()
-    return CampaignRunner(
+    return runner.run_campaign(
         spec, run_dir, problem_loader=problem_loader, on_event=on_event
-    ).run()
+    )

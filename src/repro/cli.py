@@ -23,7 +23,7 @@ import argparse
 import math
 import pathlib
 import sys
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.analysis.experiments import (
     ComparisonResult,
@@ -40,6 +40,7 @@ from repro.analysis.reporting import (
 from repro.benchgen import registry
 from repro.benchgen.suite import SUITE_SPECS
 from repro.errors import CampaignError
+from repro.obs.status import format_event
 from repro.problem import Problem
 from repro.runtime import (
     CampaignSpec,
@@ -61,13 +62,18 @@ def _load_problem(name: str) -> Problem:
 
 
 def _config_from_args(args: argparse.Namespace) -> SynthesisConfig:
+    """The GA options as a config.
+
+    The table commands have no ``--dvs`` or ``--probabilities``; their
+    campaigns set the DVS method, policy and seed per job.
+    """
     return SynthesisConfig(
         use_probabilities=getattr(args, "probabilities", True),
         dvs=DvsMethod(getattr(args, "dvs", "none")),
         population_size=args.population,
         max_generations=args.generations,
         convergence_generations=args.convergence,
-        jobs=getattr(args, "jobs", 1),
+        jobs=args.jobs,
         seed=args.seed,
     )
 
@@ -98,16 +104,10 @@ def _add_ga_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_table(args: argparse.Namespace, dvs: DvsMethod) -> int:
-    config = SynthesisConfig(
-        population_size=args.population,
-        max_generations=args.generations,
-        convergence_generations=args.convergence,
-        jobs=args.jobs,
-    )
     results = run_suite_experiment(
         dvs=dvs,
         runs=args.runs,
-        config=config,
+        config=_config_from_args(args),
         examples=args.only or None,
         base_seed=args.seed,
     )
@@ -131,14 +131,8 @@ def _cmd_table(args: argparse.Namespace, dvs: DvsMethod) -> int:
 
 
 def _cmd_table3(args: argparse.Namespace) -> int:
-    config = SynthesisConfig(
-        population_size=args.population,
-        max_generations=args.generations,
-        convergence_generations=args.convergence,
-        jobs=args.jobs,
-    )
     results = run_smartphone_experiment(
-        runs=args.runs, config=config, base_seed=args.seed
+        runs=args.runs, config=_config_from_args(args), base_seed=args.seed
     )
     print(
         format_smartphone_table(
@@ -228,29 +222,16 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_campaign_event(event: Dict[str, object]) -> None:
-    """One terse progress line per job-level event."""
-    kind = event.get("event")
-    if kind == "campaign_started":
-        print(
-            f"campaign {event['campaign']!r}: "
-            f"{event['pending_jobs']}/{event['total_jobs']} jobs pending"
-        )
-    elif kind == "job_started":
-        resumed = event.get("resumed_from") or 0
-        suffix = f" (resuming from generation {resumed})" if resumed else ""
-        print(f"  [{event['job_id']}] started{suffix}")
-    elif kind == "job_finished":
-        print(
-            f"  [{event['job_id']}] finished: "
-            f"{float(event['power']) * 1e3:.3f} mW, "
-            f"{event['generations']} generations, "
-            f"{float(event['cpu_time']):.1f} s"
-        )
-    elif kind == "job_failed":
-        print(f"  [{event['job_id']}] FAILED: {event['error']}")
-    elif kind == "job_skipped":
-        print(f"  [{event['job_id']}] already complete, skipped")
+#: Event kinds a live campaign prints as progress lines.
+_PROGRESS_EVENTS = frozenset(
+    {"campaign_started", "job_started", "job_finished", "job_failed", "job_skipped"}
+)
+
+
+def _print_progress(event: Dict[str, Any]) -> None:
+    """One ``--tail`` line per job-level event."""
+    if event.get("event") in _PROGRESS_EVENTS:
+        print(format_event(event))
 
 
 def _campaign_rows(
@@ -286,7 +267,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             print(format_pool_stats(summary))
         return 0
     if args.tail is not None:
-        from repro.obs import format_event, tail_events
+        from repro.obs import tail_events
 
         try:
             for event in tail_events(
@@ -325,7 +306,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         template.save(args.init_spec)
         print(f"template campaign spec written to {args.init_spec}")
         return 0
-    on_event = None if args.quiet else _print_campaign_event
+    on_event = None if args.quiet else _print_progress
     try:
         if args.resume is not None:
             outcome = resume_campaign(args.resume, on_event=on_event)
@@ -497,8 +478,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "continue the campaign stored in DIR: completed jobs are "
-            "skipped, interrupted jobs resume bit-identically from "
-            "their latest checkpoint"
+            "skipped, interrupted jobs resume from their latest "
+            "checkpoint with bit-identical results (only the evaluation "
+            "count may grow)"
         ),
     )
     campaign.add_argument(

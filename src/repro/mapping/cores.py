@@ -83,12 +83,30 @@ class CoreAllocation:
     # Mode transitions (FPGA reconfiguration)
     # ------------------------------------------------------------------
 
+    def loaded_cells(
+        self, pe_name: str, src_mode: str, dst_mode: str
+    ) -> float:
+        """Cells the FPGA ``pe_name`` loads on the mode change ``src -> dst``.
+
+        The cores present in the destination configuration but absent
+        (or under-provisioned) in the source configuration, by area.
+        """
+        counts = self.counts.get(pe_name, {})
+        src_counts = counts.get(src_mode, {})
+        cells = 0.0
+        for task_type, dst_count in counts.get(dst_mode, {}).items():
+            missing = dst_count - src_counts.get(task_type, 0)
+            if missing > 0:
+                entry = self._problem.technology.implementation(
+                    task_type, pe_name
+                )
+                cells += missing * entry.area
+        return cells
+
     def transition_time(self, src_mode: str, dst_mode: str) -> float:
         """Reconfiguration time of the mode change ``src -> dst``.
 
-        FPGAs load the cores present in the destination configuration
-        but absent (or under-provisioned) in the source configuration;
-        configuration proceeds per cell at the component's
+        Each FPGA loads its :meth:`loaded_cells` at the component's
         ``reconfig_time_per_cell`` rate.  Multiple FPGAs reconfigure in
         parallel, so the transition takes the slowest component's time.
         """
@@ -96,18 +114,10 @@ class CoreAllocation:
         for pe in self._problem.architecture.hardware_pes():
             if pe.kind is not PEKind.FPGA:
                 continue
-            src_counts = self.counts.get(pe.name, {}).get(src_mode, {})
-            dst_counts = self.counts.get(pe.name, {}).get(dst_mode, {})
-            load_area = 0.0
-            for task_type, dst_count in dst_counts.items():
-                missing = dst_count - src_counts.get(task_type, 0)
-                if missing > 0:
-                    entry = self._problem.technology.implementation(
-                        task_type, pe.name
-                    )
-                    load_area += missing * entry.area
             slowest = max(
-                slowest, load_area * pe.reconfig_time_per_cell
+                slowest,
+                self.loaded_cells(pe.name, src_mode, dst_mode)
+                * pe.reconfig_time_per_cell,
             )
         return slowest
 

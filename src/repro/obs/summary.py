@@ -36,7 +36,7 @@ from __future__ import annotations
 import json
 import pathlib
 import time
-from typing import Any, Dict, Mapping, Optional, Union
+from typing import Any, Dict, List, Mapping, Optional, Union
 
 from repro.durable import atomic_write_json
 from repro.engine.profile import PerfStats

@@ -7,10 +7,13 @@ as an ordered queue of synthesis jobs on top of the evaluation engine:
   ``checkpoint_every`` generations (atomic file writes), and finished
   jobs persist a result record.  Re-running the same run directory
   (``repro-mm campaign --resume <dir>``) skips completed jobs and
-  continues interrupted ones *bit-identically* from their last
-  snapshot — evaluation is a pure function of the genome, and the
-  snapshot carries the RNG state, so the replay takes the exact path
-  the uninterrupted run would have taken.
+  continues interrupted ones from their last snapshot — evaluation is
+  a pure function of the genome, and the snapshot carries the RNG
+  state, so the replay takes the exact path the uninterrupted run
+  would have taken: power, history, best genes, generations and
+  ``mode_powers`` come out bit-identical.  ``evaluations`` counts the
+  evaluations the job actually ran; the snapshot carries no genome
+  cache, so a resumed job re-evaluates genomes the lost cache held.
 * **Structured observability** — every state change is appended to the
   run directory's ``events.jsonl`` (see :mod:`repro.runtime.events`);
   the final ``job_finished`` events carry enough (power, CPU time,
@@ -46,6 +49,7 @@ import os
 import pathlib
 import pickle
 import signal
+import tempfile
 import threading
 import time
 import traceback
@@ -300,7 +304,7 @@ class CampaignRunner:
         recorded, reported in events, and surfaced on
         :attr:`CampaignResult.failures`.  ``KeyboardInterrupt`` *does*
         abort, after the interrupted job's latest checkpoint is
-        already on disk; resuming later continues bit-identically.
+        already on disk; resuming later continues the same search.
         SIGTERM (supervisors, batch schedulers, container stops) takes
         the same graceful path when the campaign runs on the main
         thread.  A campaign worker that exits without reporting its
@@ -850,23 +854,17 @@ def _logged_finished(path: pathlib.Path) -> Set[Any]:
 def _finished_fields(
     result: JobResult, max_generations: int
 ) -> Dict[str, Any]:
-    """The fields of a job's ``job_finished`` event."""
-    return dict(
-        job_id=result.job_id,
-        instance=result.instance,
-        modes=result.modes,
-        dvs=result.dvs,
-        use_probabilities=result.use_probabilities,
-        seed=result.seed,
-        power=result.power,
-        cpu_time=result.cpu_time,
-        feasible=result.feasible,
-        converged=result.generations < max_generations,
-        generations=result.generations,
-        evaluations=result.evaluations,
-        perf=result.perf,
-        mode_powers=result.mode_powers,
-    )
+    """The fields of a job's ``job_finished`` event.
+
+    The result record without its version, history, best genes and
+    resume point, plus whether the GA converged before its generation
+    limit.
+    """
+    record = result.to_dict()
+    for key in ("version", "history", "best_genes", "resumed_from"):
+        del record[key]
+    record["converged"] = result.generations < max_generations
+    return record
 
 
 # ----------------------------------------------------------------------
@@ -876,11 +874,18 @@ def _finished_fields(
 
 def run_campaign(
     spec: CampaignSpec,
-    run_dir: PathLike,
+    run_dir: Optional[PathLike] = None,
     problem_loader: Optional[Callable[[str], Problem]] = None,
     on_event: Optional[Callable[[Dict[str, Any]], None]] = None,
 ) -> CampaignResult:
-    """Execute ``spec`` against ``run_dir`` (creating it as needed)."""
+    """Execute ``spec`` against ``run_dir`` (creating it as needed).
+
+    Without ``run_dir`` the campaign runs in a throw-away temporary
+    directory, removed before this returns.
+    """
+    if run_dir is None:
+        with tempfile.TemporaryDirectory(prefix="repro-campaign-") as tmp:
+            return run_campaign(spec, tmp, problem_loader, on_event)
     return CampaignRunner(
         spec, run_dir, problem_loader=problem_loader, on_event=on_event
     ).run()
@@ -894,10 +899,9 @@ def resume_campaign(
     """Continue the campaign stored in ``run_dir``.
 
     Loads the directory's ``spec.json`` and re-runs the queue:
-    completed jobs are skipped, checkpointed jobs resume
-    bit-identically from their latest snapshot.
+    completed jobs are skipped, checkpointed jobs resume from their
+    latest snapshot (see :class:`CampaignRunner` for what a resume
+    keeps bit-identical).
     """
     spec = CampaignSpec.load(ckpt.spec_path(run_dir))
-    return CampaignRunner(
-        spec, run_dir, problem_loader=problem_loader, on_event=on_event
-    ).run()
+    return run_campaign(spec, run_dir, problem_loader, on_event)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Union
 
 from repro.durable import atomic_write_json, is_version
-from repro.errors import CampaignError
+from repro.errors import CampaignError, SynthesisError
 from repro.synthesis.config import DvsMethod, SynthesisConfig
 
 PathLike = Union[str, pathlib.Path]
@@ -52,6 +52,17 @@ class JobSpec:
             dvs=self.dvs,
             use_probabilities=self.use_probabilities,
             seed=self.seed,
+        )
+
+
+def _check_items(name: str, values: Any, kind: type, plural: str) -> None:
+    """Refuse a spec field that is not a list of ``kind`` values."""
+    if isinstance(values, str) or not all(
+        isinstance(value, kind) for value in values
+    ):
+        raise CampaignError(
+            f"invalid campaign spec field {name!r}: {values!r} is not a "
+            f"list of {plural}"
         )
 
 
@@ -93,14 +104,28 @@ class CampaignSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise CampaignError("campaign name must be non-empty")
+        _check_items("instances", self.instances, str, "names")
+        _check_items(
+            "probability_settings", self.probability_settings, bool, "booleans"
+        )
+        for name in ("runs", "base_seed", "checkpoint_every"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise CampaignError(
+                    f"invalid campaign spec field {name!r}: {value!r} is not "
+                    f"an integer"
+                )
         if not self.instances:
             raise CampaignError("campaign needs at least one instance")
         if len(set(self.instances)) != len(self.instances):
             raise CampaignError("duplicate instances in campaign spec")
-        self.dvs_methods = [
-            m if isinstance(m, DvsMethod) else DvsMethod(m)
-            for m in self.dvs_methods
-        ]
+        try:
+            self.dvs_methods = [DvsMethod(m) for m in self.dvs_methods]
+        except ValueError as exc:
+            raise CampaignError(
+                f"invalid campaign spec field 'dvs_methods': {exc}; valid "
+                f"values are {[m.value for m in DvsMethod]}"
+            ) from None
         if not self.dvs_methods:
             raise CampaignError("campaign needs at least one DVS method")
         if len(set(self.dvs_methods)) != len(self.dvs_methods):
@@ -190,7 +215,12 @@ class CampaignSpec:
         if "config" in values and not isinstance(
             values["config"], SynthesisConfig
         ):
-            values["config"] = SynthesisConfig.from_dict(values["config"])
+            try:
+                values["config"] = SynthesisConfig.from_dict(values["config"])
+            except (SynthesisError, TypeError, ValueError) as exc:
+                raise CampaignError(
+                    f"invalid campaign spec field 'config': {exc}"
+                ) from None
         try:
             return cls(**values)
         except TypeError as exc:

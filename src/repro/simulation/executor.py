@@ -26,6 +26,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
+from repro.architecture.processing_element import PEKind
 from repro.errors import SpecificationError
 from repro.mapping.implementation import Implementation
 from repro.power.shutdown import mode_static_power
@@ -162,12 +163,14 @@ def simulate(
             reconfiguration_time += overhead
             usable -= overhead
             if reconfig_energy_per_cell > 0:
-                reconfiguration_energy += (
-                    _reconfigured_cells(
-                        implementation, previous, visit.mode
-                    )
-                    * reconfig_energy_per_cell
-                )
+                for pe in problem.architecture.hardware_pes():
+                    if pe.kind is PEKind.FPGA:
+                        reconfiguration_energy += (
+                            implementation.cores.loaded_cells(
+                                pe.name, previous, visit.mode
+                            )
+                            * reconfig_energy_per_cell
+                        )
         period = problem.omsm.mode(visit.mode).period
         started = int(math.ceil(usable / period - 1e-12)) if usable > 0 else 0
         iterations[visit.mode] += started
@@ -197,24 +200,3 @@ def simulate(
         analytical_power=analytical,
     )
 
-
-def _reconfigured_cells(
-    implementation: Implementation, src_mode: str, dst_mode: str
-) -> float:
-    """Total FPGA cells loaded during one mode change."""
-    problem = implementation.problem
-    cells = 0.0
-    for pe in problem.architecture.hardware_pes():
-        if pe.reconfig_time_per_cell <= 0:
-            continue
-        counts = implementation.cores.counts.get(pe.name, {})
-        src_counts = counts.get(src_mode, {})
-        dst_counts = counts.get(dst_mode, {})
-        for task_type, dst_count in dst_counts.items():
-            missing = dst_count - src_counts.get(task_type, 0)
-            if missing > 0:
-                entry = problem.technology.implementation(
-                    task_type, pe.name
-                )
-                cells += missing * entry.area
-    return cells

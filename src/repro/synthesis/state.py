@@ -13,8 +13,9 @@ generations the uninterrupted run would have executed.
 Evaluation caches are deliberately *not* part of the state: evaluation
 is a pure function of the genome, so an empty cache after resume only
 re-spends CPU time — it cannot change any result.  The
-``evaluations`` counter carries across so aggregate statistics stay
-meaningful.
+``evaluations`` counter carries across and goes on counting the
+evaluations actually run, so a resumed run's count includes the
+genomes it re-evaluates and may exceed the uninterrupted run's.
 
 Everything is JSON-serialisable via :meth:`GAState.to_dict` /
 :meth:`GAState.from_dict`; the Mersenne-Twister state tuple is encoded

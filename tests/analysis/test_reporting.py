@@ -213,3 +213,11 @@ class TestRowOrder:
             "mul6 [none]",
             "mul6 [gradient]",
         ]
+
+    def test_runs_of_a_row_follow_their_seeds(self):
+        from repro.analysis.reporting import results_from_events
+
+        late, early = self.finished("mul6", "none"), self.finished("mul6", "none")
+        late.update(seed=1, power=2e-3)
+        (row,) = results_from_events([late, early])
+        assert row.without.powers == [1e-3, 2e-3]

@@ -9,6 +9,8 @@ The ISSUE acceptance criteria verified here:
   comparison output.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.analysis.experiments import comparison_from_job_results
@@ -95,6 +97,35 @@ class TestKillResume:
             assert got.history == expected.history
             assert got.best_genes == expected.best_genes
             assert got.generations == expected.generations
+
+    def test_a_resumed_job_counts_the_evaluations_it_ran(
+        self, problem, tmp_path
+    ):
+        # A checkpoint carries no genome cache, so the resumed job
+        # re-evaluates genomes the lost cache held: its results are
+        # bit-identical, its evaluation count may only grow.
+        spec = dataclasses.replace(
+            _spec(), runs=1, probability_settings=[True]
+        )
+        (expected,) = run_campaign(
+            spec, tmp_path / "reference", problem_loader=lambda name: problem
+        ).job_results()
+        with pytest.raises(_Kill):
+            run_campaign(
+                spec,
+                tmp_path / "crashed",
+                problem_loader=lambda name: problem,
+                on_event=_interrupt_after(5),
+            )
+        (got,) = resume_campaign(
+            tmp_path / "crashed", problem_loader=lambda name: problem
+        ).job_results()
+        assert got.resumed_from > 0
+        for name in (
+            "power", "history", "best_genes", "generations", "mode_powers"
+        ):
+            assert getattr(got, name) == getattr(expected, name)
+        assert got.evaluations >= expected.evaluations
 
     def test_interrupted_job_actually_resumes_mid_flight(
         self, problem, tmp_path

@@ -84,6 +84,21 @@ def test_status_report_and_resume_read_an_unversioned_stream(
         assert f"{result['power'] * 1e3:.3f}" in row
 
 
+def test_job_finished_keeps_the_keys_of_version_1(run_dir):
+    # job_finished is built from the result record; a key added to or
+    # dropped from that record must not slip into version 1's events.
+    def finished_keys(path):
+        return [
+            sorted(event)
+            for event in read_events(path)
+            if event["event"] == "job_finished"
+        ]
+
+    (fixture,) = finished_keys(events_path(FIXTURE))
+    resume_campaign(run_dir)
+    assert finished_keys(events_path(run_dir)) == [fixture, fixture]
+
+
 @pytest.mark.parametrize(
     "version", [2, 0, True, 1.0, "1"], ids=["2", "0", "true", "1.0", "str"]
 )

@@ -86,6 +86,12 @@ class TestValidation:
                 {"probability_settings": [True, True]},
                 "duplicate probability settings",
             ),
+            ({"instances": "mul1"}, "field 'instances'"),
+            ({"dvs_methods": ["bogus"]}, "field 'dvs_methods'"),
+            ({"probability_settings": ["yes"]}, "field 'probability_settings'"),
+            ({"runs": "2"}, "field 'runs'"),
+            ({"base_seed": "x"}, "field 'base_seed'"),
+            ({"checkpoint_every": 2.5}, "field 'checkpoint_every'"),
         ],
         ids=[
             "empty-name",
@@ -93,6 +99,12 @@ class TestValidation:
             "duplicate-dvs",
             "no-policy",
             "duplicate-policy",
+            "instances-string",
+            "unknown-dvs",
+            "policy-not-bool",
+            "runs-string",
+            "seed-string",
+            "cadence-float",
         ],
     )
     def test_rejects_degenerate_axes(self, overrides, reason):
@@ -138,7 +150,7 @@ class TestRoundTrip:
     def test_unknown_config_keys_rejected(self):
         data = CampaignSpec(name="t", instances=["mul1"]).to_dict()
         data["config"]["poplation_size"] = 10
-        with pytest.raises(Exception, match="poplation_size"):
+        with pytest.raises(CampaignError, match="poplation_size"):
             CampaignSpec.from_dict(data)
 
     def test_unknown_version_rejected(self):

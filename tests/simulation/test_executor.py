@@ -1,14 +1,17 @@
 """Tests for the trace executor and Equation-(1) validation."""
 
+import copy
 
 import pytest
 
 from repro.architecture import PEKind
+from repro.benchgen import registry
 from repro.errors import SpecificationError
 from repro.mapping.encoding import MappingString
 from repro.simulation.executor import simulate
 from repro.simulation.trace import ModeVisit
 from repro.synthesis.config import SynthesisConfig
+from repro.synthesis.cosynthesis import MultiModeSynthesizer
 from repro.synthesis.evaluator import evaluate_mapping
 
 from tests.conftest import make_two_mode_problem
@@ -276,6 +279,32 @@ class TestReconfigurationAccounting:
             + report.static_energy
             + report.reconfiguration_energy
         )
+
+    def test_an_fpga_without_reconfiguration_time_still_costs_energy(self):
+        # A zero reconfiguration time per cell (the ProcessingElement
+        # default) makes a mode change free in time, not in cells: the
+        # FPGA still loads its new cores and is charged for each cell.
+        problem = copy.deepcopy(registry.get("mul1"))
+        (fpga,) = [
+            pe for pe in problem.architecture.pes if pe.kind is PEKind.FPGA
+        ]
+        fpga.reconfig_time_per_cell = 0.0
+        design = MultiModeSynthesizer(
+            problem,
+            SynthesisConfig(population_size=12, max_generations=10, seed=3),
+        ).run().best
+        trace = [
+            ModeVisit(("mode0", "mode1")[i % 2], 10.0 * i, 10.0 * (i + 1))
+            for i in range(6)
+        ]
+        report = simulate(design, trace=trace, reconfig_energy_per_cell=1e-6)
+        cells = sum(
+            design.cores.loaded_cells(fpga.name, left.mode, right.mode)
+            for left, right in zip(trace, trace[1:])
+        )
+        assert cells == pytest.approx(7956, abs=1)
+        assert report.reconfiguration_time == 0.0
+        assert report.reconfiguration_energy == pytest.approx(cells * 1e-6)
 
     def test_summary_text(self):
         impl = implementation()

@@ -16,6 +16,38 @@ def _assert_flags_retired(capsys, *flags):
             build_parser().parse_args(["synthesize", "mul1", flag])
 
 
+def _clean_error(*argv):
+    """Run ``repro-mm argv`` in a child; its one stderr line.
+
+    The child must fail with one ``repro-mm: error:`` line and no
+    traceback.
+    """
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import repro
+
+    env = dict(os.environ)
+    source = str(pathlib.Path(repro.__file__).parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [source] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    child = subprocess.run(
+        [sys.executable, "-m", "repro.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert child.returncode != 0
+    assert "Traceback" not in child.stderr
+    (line,) = child.stderr.strip().splitlines()
+    assert line.startswith("repro-mm: error: ")
+    return line
+
+
 class TestParser:
     def test_table1_defaults(self):
         args = build_parser().parse_args(["table1"])
@@ -256,6 +288,9 @@ class TestCampaign:
         assert template.jobs()
 
     def test_run_report_resume_cycle(self, capsys, tmp_path):
+        from repro.obs.status import format_event
+        from repro.runtime.events import events_path, read_events
+
         spec = self._write_spec(tmp_path)
         run_dir = tmp_path / "run"
         code = main(["campaign", str(spec), "--out", str(run_dir)])
@@ -264,6 +299,13 @@ class TestCampaign:
         assert "campaign done: 2 jobs completed, 0 failed" in out
         assert "Campaign 'cli-smoke'" in out
         assert "mul9" in out
+        # Progress is the --tail rendering of the job-level events.
+        progress = [
+            format_event(event)
+            for event in read_events(events_path(run_dir))
+            if event["event"] in ("campaign_started", "job_started", "job_finished")
+        ]
+        assert out.splitlines()[: len(progress)] == progress
 
         # Reporting needs only the event stream.
         assert main(["campaign", "--report", str(run_dir)]) == 0
@@ -303,12 +345,6 @@ class TestCampaign:
 
     def test_resume_with_a_damaged_result_is_a_clean_error(self, tmp_path):
         import json
-        import os
-        import pathlib
-        import subprocess
-        import sys
-
-        import repro
 
         spec = self._write_spec(tmp_path)
         run_dir = tmp_path / "run"
@@ -318,24 +354,35 @@ class TestCampaign:
         del record["power"]
         damaged.write_text(json.dumps(record))
 
-        env = dict(os.environ)
-        source = str(pathlib.Path(repro.__file__).parent.parent)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [source] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-        )
-        child = subprocess.run(
-            [sys.executable, "-m", "repro.cli", "campaign", "--resume",
-             str(run_dir), "--quiet"],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert child.returncode != 0
-        assert "Traceback" not in child.stderr
-        (line,) = child.stderr.strip().splitlines()
-        assert line.startswith("repro-mm: error: ")
+        line = _clean_error("campaign", "--resume", str(run_dir), "--quiet")
         assert "power" in line and damaged.stem in line
+
+    @pytest.mark.parametrize(
+        "malformed",
+        [
+            {"dvs_methods": ["bogus"]},
+            {"config": {"dvs": "bogus"}},
+            {"config": {"population_size": 1}},
+            {"config": {"populaton_size": 10}},
+        ],
+        ids=["dvs-methods", "config-dvs", "config-population", "config-key"],
+    )
+    def test_a_malformed_spec_is_a_clean_error(self, tmp_path, malformed):
+        import json
+
+        spec = json.dumps({"name": "bad", "instances": ["mul9"], **malformed})
+        path = tmp_path / "spec.json"
+        path.write_text(spec)
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / "spec.json").write_text(spec)
+        (field,) = malformed
+        for argv in (
+            ["campaign", str(path), "--out", str(tmp_path / "fresh")],
+            ["campaign", "--resume", str(run_dir)],
+        ):
+            line = _clean_error(*argv)
+            assert f"field '{field}'" in line
 
     def test_report_without_events_errors(self, tmp_path):
         with pytest.raises(SystemExit):
