@@ -146,9 +146,13 @@ class TestPoolFailure:
         killed = []
 
         def kill_pool_once(record):
+            # The pool goes away behind the backend's back.  Closed and
+            # joined, not terminated: Pool.terminate() SIGTERMs busy
+            # workers, and one stopped while it writes a result leaves
+            # the result queue's lock taken, which hangs the terminate.
             if record["event"] == "generation" and not killed:
                 pool = backends[-1]._pool
-                pool.terminate()
+                pool.close()
                 pool.join()
                 killed.append(record["job_id"])
 
