@@ -52,23 +52,24 @@ def format_comparison_table(
 ) -> str:
     """The Tables-1/2 layout: example, power/CPU per policy, reduction.
 
-    One-sided rows render ``n/a`` and stay out of the average.
+    The example column is as wide as its longest label, and at least 14
+    characters.  One-sided rows render ``n/a`` and stay out of the
+    average.
     """
+    labels = [f"{result.example} ({result.modes})" for result in results]
+    width = max([14] + [len(label) for label in labels])
     header = (
-        f"{'Example':<14}{'P w/o Ψ (mW)':>14}{'CPU (s)':>10}"
+        f"{'Example':<{width}}{'P w/o Ψ (mW)':>14}{'CPU (s)':>10}"
         f"{'P with Ψ (mW)':>15}{'CPU (s)':>10}{'Reduc. (%)':>12}"
     )
     lines = [title, "=" * len(header), header, "-" * len(header)]
-    for result in results:
-        lines.append(
-            f"{result.example + f' ({result.modes})':<14}"
-            + _comparison_cells(result)
-        )
+    for label, result in zip(labels, results):
+        lines.append(f"{label:<{width}}" + _comparison_cells(result))
     reductions = [r.reduction_pct for r in results if _is_complete(r)]
     if reductions:
         lines.append("-" * len(header))
         lines.append(
-            f"{'average':<14}{'':>14}{'':>10}{'':>15}{'':>10}"
+            f"{'average':<{width}}{'':>14}{'':>10}{'':>15}{'':>10}"
             f"{statistics.mean(reductions):>12.2f}"
         )
     return "\n".join(lines)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import pathlib
 import sys
 from typing import Any, Dict, List, Optional, Sequence, Union
@@ -228,10 +229,26 @@ _PROGRESS_EVENTS = frozenset(
 )
 
 
+def _say(text: str = "") -> None:
+    """Print ``text`` now; once stdout's reader has gone, print nothing.
+
+    A campaign prints from inside the runner's event callback, so a
+    reader that exits early (``repro-mm campaign … | head -1``) must not
+    raise there: the first broken pipe points stdout at the null device,
+    and the campaign finishes with its stream and summary complete.
+    """
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+
+
 def _print_progress(event: Dict[str, Any]) -> None:
     """One ``--tail`` line per job-level event."""
     if event.get("event") in _PROGRESS_EVENTS:
-        print(format_event(event))
+        _say(format_event(event))
 
 
 def _campaign_rows(
@@ -320,14 +337,14 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             outcome = run_campaign(spec, args.out, on_event=on_event)
     except CampaignError as exc:
         raise SystemExit(f"repro-mm: error: {exc}") from None
-    print(
+    _say(
         f"campaign done: {outcome.completed} jobs completed, "
         f"{outcome.failed} failed (run dir: {outcome.run_dir})"
     )
     results = _campaign_rows(outcome.run_dir)
     if results:
-        print()
-        print(
+        _say()
+        _say(
             format_comparison_table(
                 results, title=f"Campaign {outcome.spec.name!r}"
             )

@@ -15,8 +15,10 @@ result.  It provides three cooperating layers:
   for tiny batches or when the pool dies, and starts the predicted
   next batch early while the parent breeds).  Results are
   bit-identical to serial evaluation.
-* :mod:`repro.engine.profile` — lightweight per-phase timers and the
-  :class:`PerfStats` summary exposed on ``SynthesisResult.perf``.
+* :mod:`repro.engine.profile` — the evaluator's per-phase timers
+  (:data:`PROFILER`, a view of the metrics registry's phase table,
+  :mod:`repro.obs.metrics`) and the :class:`PerfStats` ledger exposed
+  on ``SynthesisResult.perf``.
 """
 
 from repro.engine.backend import (

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
 
 from repro.engine.decode_cache import DecodeContext, context_for
-from repro.engine.profile import PROFILER, PerfStats, PhaseTotals
+from repro.engine.profile import PerfStats
 from repro.engine.records import (
     EvalRecord,
     evaluate_genes,
@@ -86,7 +86,7 @@ def _init_worker(payload: bytes) -> None:
 
 
 def _init_forked_worker() -> None:
-    """Start a worker's phase totals and metrics from zero.
+    """Start a worker's metrics registry from zero.
 
     Forked workers inherit the parent's accumulated figures; the deltas
     shipped back must only cover work done in this process.  Ctrl-C is
@@ -99,29 +99,22 @@ def _init_forked_worker() -> None:
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    PROFILER.reset()
     REGISTRY.reset()
 
 
 def _eval_chunk(
     chunk: Sequence[GeneTuple],
-) -> Tuple[List[EvalRecord], PhaseTotals, MetricsSnapshot, float]:
-    """Evaluate one chunk of genomes; returns records + profile/metric deltas."""
+) -> Tuple[List[EvalRecord], MetricsSnapshot, float]:
+    """Evaluate one chunk of genomes; returns records, metrics delta, busy s."""
     assert _worker_problem is not None and _worker_config is not None
-    base = PROFILER.snapshot()
-    metrics_base = REGISTRY.snapshot()
+    base = REGISTRY.snapshot()
     started = time.perf_counter()
     records = [
         evaluate_genes(_worker_problem, genes, _worker_config, _worker_context)
         for genes in chunk
     ]
     busy = time.perf_counter() - started
-    return (
-        records,
-        PROFILER.delta_since(base),
-        REGISTRY.delta_since(metrics_base),
-        busy,
-    )
+    return records, REGISTRY.delta_since(base), busy
 
 
 class EvaluationBackend(ABC):
@@ -263,7 +256,6 @@ class PooledBackend(EvaluationBackend):
         if self._pool is not None:
             self.perf.pool_workers = self.jobs
             self._pool_started = time.perf_counter()
-            REGISTRY.set_gauge("engine_pool_workers", self.jobs)
 
     # ------------------------------------------------------------------
     # Pool lifecycle
@@ -279,8 +271,8 @@ class PooledBackend(EvaluationBackend):
                 # them already built.  The parent's mode-result cache
                 # is materialised too: workers inherit its warm entries
                 # and keep their own copies from there on (their
-                # hits/misses still reach the parent via the metric
-                # deltas shipped with each chunk).
+                # hits/misses still reach the parent via the metrics
+                # delta shipped with each chunk).
                 global _worker_problem, _worker_config, _worker_context
                 _worker_problem = self.problem
                 _worker_config = self.config
@@ -336,12 +328,11 @@ class PooledBackend(EvaluationBackend):
         """Retire the pool after a failure and warn."""
         self._retire_pool(graceful=False)
         self.last_pool_error = f"{stage}: {exc!r}"
+        # The fallback is surfaced three ways: the failure counter, the
+        # ledger's pool_fallbacks and the RuntimeWarning for interactive
+        # runs.
         REGISTRY.inc("engine_pool_failures_total", stage=stage)
-        # The fallback transition is surfaced three ways: the counter
-        # below, the pool_workers gauge dropping to zero, and the
-        # RuntimeWarning for interactive runs.
         self.perf.pool_fallbacks += 1
-        REGISTRY.set_gauge("engine_pool_workers", 0)
         warnings.warn(
             f"parallel evaluation pool {stage} failed ({exc!r}); "
             f"continuing with in-process evaluation",
@@ -401,14 +392,13 @@ class PooledBackend(EvaluationBackend):
                 raise RuntimeError("pool stopped with chunks outstanding")
             pending.wait(0.05)
         records: List[EvalRecord] = []
-        for chunk_records, phase_delta, metrics_delta, busy in pending.get():
+        for chunk_records, delta, busy in pending.get():
             records.extend(chunk_records)
             self.perf.pool_busy_seconds += busy
-            self.perf.merge_phase_totals(phase_delta)
-            # Fold the worker's metric delta into this process's
-            # registry: the pool is transparent to observability.
-            REGISTRY.merge(metrics_delta)
-            REGISTRY.observe("engine_chunk_seconds", busy)
+            # Fold the worker's counters and phase time into this
+            # process's registry: the pool is transparent to
+            # observability, and the run's one delta covers it.
+            REGISTRY.merge(delta)
         self.perf.pool_dispatch_seconds += (
             time.perf_counter() - dispatch.started
         )
@@ -435,7 +425,7 @@ class PooledBackend(EvaluationBackend):
         if dispatch is not None:
             # The parent is a worker too: it evaluates the last chunk
             # while the pool runs the rest.  Its phase timings land in
-            # the global PROFILER like any in-process evaluation.
+            # the registry like any in-process evaluation.
             context = context_for(self.problem)
             local = [
                 evaluate_genes(self.problem, genes, self.config, context)

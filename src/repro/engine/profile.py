@@ -1,40 +1,36 @@
-"""Lightweight perf instrumentation for the evaluation hot path.
+"""Phase timers over the metrics registry, and the run's perf ledger.
 
-A :class:`PhaseProfiler` accumulates wall-clock seconds and call counts
-per named phase (mobility, cores, schedule, dvs, power).  The module
-keeps one process-global instance, :data:`PROFILER`, that the evaluator
-records into; worker processes each accumulate into their own copy and
-ship deltas back with every result chunk, so the synthesizer can merge a
-complete picture into :class:`PerfStats` regardless of where candidates
-were evaluated.
+:data:`PROFILER` is how the evaluator times its phases (mobility,
+cores, schedule, dvs, power): ``PROFILER.phase(name)`` is the
+process-global :data:`~repro.obs.metrics.REGISTRY`'s own timer, and
+:meth:`PhaseProfiler.snapshot` / :meth:`PhaseProfiler.delta_since`
+read the registry's phase table as ``{phase key: (seconds, calls)}``.
+There is no second store: pool and campaign workers ship their phase
+time back inside their registry deltas, like their counters.
 
 Phases can additionally be attributed to one *operational mode*
-(``PROFILER.phase("schedule", mode="gsm")``): per-mode buckets travel
-through the same snapshot/delta/merge machinery (keys become
-``(name, mode)`` tuples) and :class:`PerfStats` derives both the
-aggregate per-phase totals and the per-mode breakdown from them, so the
-mode buckets of a phase always sum exactly to its aggregate.  Work that
-spans all modes at once (core allocation, the power model) is recorded
-without a mode and lands in the reserved :data:`SHARED_MODE` bucket.
-
-The timers are two ``perf_counter`` calls per phase — cheap enough to
-stay enabled unconditionally.
+(``PROFILER.phase("schedule", mode="gsm")``): per-mode buckets are
+keyed ``(name, mode)`` and :class:`PerfStats` derives both the
+aggregate per-phase totals and the per-mode breakdown from them
+(:meth:`PerfStats.merge_phase_totals`), so the mode buckets of a phase
+always sum exactly to its aggregate.  Work that spans all modes at once
+(core allocation, the power model) is recorded without a mode and lands
+in the reserved :data:`SHARED_MODE` bucket.
 """
 
 from __future__ import annotations
 
 import copy
-import time
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
-from typing import Any, Dict, Iterator, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Mapping, Optional, Tuple
 
-#: Phase identity: a bare name, or ``(name, mode)`` for mode-attributed
-#: accumulation.
-PhaseKey = Union[str, Tuple[str, str]]
-
-#: A snapshot/delta of accumulated phase data: key -> (seconds, calls).
-PhaseTotals = Dict[PhaseKey, Tuple[float, int]]
+from repro.obs.metrics import (
+    REGISTRY,
+    MetricsRegistry,
+    PhaseKey,
+    PhaseTotals,
+    phase_delta,
+)
 
 #: Pseudo-mode for phase work that spans all operational modes at once.
 SHARED_MODE = "*"
@@ -48,71 +44,29 @@ def split_phase_key(key: PhaseKey) -> Tuple[str, Optional[str]]:
 
 
 class PhaseProfiler:
-    """Accumulates (seconds, calls) per named phase."""
+    """A registry's phase table, read as ``{phase key: (seconds, calls)}``.
 
-    __slots__ = ("_seconds", "_calls")
+    :attr:`phase` is the registry's own timer (see
+    :meth:`~repro.obs.metrics.MetricsRegistry.phase`), bound once.
+    """
 
-    def __init__(self) -> None:
-        self._seconds: Dict[PhaseKey, float] = {}
-        self._calls: Dict[PhaseKey, int] = {}
+    __slots__ = ("phase", "_registry")
 
-    @contextmanager
-    def phase(
-        self, name: str, mode: Optional[str] = None
-    ) -> Iterator[None]:
-        """Time one phase execution (re-entrant accumulation)."""
-        key: PhaseKey = name if mode is None else (name, mode)
-        started = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - started
-            self._seconds[key] = self._seconds.get(key, 0.0) + elapsed
-            self._calls[key] = self._calls.get(key, 0) + 1
-
-    def add(
-        self,
-        name: str,
-        seconds: float,
-        calls: int = 1,
-        mode: Optional[str] = None,
-    ) -> None:
-        """Record an externally measured phase duration."""
-        key: PhaseKey = name if mode is None else (name, mode)
-        self._seconds[key] = self._seconds.get(key, 0.0) + seconds
-        self._calls[key] = self._calls.get(key, 0) + calls
-
-    def reset(self) -> None:
-        self._seconds.clear()
-        self._calls.clear()
+    def __init__(self, registry: MetricsRegistry) -> None:
+        self._registry = registry
+        self.phase = registry.phase
 
     def snapshot(self) -> PhaseTotals:
         """Current totals, safe to keep across further accumulation."""
-        return {
-            key: (self._seconds[key], self._calls[key])
-            for key in self._seconds
-        }
+        return self._registry.phase_totals()
 
     def delta_since(self, base: PhaseTotals) -> PhaseTotals:
         """Accumulation that happened after ``base`` was snapshotted."""
-        delta: PhaseTotals = {}
-        for key, seconds in self._seconds.items():
-            base_seconds, base_calls = base.get(key, (0.0, 0))
-            extra_seconds = seconds - base_seconds
-            extra_calls = self._calls[key] - base_calls
-            if extra_calls > 0 or extra_seconds > 1e-12:
-                delta[key] = (extra_seconds, extra_calls)
-        return delta
-
-    def merge(self, totals: Mapping[PhaseKey, Tuple[float, int]]) -> None:
-        """Fold another profiler's totals (or a delta) into this one."""
-        for key, (seconds, calls) in totals.items():
-            name, mode = split_phase_key(key)
-            self.add(name, seconds, calls, mode=mode)
+        return phase_delta(self._registry.phase_totals(), base)
 
 
-#: The process-global profiler the evaluator records into.
-PROFILER = PhaseProfiler()
+#: The process-global phase timers the evaluator records with.
+PROFILER = PhaseProfiler(REGISTRY)
 
 #: :class:`PerfStats` properties :meth:`PerfStats.to_dict` adds to the
 #: fields.
@@ -342,7 +296,7 @@ class PerfStats:
     def merge_phase_totals(
         self, totals: Mapping[PhaseKey, Tuple[float, int]]
     ) -> None:
-        """Fold a :class:`PhaseProfiler` snapshot/delta into this summary.
+        """Fold a phase table (a registry delta's ``phases``) into this ledger.
 
         Mode-attributed keys feed both the aggregate per-phase totals
         and the per-mode breakdown, which keeps the two views exactly

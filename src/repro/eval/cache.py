@@ -31,11 +31,11 @@ An entry holds only what a later lookup reads.  Two segments, two keys:
     observes.
 
 Both segments are bounded LRUs (:data:`MODE_CACHE_SIZE` entries each
-for the per-problem cache); hits, misses and evictions are metered per
-mode on the process-global :data:`~repro.obs.metrics.REGISTRY` together
-with a hit-rate gauge and an (approximate) bytes-resident gauge.  A
-lookup adds to one pre-resolved counter and names itself the hit-rate
-gauge's source; the registry computes the rate only when it is read.
+for the per-problem cache); hits, misses and evictions are counted per
+mode on the process-global :data:`~repro.obs.metrics.REGISTRY`, one add
+to a pre-resolved counter per lookup.  The hit rate, entries and
+(approximate) resident bytes of one cache are read off
+:meth:`ModeResultCache.stats`.
 
 Cached values are Ψ-independent — probabilities only enter the final
 weighted sum — so one cache instance serves both probability policies
@@ -58,12 +58,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Entry capacity of each segment of the per-problem cache built by
 #: :func:`mode_cache_for`.
 MODE_CACHE_SIZE = 4096
-
-#: The gauge series, resolved once: hit rate (read from the cache that
-#: looked up last), resident bytes and entries (set on every insertion).
-_HIT_RATE: MetricKey = metric_key("eval_mode_cache_hit_rate", {})
-_BYTES: MetricKey = metric_key("eval_mode_cache_bytes_resident", {})
-_ENTRIES: MetricKey = metric_key("eval_mode_cache_entries", {})
 
 #: The configuration facets that change per-mode stage results.  Two
 #: configs with equal fingerprints produce bit-identical mode results,
@@ -108,7 +102,7 @@ class ModePrep:
         )
         # Rough per-entry footprint (key and LRU slot included),
         # fitted to tracemalloc on full smartphone and mul8 caches.
-        # Good enough for a resident-bytes gauge; no claim of
+        # Good enough for a resident-bytes figure; no claim of
         # allocator-level accuracy.
         demand_entries = sum(
             len(base) + len(desired)
@@ -182,8 +176,8 @@ class ModeResultCache:
 
     One instance serves one :class:`Problem`, under either probability
     policy, within one process; pool workers each hold their own (fork
-    workers inherit the parent's warm entries copy-on-write).  All
-    bookkeeping is metered on the process-global metrics registry, so
+    workers inherit the parent's warm entries copy-on-write).  Lookups
+    and evictions are counted on the process-global metrics registry, so
     worker-side hits travel back to the parent through the existing
     snapshot/delta/merge plumbing.
     """
@@ -249,8 +243,6 @@ class ModeResultCache:
         else:
             self.misses += 1
             REGISTRY.add(series[1])
-        # The rate is computed when the registry is read, not here.
-        REGISTRY.set_gauge_source(_HIT_RATE, self._hit_rate_now)
         return entry
 
     def _put(
@@ -273,41 +265,26 @@ class ModeResultCache:
             if series is None:
                 series = _resolve(series_of, evicted_key[0], stage)
             REGISTRY.add(series[2])
-        self._publish_gauges()
 
-    def _publish_gauges(self) -> None:
-        REGISTRY.set_gauge_key(_BYTES, self.bytes_resident)
-        REGISTRY.set_gauge_key(_ENTRIES, len(self))
-
-    def _hit_rate_now(self) -> float:
+    @property
+    def hit_rate(self) -> float:
         """Fraction of lookups served from cache (both segments)."""
         looked_up = self.hits + self.misses
         if looked_up == 0:
             return 0.0
         return self.hits / looked_up
 
-    # The method itself is the hit-rate gauge's source (see _get).
-    hit_rate = property(_hit_rate_now)
-
     def __len__(self) -> int:
         return len(self._prep) + len(self._sched)
 
     def clear(self) -> None:
-        """Drop all entries and reset every meter and gauge.
-
-        The hit/miss/eviction meters restart from zero and the
-        hit-rate, bytes-resident and entries gauges are re-published
-        immediately — ``--status`` must not report the pre-clear
-        figures until the next lookup happens to refresh them.
-        """
+        """Drop all entries and restart :meth:`stats` from zero."""
         self._prep.clear()
         self._sched.clear()
         self.bytes_resident = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        REGISTRY.set_gauge_key(_HIT_RATE, 0.0)
-        self._publish_gauges()
 
     def stats(self) -> Dict[str, float]:
         """A plain-dict summary (tests, debugging, CLI display)."""

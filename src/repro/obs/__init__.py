@@ -2,11 +2,11 @@
 
 The package turns the campaign runtime from *durable* into *operable*:
 
-* :mod:`repro.obs.metrics` — a lightweight process-global metrics
-  registry (counters / gauges / histograms with labels) that mirrors
-  the :class:`~repro.engine.profile.PhaseProfiler` merge-by-delta
-  design, so pool workers ship metric deltas back with every result
-  chunk and the main process always holds the complete picture.
+* :mod:`repro.obs.metrics` — the process's one recorder: labelled
+  counters and per-phase (and per-mode) seconds and calls, behind one
+  snapshot/delta/merge, so pool workers ship a delta back with every
+  result chunk, campaign workers with every job, and the main process
+  always holds the complete picture.
 * :mod:`repro.obs.status` — parse a run directory's ``events.jsonl``
   into a progress/ETA summary (``repro-mm campaign --status``) and
   follow the stream live (``--tail``).

@@ -6,8 +6,8 @@ did this campaign do and where did the time go" without replaying the
 event stream: job totals, per-job outcome rows, the evaluation-engine
 perf ledger merged across jobs — including the per-mode phase
 breakdown, so Equation (1)'s probability-weighted fitness cost is
-attributable to operational modes — and a dump of the process-global
-metrics registry.
+attributable to operational modes — and the counters the campaign added
+to the process-global metrics registry.
 
 Schema (``version`` 1)::
 
@@ -26,9 +26,16 @@ Schema (``version`` 1)::
       "perf": {...},                # PerfStats.to_dict() of the merge
                                     # of every job record's perf: each
                                     # PerfStats field and derived rate
-      "metrics": {"counters": {...}, "gauges": {...},
-                  "histograms": {...}},
+      "metrics": {"counters": {...}},  # name{labels} -> count, of
+                                      # this run only, workers' included
     }
+
+Summaries written before the registry lost its gauges and histograms
+also carry ``metrics.gauges`` and ``metrics.histograms``.  The version
+stays 1: nothing reads those two members, every field the version-1
+readers (``--status``, :func:`load_run_summary`) use keeps its name
+and meaning, and old files still load — as when the ``retries`` count
+left the schema without a bump.
 """
 
 from __future__ import annotations
@@ -39,7 +46,6 @@ import time
 from typing import Any, Dict, List, Mapping, Optional, Union
 
 from repro.durable import atomic_write_json
-from repro.engine.profile import PerfStats
 
 PathLike = Union[str, pathlib.Path]
 
@@ -78,6 +84,9 @@ def build_run_summary(
     :meth:`~repro.runtime.runner.JobResult.to_dict` shape); ``events``
     is the campaign's event list, used only for wall-clock bounds.
     """
+    # Imported here: repro.engine imports this package's registry.
+    from repro.engine.profile import PerfStats
+
     timestamps = [
         float(event["ts"])
         for event in events

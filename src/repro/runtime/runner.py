@@ -22,8 +22,9 @@ as an ordered queue of synthesis jobs on top of the evaluation engine:
   paper's comparison tables without re-running anything.  On exit
   (finished *or* interrupted) the runner also exports a machine-
   readable ``run_summary.json`` (see :mod:`repro.obs.summary`) and
-  campaign-level counters/gauges land in the process-global metrics
-  registry (:mod:`repro.obs.metrics`).
+  campaign-level counters land in the process-global metrics registry
+  (:mod:`repro.obs.metrics`); the summary dumps the counters the run
+  added.
 * **Campaign workers** — pending jobs run in forked worker processes,
   one per usable CPU (:func:`usable_cpus` divided by the config's
   ``jobs``, at most one per unit of work).  A unit is the jobs of one
@@ -60,7 +61,7 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 from repro.durable import is_version
 from repro.engine.backend import _init_forked_worker
 from repro.errors import CampaignError, ReproError
-from repro.obs.metrics import REGISTRY
+from repro.obs.metrics import REGISTRY, MetricsSnapshot
 from repro.obs.summary import build_run_summary, write_run_summary
 from repro.problem import Problem
 from repro.runtime import checkpoint as ckpt
@@ -261,8 +262,6 @@ class CampaignRunner:
         self._problem_loader = problem_loader
         self._on_event = on_event
         self._problems: Dict[str, Problem] = {}
-        #: Jobs of this run not yet finished or failed.
-        self._pending = 0
         self._persist_spec()
 
     # ------------------------------------------------------------------
@@ -322,6 +321,9 @@ class CampaignRunner:
         """
         queue = self.spec.jobs()
         outcome = CampaignResult(spec=self.spec, run_dir=self.run_dir)
+        # The summary's counters are this run's: an earlier campaign in
+        # the same process has recorded into the same registry.
+        metrics_base = REGISTRY.snapshot()
         with _sigterm_as_interrupt(), EventLog(
             events_path(self.run_dir)
         ) as events:
@@ -341,8 +343,6 @@ class CampaignRunner:
                 )
             ]
             workers = self._worker_count(len(units))
-            self._pending = len(pending)
-            REGISTRY.set_gauge("campaign_jobs_pending", self._pending)
             self._emit(
                 events,
                 "campaign_started",
@@ -390,7 +390,7 @@ class CampaignRunner:
                     campaign=self.spec.name,
                     completed_jobs=len(outcome.results),
                 )
-                self._export_summary(outcome, interrupted=True)
+                self._export_summary(outcome, metrics_base, interrupted=True)
                 raise
             self._emit(
                 events,
@@ -399,7 +399,7 @@ class CampaignRunner:
                 completed_jobs=len(outcome.results),
                 failed_jobs=len(outcome.failures),
             )
-            self._export_summary(outcome, interrupted=False)
+            self._export_summary(outcome, metrics_base, interrupted=False)
         return outcome
 
     def _worker_count(self, units: int) -> int:
@@ -409,9 +409,15 @@ class CampaignRunner:
         return max(1, min(usable_cpus() // self.spec.config.jobs, units))
 
     def _export_summary(
-        self, outcome: CampaignResult, interrupted: bool
+        self,
+        outcome: CampaignResult,
+        metrics_base: MetricsSnapshot,
+        interrupted: bool,
     ) -> None:
         """Write ``run_summary.json`` next to the event stream.
+
+        Its counters are those added since ``metrics_base``, the
+        registry snapshot taken when the run started.
 
         Results and failures are put in queue order first: workers
         report them in completion order.  Best-effort on the interrupt
@@ -434,7 +440,7 @@ class CampaignRunner:
                 },
                 failures=dict(outcome.failures),
                 events=events,
-                metrics=REGISTRY.to_dict(),
+                metrics=REGISTRY.to_dict(since=metrics_base),
                 interrupted=interrupted,
             )
             write_run_summary(self.run_dir, summary)
@@ -478,9 +484,8 @@ class CampaignRunner:
 
     def _run_job(self, job: JobSpec, events: EventLog) -> JobResult:
         """Run one job in-process, with live events."""
-        started = time.perf_counter()
         result = self._synthesize(job, functools.partial(self._emit, events))
-        self._finish(events, job, result, time.perf_counter() - started)
+        self._finish(events, job, result)
         return result
 
     def _synthesize(
@@ -565,11 +570,7 @@ class CampaignRunner:
         )
 
     def _finish(
-        self,
-        events: EventLog,
-        job: JobSpec,
-        result: JobResult,
-        seconds: float,
+        self, events: EventLog, job: JobSpec, result: JobResult
     ) -> None:
         """Persist a finished job, then log it: result, checkpoint, event.
 
@@ -579,9 +580,7 @@ class CampaignRunner:
         """
         ckpt.write_result(self.run_dir, job.job_id, result.to_dict())
         ckpt.clear_checkpoint(self.run_dir, job.job_id)
-        self._count_done()
         REGISTRY.inc("campaign_jobs_finished_total")
-        REGISTRY.observe("campaign_job_seconds", seconds)
         config = job.configure(self.spec.config)
         self._emit(
             events,
@@ -597,13 +596,8 @@ class CampaignRunner:
         error: str,
     ) -> None:
         outcome.failures[job.job_id] = error
-        self._count_done()
         REGISTRY.inc("campaign_jobs_failed_total")
         self._emit(events, "job_failed", job_id=job.job_id, error=error)
-
-    def _count_done(self) -> None:
-        self._pending -= 1
-        REGISTRY.set_gauge("campaign_jobs_pending", self._pending)
 
     # ------------------------------------------------------------------
     # Campaign workers
@@ -697,9 +691,8 @@ class CampaignRunner:
         if status == "failed":
             self._fail(outcome, events, job, value)
         else:
-            result, seconds = value
-            self._finish(events, job, result, seconds)
-            outcome.results[job.job_id] = result
+            self._finish(events, job, value)
+            outcome.results[job.job_id] = value
         return True
 
     def _lost_message(self, worker: "_Worker") -> str:
@@ -727,11 +720,12 @@ class CampaignRunner:
         It asks for a unit only when idle (a ``None`` message), so the
         parent's sends never wait on a full pipe.  Per job it sends one
         message ``(events, status, value, delta)``: ``("finished",
-        (result, wall seconds), delta)``, ``("failed", error, delta)`` or
-        ``("raised", (pickled exception, traceback), None)``, where
-        ``delta`` is the job's metrics registry delta.  A lost parent
-        ends it: end-of-file or a broken pipe on the connection, or a
-        parent process id that changed at a generation boundary.
+        result, delta)``, ``("failed", error, delta)`` or ``("raised",
+        (pickled exception, traceback), None)``, where ``delta`` is the
+        job's metrics registry delta: its counters and phase time.  A
+        lost parent ends it: end-of-file or a broken pipe on the
+        connection, or a parent process id that changed at a generation
+        boundary.
         """
         _init_forked_worker()
         for end in parent_ends:
@@ -763,7 +757,6 @@ class CampaignRunner:
             log.append((kind, time.time(), fields))
 
         base = REGISTRY.snapshot()
-        started = time.perf_counter()
         try:
             result = self._synthesize(job, collect)
         except (ReproError, ValidationError) as exc:
@@ -774,8 +767,7 @@ class CampaignRunner:
             except Exception:
                 pickled = None
             return (log, "raised", (pickled, traceback.format_exc()), None)
-        seconds = time.perf_counter() - started
-        return (log, "finished", (result, seconds), REGISTRY.delta_since(base))
+        return (log, "finished", result, REGISTRY.delta_since(base))
 
 
 @dataclass

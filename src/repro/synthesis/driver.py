@@ -209,7 +209,6 @@ class GenerationDriver:
         config = self.config
         problem = self.problem
         started = time.perf_counter()
-        profile_base = PROFILER.snapshot()
         metrics_base = REGISTRY.snapshot()
         mutation_rate = config.per_gene_mutation_rate
         if mutation_rate is None:
@@ -262,7 +261,6 @@ class GenerationDriver:
         for generation in range(
             start_generation, config.max_generations + 1
         ):
-            generation_started = time.perf_counter()
             # --- evaluate ----------------------------------------------
             records = self.evaluate_population(population, backend)
 
@@ -276,14 +274,8 @@ class GenerationDriver:
             stagnant = 0 if improved else stagnant + 1
             history.append(best_fitness)
             REGISTRY.inc("ga_generations_total")
-            if math.isfinite(best_fitness):
-                REGISTRY.set_gauge("ga_best_fitness", best_fitness)
 
             if stagnant >= config.convergence_generations:
-                REGISTRY.observe(
-                    "ga_generation_seconds",
-                    time.perf_counter() - generation_started,
-                )
                 break
 
             # --- restart -----------------------------------------------
@@ -348,10 +340,6 @@ class GenerationDriver:
                 )
             )
 
-            REGISTRY.observe(
-                "ga_generation_seconds",
-                time.perf_counter() - generation_started,
-            )
             if on_generation is not None:
                 # The end of the generation body is the one clean
                 # resume point: the next-generation population is bred,
@@ -406,14 +394,14 @@ class GenerationDriver:
             wall_time=elapsed,
             jobs=config.jobs,
         )
-        perf.merge_phase_totals(PROFILER.delta_since(profile_base))
+        # This run's phase time and mode-result cache activity (the
+        # labelled counters per mode and stage).  Pool-worker activity
+        # is already folded in: chunk results merge their deltas into
+        # this registry on arrival.
+        delta = REGISTRY.delta_since(metrics_base)
+        perf.merge_phase_totals(delta["phases"])
         backend.finalize_perf(perf)
-        # Mode-result cache activity of this run: sum the labelled
-        # counters (per mode, per stage) accumulated since the start.
-        # Pool-worker activity is already folded in — chunk results
-        # merge their metric deltas into this registry on arrival.
-        metrics_delta = REGISTRY.delta_since(metrics_base).get("counters", {})
-        for (metric_name, _labels), value in metrics_delta.items():
+        for (metric_name, _labels), value in delta["counters"].items():
             if metric_name == "eval_mode_cache_hits_total":
                 perf.mode_cache_hits += int(value)
             elif metric_name == "eval_mode_cache_misses_total":

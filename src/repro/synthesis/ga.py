@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.mapping.encoding import MappingString
-from repro.obs.metrics import REGISTRY
 
 
 @dataclass
@@ -89,20 +88,15 @@ def breed(
 ) -> List[MappingString]:
     """Pair parents, apply two-point crossover and gene mutation."""
     offspring: List[MappingString] = []
-    crossovers = 0
     for first, second in zip(parents[0::2], parents[1::2]):
         if rng.random() < crossover_rate:
             child_a, child_b = first.crossover_two_point(second, rng)
-            crossovers += 1
         else:
             child_a, child_b = first, second
         offspring.append(child_a.mutate(rng, per_gene_mutation_rate))
         offspring.append(child_b.mutate(rng, per_gene_mutation_rate))
     if len(parents) % 2 == 1:
         offspring.append(parents[-1].mutate(rng, per_gene_mutation_rate))
-    if crossovers:
-        REGISTRY.inc("ga_crossovers_total", crossovers)
-    REGISTRY.inc("ga_offspring_total", len(offspring))
     return offspring
 
 

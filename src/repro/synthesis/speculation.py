@@ -28,7 +28,6 @@ from typing import List, Sequence, Tuple
 
 from repro.engine.records import EvalRecord
 from repro.mapping.encoding import MappingString
-from repro.obs.metrics import REGISTRY
 from repro.synthesis import improvements, operators
 from repro.synthesis.config import SynthesisConfig
 
@@ -47,21 +46,19 @@ def predict_next_batch(
     """Replay the breeding pipeline on a cloned RNG: the exact next batch.
 
     ``rng_state`` is the live generator's state *before* the driver
-    breeds; the replay consumes draws only from the clone.  Meters are
-    suppressed for the duration — the real pass, which follows
-    immediately, does the counting.
+    breeds; the replay consumes draws only from the clone.  The breeding
+    stages record no metrics, so the replay counts nothing the real
+    pass, which follows immediately, counts again.
     """
     rng = random.Random()
     rng.setstate(rng_state)
-    with REGISTRY.paused():
-        predicted = operators.breed_next(
-            config, mutation_rate, population, records, rng
-        )
-        stalls = improvements.update_stalls(
-            records, area_stall, timing_stall, transition_stall
-        )
-        predicted = improvements.apply_improvements(
-            config, predicted, records, rng, *stalls, best_genome
-        )
-    return predicted
+    predicted = operators.breed_next(
+        config, mutation_rate, population, records, rng
+    )
+    stalls = improvements.update_stalls(
+        records, area_stall, timing_stall, transition_stall
+    )
+    return improvements.apply_improvements(
+        config, predicted, records, rng, *stalls, best_genome
+    )
 

@@ -1,5 +1,7 @@
 """Tests for table formatting."""
 
+import re
+
 from repro.analysis.experiments import (
     ComparisonResult,
     PolicyOutcome,
@@ -45,6 +47,40 @@ class TestComparisonTable:
     def test_empty_results(self):
         text = format_comparison_table([])
         assert "Example" in text
+
+    def test_label_column_fits_its_longest_label(self):
+        # A campaign over several DVS methods labels rows
+        # ``inst [dvs] (modes)``: 19 characters here, past the
+        # 14-character minimum.  Every number must still end under its
+        # header.
+        text = format_comparison_table(
+            [fake_result(), fake_result("mul3 [gradient]", 5, 6e-3, 5e-3)]
+        )
+        lines = text.splitlines()
+        header = lines[2]
+        titles = (
+            "P w/o Ψ (mW)",
+            "CPU (s)",
+            "P with Ψ (mW)",
+            "CPU (s)",
+            "Reduc. (%)",
+        )
+        ends, start = [], 0
+        for title in titles:
+            start = header.index(title, start) + len(title)
+            ends.append(start)
+
+        def token_ends(line):
+            return [match.end() for match in re.finditer(r"\S+", line)]
+
+        rows = [line for line in lines if line.startswith("mul")]
+        assert len(rows) == 2
+        assert rows[1].startswith("mul3 [gradient] (5) ")
+        for row in rows:
+            assert token_ends(row)[-5:] == ends
+        (average,) = [line for line in lines if line.startswith("average")]
+        assert token_ends(average)[-1] == ends[-1]
+        assert {len(row) for row in rows + [average]} == {len(header)}
 
     def test_one_sided_row_is_na_and_left_out_of_the_average(self):
         # A campaign between a pair's two jobs: only the Ψ-neglecting

@@ -4,7 +4,8 @@ The ISSUE criterion verified here: for a real synthesis run the
 per-mode breakdown of every phase (``perf.mode_phase_seconds``) sums,
 within float tolerance, to that phase's aggregate ``phase_seconds`` —
 with serial evaluation and with a worker pool, whose per-mode buckets
-travel back to the parent as profiler deltas.  With the incremental
+travel back to the parent inside its metrics registry deltas, which
+the run's one delta then reads with the parent's.  With the incremental
 pipeline a warm mode-result cache may skip per-mode stages entirely
 (they then record *nothing*, keeping the invariant trivially); its hits
 are counted per mode by the ``eval_mode_cache_hits_total`` counters,

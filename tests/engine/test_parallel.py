@@ -13,6 +13,7 @@ from repro.engine import backend as backend_module
 from repro.engine.backend import PooledBackend, SerialBackend, backend_for
 from repro.engine.records import EvalRecord, evaluate_genes
 from repro.mapping.encoding import MappingString
+from repro.obs.metrics import REGISTRY
 from repro.synthesis.config import SynthesisConfig
 
 from tests.conftest import make_two_mode_problem
@@ -112,6 +113,7 @@ class TestPooledPath:
     def test_barrier_pool_matches_serial_records(self, problem):
         config = SynthesisConfig(jobs=2)
         genomes = _genomes(problem, 10)
+        base = REGISTRY.snapshot()
         with _pooled(problem, config) as backend:
             records = _evaluate(backend, genomes)
             assert backend.perf.batches == 1
@@ -120,7 +122,13 @@ class TestPooledPath:
             assert 0 < backend.perf.parallel_evaluations < len(genomes)
             assert backend.perf.pool_busy_seconds > 0.0
             assert backend.perf.pool_dispatch_seconds > 0.0
-            assert backend.perf.phase_seconds
+            # Worker phase time reaches the registry with each chunk's
+            # delta, beside the parent's, and nowhere else: every
+            # genome's core allocation is timed exactly once.
+            assert backend.perf.phase_seconds == {}
+            assert REGISTRY.delta_since(base)["phases"]["cores"][1] == len(
+                genomes
+            )
         assert records == _serial_records(problem, config, genomes)
 
     def test_order_preserved_across_chunks(self, problem):

@@ -8,18 +8,33 @@ import time
 import pytest
 
 from repro.engine.profile import (
+    PROFILER,
     SHARED_MODE,
     PerfStats,
     PhaseProfiler,
     split_phase_key,
 )
+from repro.obs.metrics import REGISTRY, MetricsRegistry
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
+def _profiler():
+    """A phase profiler over a fresh registry, and the registry."""
+    registry = MetricsRegistry()
+    return PhaseProfiler(registry), registry
+
+
+def _record(registry, key, seconds, calls=1):
+    """Book known phase time, as a worker's merged delta does."""
+    registry.merge({"phases": {key: (seconds, calls)}})
+
+
 class TestPhaseProfiler:
+    """The registry's phase table, read as ``{key: (seconds, calls)}``."""
+
     def test_phase_accumulates_seconds_and_calls(self):
-        profiler = PhaseProfiler()
+        profiler, _ = _profiler()
         for _ in range(3):
             with profiler.phase("dvs"):
                 time.sleep(0.001)
@@ -28,47 +43,41 @@ class TestPhaseProfiler:
         assert calls == 3
         assert seconds >= 0.003
 
-    def test_add_records_external_measurements(self):
-        profiler = PhaseProfiler()
-        profiler.add("schedule", 1.5, calls=4)
-        profiler.add("schedule", 0.5)
-        assert profiler.snapshot()["schedule"] == (2.0, 5)
-
     def test_phase_records_even_on_exception(self):
-        profiler = PhaseProfiler()
+        profiler, _ = _profiler()
         with pytest.raises(RuntimeError):
             with profiler.phase("cores"):
                 raise RuntimeError("boom")
         assert profiler.snapshot()["cores"][1] == 1
 
     def test_reset_clears_everything(self):
-        profiler = PhaseProfiler()
-        profiler.add("power", 1.0)
-        profiler.reset()
+        profiler, registry = _profiler()
+        _record(registry, "power", 1.0)
+        registry.reset()
         assert profiler.snapshot() == {}
 
     def test_delta_since_only_reports_new_work(self):
-        profiler = PhaseProfiler()
-        profiler.add("mobility", 1.0, calls=2)
+        profiler, registry = _profiler()
+        _record(registry, "mobility", 1.0, calls=2)
         base = profiler.snapshot()
-        profiler.add("mobility", 0.25)
-        profiler.add("power", 0.5)
+        _record(registry, "mobility", 0.25)
+        _record(registry, "power", 0.5)
         delta = profiler.delta_since(base)
         assert delta["mobility"] == (pytest.approx(0.25), 1)
         assert delta["power"] == (0.5, 1)
         assert "schedule" not in delta
 
     def test_delta_since_empty_when_idle(self):
-        profiler = PhaseProfiler()
-        profiler.add("dvs", 1.0)
+        profiler, registry = _profiler()
+        _record(registry, "dvs", 1.0)
         assert profiler.delta_since(profiler.snapshot()) == {}
 
     def test_mode_attribution_uses_tuple_keys(self):
-        profiler = PhaseProfiler()
+        profiler, registry = _profiler()
         with profiler.phase("schedule", mode="gsm"):
             pass
-        profiler.add("schedule", 0.5, mode="mp3")
-        profiler.add("cores", 0.25)
+        _record(registry, ("schedule", "mp3"), 0.5)
+        _record(registry, "cores", 0.25)
         totals = profiler.snapshot()
         assert ("schedule", "gsm") in totals
         assert totals[("schedule", "mp3")] == (0.5, 1)
@@ -77,29 +86,38 @@ class TestPhaseProfiler:
         assert split_phase_key("cores") == ("cores", None)
 
     def test_delta_and_merge_preserve_mode_keys(self):
-        profiler = PhaseProfiler()
-        profiler.add("dvs", 1.0, mode="gsm")
+        profiler, registry = _profiler()
+        _record(registry, ("dvs", "gsm"), 1.0)
         base = profiler.snapshot()
-        profiler.add("dvs", 0.5, mode="gsm")
-        profiler.add("dvs", 0.25, mode="mp3")
+        _record(registry, ("dvs", "gsm"), 0.5)
+        _record(registry, ("dvs", "mp3"), 0.25)
         delta = profiler.delta_since(base)
         assert delta == {
             ("dvs", "gsm"): (pytest.approx(0.5), 1),
             ("dvs", "mp3"): (0.25, 1),
         }
-        other = PhaseProfiler()
-        other.merge(delta)
+        other, other_registry = _profiler()
+        other_registry.merge({"phases": delta})
         assert other.snapshot()[("dvs", "gsm")] == (pytest.approx(0.5), 1)
 
     def test_merge_folds_totals(self):
-        left = PhaseProfiler()
-        left.add("dvs", 1.0, calls=2)
-        right = PhaseProfiler()
-        right.add("dvs", 2.0, calls=3)
-        right.add("power", 1.0)
-        left.merge(right.snapshot())
+        left, left_registry = _profiler()
+        _record(left_registry, "dvs", 1.0, calls=2)
+        _, right_registry = _profiler()
+        _record(right_registry, "dvs", 2.0, calls=3)
+        _record(right_registry, "power", 1.0)
+        left_registry.merge(right_registry.snapshot())
         assert left.snapshot()["dvs"] == (3.0, 5)
         assert left.snapshot()["power"] == (1.0, 1)
+
+    def test_the_global_profiler_times_into_the_registry(self):
+        base = REGISTRY.snapshot()
+        with PROFILER.phase("profile-test", mode="m0"):
+            pass
+        assert PROFILER.phase == REGISTRY.phase
+        assert REGISTRY.delta_since(base)["phases"] == {
+            ("profile-test", "m0"): PROFILER.snapshot()[("profile-test", "m0")]
+        }
 
 
 class TestPerfStats:

@@ -98,8 +98,11 @@ class TestLruMechanics:
         cache = ModeResultCache(8)
         cache.get_prep(("m0", ("PE0",), FP))
         cache.put_prep(("m0", ("PE0",), FP), _prep())
+        cache.get_prep(("m0", ("PE0",), FP))
         stats = cache.stats()
+        assert stats["hits"] == 1
         assert stats["misses"] == 1
+        assert stats["hit_rate"] == 0.5
         assert stats["entries"] == 1
         assert stats["capacity"] == 8
         assert stats["bytes_resident"] > 0
@@ -130,58 +133,21 @@ class TestMetrics:
             "eval_mode_cache_evictions_total", mode="modeA", stage="prep"
         ) == 1
 
-    def test_gauges_published(self):
-        cache = ModeResultCache(4)
-        cache.put_prep(("m0", ("PE0",), FP), _prep())
-        cache.get_prep(("m0", ("PE0",), FP))
-        assert REGISTRY.gauge_value("eval_mode_cache_bytes_resident") > 0
-        assert REGISTRY.gauge_value("eval_mode_cache_entries") >= 1
-        assert 0.0 < REGISTRY.gauge_value("eval_mode_cache_hit_rate") <= 1.0
-
-    def test_clear_resets_meters_and_gauges(self):
-        # Regression: clear() used to leave the hit-rate gauge (and the
-        # hit/miss/eviction meters) at their pre-clear values until the
-        # next lookup, so --status reported stale cache stats after a
-        # clear.
+    def test_clear_resets_stats(self):
+        # clear() restarts every figure stats() reports, footprint
+        # included.
         cache = ModeResultCache(4)
         key = ("m0", ("PE0",), FP)
         cache.get_prep(key)
         cache.put_prep(key, _prep())
         cache.get_prep(key)
-        assert REGISTRY.gauge_value("eval_mode_cache_hit_rate") == 0.5
+        assert cache.hit_rate == 0.5
         cache.clear()
-        assert cache.hits == 0
-        assert cache.misses == 0
-        assert cache.evictions == 0
-        assert cache.hit_rate == 0.0
-        assert REGISTRY.gauge_value("eval_mode_cache_hit_rate") == 0.0
-        assert REGISTRY.gauge_value("eval_mode_cache_bytes_resident") == 0
-        assert REGISTRY.gauge_value("eval_mode_cache_entries") == 0
-
-
-class TestHitRateGauge:
-    """The gauge reads the rate the last lookup left, whenever it is read."""
-
-    def test_reads_the_cache_that_looked_up_last(self):
-        first, second = ModeResultCache(4), ModeResultCache(4)
-        key = ("m0", ("PE0",), FP)
-        first.put_prep(key, _prep())
-        first.get_prep(key)
-        second.get_prep(key)
-        assert REGISTRY.gauge_value("eval_mode_cache_hit_rate") == 0.0
-        first.get_prep(key)
-        assert REGISTRY.gauge_value("eval_mode_cache_hit_rate") == 1.0
-
-    def test_lookups_while_paused_leave_it_unchanged(self):
-        cache = ModeResultCache(4)
-        key = ("m0", ("PE0",), FP)
-        cache.get_prep(key)
-        cache.put_prep(key, _prep())
-        cache.get_prep(key)
-        with REGISTRY.paused():
-            cache.get_prep(key)
-        assert cache.hit_rate == 2 / 3
-        assert REGISTRY.gauge_value("eval_mode_cache_hit_rate") == 0.5
+        stats = cache.stats()
+        for figure in ("hits", "misses", "evictions", "hit_rate"):
+            assert stats[figure] == 0
+        assert stats["entries"] == 0
+        assert stats["bytes_resident"] == 0
 
 
 class TestConfigFingerprint:

@@ -382,11 +382,35 @@ class TestRunSummary:
             assert sum(modes.values()) == pytest.approx(
                 summary["perf"]["phase_seconds"][phase]
             )
-        # Campaign metrics are dumped alongside (process-global
-        # registry, so only lower bounds are stable across a test run).
+        # The counters this campaign added to the registry are dumped
+        # alongside.
         counters = summary["metrics"]["counters"]
-        assert counters["campaign_jobs_finished_total"] >= 2
+        assert counters["campaign_jobs_finished_total"] == 2
         assert counters["ga_generations_total"] >= 2
+        assert summary["metrics"] == {"counters": counters}
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_summary_counts_only_its_own_campaign(
+        self, problem, tmp_path, monkeypatch, workers
+    ):
+        # Campaigns run back to back in one process record into one
+        # registry; each summary's counters are its own campaign's.
+        cpus(monkeypatch, workers)
+        for name in ("first", "second"):
+            run_campaign(
+                tiny_spec(name=name, runs=2),
+                tmp_path / name,
+                problem_loader=loader_for(problem),
+            )
+            summary = load_run_summary(tmp_path / name)
+            counters = summary["metrics"]["counters"]
+            assert counters["campaign_jobs_finished_total"] == 4
+            evaluations = sum(
+                value
+                for series, value in counters.items()
+                if series.startswith("engine_evaluations_total")
+            )
+            assert evaluations == summary["perf"]["evaluations"]
 
     def test_summary_includes_failures(self, problem, tmp_path):
         def loader(name):

@@ -278,6 +278,70 @@ class TestCampaign:
         assert json.loads(path.read_text())["name"] == "cli-smoke"
         return path
 
+    def test_a_reader_that_leaves_does_not_stop_the_campaign(self, tmp_path):
+        # ``repro-mm campaign SPEC --out DIR | head -1``: the reader
+        # takes the first progress line and exits.  The campaign must
+        # finish anyway, with a complete stream and summary.
+        import json
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        import repro
+        from repro.obs.summary import load_run_summary
+        from repro.runtime.events import events_path, read_events
+
+        spec = tmp_path / "spec.json"
+        spec.write_text(
+            json.dumps(
+                {
+                    "name": "pipe",
+                    "instances": ["mul1", "mul9"],
+                    "runs": 1,
+                    "base_seed": 11,
+                    "config": {
+                        "population_size": 10,
+                        "max_generations": 6,
+                        "convergence_generations": 10,
+                    },
+                }
+            )
+        )
+        run_dir = tmp_path / "run"
+        argv = ["campaign", str(spec), "--out", str(run_dir)]
+        env = dict(os.environ)
+        source = str(pathlib.Path(repro.__file__).parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [source] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        with open(tmp_path / "stderr", "w") as stderr:
+            child = subprocess.Popen(
+                [sys.executable, "-m", "repro.cli", *argv],
+                env=env,
+                stdout=subprocess.PIPE,
+                stderr=stderr,
+                text=True,
+            )
+            try:
+                first = child.stdout.readline()
+                child.stdout.close()
+                assert child.wait(timeout=120) == 0
+            finally:
+                if child.poll() is None:
+                    child.kill()
+                    child.wait()
+        assert "campaign 'pipe' started" in first
+        errors = (tmp_path / "stderr").read_text()
+        assert "Traceback" not in errors
+        assert "BrokenPipeError" not in errors
+        assert read_events(events_path(run_dir))[-1]["event"] == (
+            "campaign_finished"
+        )
+        summary = load_run_summary(run_dir)
+        assert summary["interrupted"] is False
+        assert summary["jobs"]["completed"] == 4
+
     def test_init_spec_writes_loadable_template(self, capsys, tmp_path):
         from repro.runtime.spec import CampaignSpec
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import pathlib
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from repro.benchgen import registry
 from repro.errors import SpecificationError
 from repro.io import (
     load_problem,
+    load_result,
     mapping_from_dict,
     mapping_to_dict,
     problem_from_dict,
@@ -17,8 +19,16 @@ from repro.io import (
     save_problem,
 )
 from repro.mapping.encoding import MappingString
+from repro.synthesis.config import SynthesisConfig
+from repro.synthesis.evaluator import evaluate_mapping
 
 from tests.conftest import make_parallel_hw_problem, make_two_mode_problem
+
+#: Schema-1 files written by an earlier commit: ``save_problem`` and
+#: ``save_result`` on mul1 (population 10, 6 generations, seed 3) and
+#: ``repro-mm synthesize mul1 --population 10 --generations 6
+#: --convergence 10 --seed 4 --save-mapping``.
+COMMITTED = pathlib.Path(__file__).resolve().parent / "fixtures" / "repro_io"
 
 
 class TestProblemRoundtrip:
@@ -308,3 +318,32 @@ class TestResultRoundtrip:
                 )
                 direct = average_power(instance, loaded.best.schedules, psi)
                 assert abs(rescored - direct) <= 1e-9
+
+
+class TestCommittedFiles:
+    """Files an earlier commit wrote still load."""
+
+    def test_problem_equals_the_registry_instance(self):
+        loaded = load_problem(COMMITTED / "problem_mul1.json")
+        assert problem_to_dict(loaded) == problem_to_dict(registry.get("mul1"))
+
+    def test_result_loads_with_its_stored_power_and_genes(self):
+        path = COMMITTED / "result_mul1.json"
+        stored = json.loads(path.read_text())
+        result = load_result(registry.get("mul1"), path)
+        assert result.average_power == stored["average_power"]
+        assert result.best.mapping.full_mapping() == stored["mapping"]
+        assert result.history == stored["history"]
+        assert result.evaluations == stored["evaluations"]
+
+    def test_mapping_loads_onto_its_problem(self):
+        problem = registry.get("mul1")
+        stored = json.loads((COMMITTED / "mapping_mul1.json").read_text())
+        mapping = mapping_from_dict(problem, stored)
+        assert mapping.full_mapping() == stored["mapping"]
+        # The design the run that saved it printed: 130.6276 mW.
+        implementation = evaluate_mapping(problem, mapping, SynthesisConfig())
+        assert implementation.metrics.is_feasible
+        assert implementation.metrics.average_power == pytest.approx(
+            0.1306276, abs=1e-7
+        )
